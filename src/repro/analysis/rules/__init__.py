@@ -5,7 +5,6 @@ from repro.analysis.rules.asyncblock import BlockingInAsyncRule
 from repro.analysis.rules.eventschema import EventSchemaRule
 from repro.analysis.rules.exceptions import SilentExceptRule
 from repro.analysis.rules.locks import LockDisciplineRule
-from repro.analysis.rules.statschain import StatsChainRule
 
 __all__ = [
     "DEFAULT_RULES",
@@ -14,14 +13,12 @@ __all__ = [
     "LockDisciplineRule",
     "SessionAffinityRule",
     "SilentExceptRule",
-    "StatsChainRule",
 ]
 
 DEFAULT_RULES = (
     LockDisciplineRule(),
     SessionAffinityRule(),
     BlockingInAsyncRule(),
-    StatsChainRule(),
     EventSchemaRule(),
     SilentExceptRule(),
 )

@@ -20,7 +20,7 @@ import json
 import multiprocessing
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
@@ -42,7 +42,7 @@ from repro.api.tasks import (
 from repro.classical.expr import BoolExpr, BoolVar, Not
 from repro.codes.registry import CODE_REGISTRY, family_of
 from repro.smt.interface import SolveSession
-from repro.smt.solver import SolveControl, SolverInterrupted
+from repro.smt.solver import SolveControl, SolverInterrupted, nonzero
 from repro.verifier.constraints import discreteness_constraint, locality_constraint
 from repro.verifier.encodings import (
     ErrorModel,
@@ -493,20 +493,19 @@ class Engine:
                 cached=cached, compile_seconds=compiled.compile_seconds,
             ))
         session = None
-        absorbed = 0
-        store_absorbed = 0
+        absorbed: Counter = Counter()
         if getattr(chosen, "wants_session", False):
             session = self.resources.session_for(task, compiled)
             if session is not None and hasattr(session, "context"):
                 # Family warm start: offer this code's context the learnt
                 # clauses of its smaller siblings before the solve, guarded
                 # by this task's own selectors.
-                absorbed = self.resources.absorb_from_family(
+                absorbed["family_absorbed"] = self.resources.absorb_from_family(
                     getattr(task, "code", None), session.context, session.selectors
                 )
                 # Clause-store transfer: sibling-fingerprint candidates from
                 # past runs / other processes, entailment-proved on attach.
-                store_absorbed = self.resources.absorb_from_store(
+                absorbed["store_absorbed"] = self.resources.absorb_from_store(
                     getattr(task, "code", None), session.context, session.selectors
                 )
         kwargs = {}
@@ -524,23 +523,13 @@ class Engine:
             check = chosen.check(compiled, session=session, **kwargs)
         elapsed = time.perf_counter() - start
         if emit is not None:
-            emit(SolverStats(
-                conflicts=check.conflicts, decisions=check.decisions,
-                propagations=check.propagations,
+            emit(SolverStats.from_counters(
+                check.counters + absorbed,
                 num_variables=check.num_variables, num_clauses=check.num_clauses,
-                blocker_hits=getattr(check, "blocker_hits", 0),
-                heap_discards=getattr(check, "heap_discards", 0),
-                binary_subsumed=getattr(check, "binary_subsumed", 0),
-                family_absorbed=absorbed,
-                store_absorbed=store_absorbed,
-                learnt_evicted=getattr(check, "learnt_evicted", 0),
             ))
         details = dict(compiled.details)
         details.update(check.metadata)
-        if absorbed:
-            details["family_absorbed"] = absorbed
-        if store_absorbed:
-            details["store_absorbed"] = store_absorbed
+        details.update(nonzero(absorbed))
         if session is not None or getattr(chosen, "wants_resources", False):
             details["resources"] = self.resources.stats()
         return Result(
@@ -644,8 +633,7 @@ class Engine:
         num_workers = getattr(backend, "num_workers", 1)
         used_resources = True
         context = None
-        family_absorbed = 0
-        store_absorbed = 0
+        absorbed: Counter = Counter()
         # On the shared context session the extracted witness also assigns
         # variables of other guarded task formulas; restrict it to the base
         # encoding's own variables.  The pool/fallback sessions hold only the
@@ -674,10 +662,10 @@ class Engine:
                 context.maybe_warm_load()
                 session = context.session
                 base_selectors = (base_guard,)
-                family_absorbed = self.resources.absorb_from_family(
+                absorbed["family_absorbed"] = self.resources.absorb_from_family(
                     task.code, context, base_selectors
                 )
-                store_absorbed = self.resources.absorb_from_store(
+                absorbed["store_absorbed"] = self.resources.absorb_from_store(
                     task.code, context, base_selectors
                 )
             else:
@@ -713,9 +701,7 @@ class Engine:
         trials: list[dict] = []
         distance = limit
         witness = None
-        conflicts = decisions = propagations = 0
-        blocker_hits = heap_discards = binary_subsumed = 0
-        learnt_evicted = 0
+        counters: Counter = Counter()
         last = None
         lo, hi = 1, limit - 1
         galloping = strategy == "galloping"
@@ -769,13 +755,7 @@ class Engine:
                     ))
                 trial_start = time.perf_counter()
                 last = session.check(select=tuple(selectors), control=control)
-                conflicts += last.conflicts
-                decisions += last.decisions
-                propagations += last.propagations
-                blocker_hits += getattr(last, "blocker_hits", 0)
-                heap_discards += getattr(last, "heap_discards", 0)
-                binary_subsumed += getattr(last, "binary_subsumed", 0)
-                learnt_evicted += getattr(last, "learnt_evicted", 0)
+                counters.update(last.counters)
                 trial_elapsed = time.perf_counter() - trial_start
                 trials.append(
                     {"trial_distance": mid + 1, "bound": mid, "window": [lo, hi],
@@ -838,15 +818,10 @@ class Engine:
             if pool_session is not None:
                 self.resources.pools.mark_idle(pool_session)
         if emit is not None:
-            emit(SolverStats(
-                conflicts=conflicts, decisions=decisions, propagations=propagations,
+            emit(SolverStats.from_counters(
+                counters + absorbed,
                 num_variables=last.num_variables if last is not None else 0,
                 num_clauses=last.num_clauses if last is not None else 0,
-                blocker_hits=blocker_hits, heap_discards=heap_discards,
-                binary_subsumed=binary_subsumed,
-                family_absorbed=family_absorbed,
-                store_absorbed=store_absorbed,
-                learnt_evicted=learnt_evicted,
             ))
         details = {
             "distance": distance,
@@ -854,11 +829,8 @@ class Engine:
             "base_encodings": 1,
             "strategy": strategy,
             "session": stats,
+            **nonzero(absorbed),
         }
-        if family_absorbed:
-            details["family_absorbed"] = family_absorbed
-        if store_absorbed:
-            details["store_absorbed"] = store_absorbed
         if resumed_from is not None:
             details["resumed_from"] = resumed_from
         if used_resources:
@@ -878,9 +850,9 @@ class Engine:
             backend=backend.name,
             num_variables=last.num_variables if last is not None else 0,
             num_clauses=last.num_clauses if last is not None else 0,
-            conflicts=conflicts,
-            decisions=decisions,
-            propagations=propagations,
+            conflicts=counters["conflicts"],
+            decisions=counters["decisions"],
+            propagations=counters["propagations"],
             details=details,
         )
 

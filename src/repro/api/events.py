@@ -30,7 +30,9 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
-from typing import ClassVar
+from typing import ClassVar, Mapping
+
+from repro.smt.solver import nonzero
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -150,25 +152,17 @@ class DistanceProbe(Event):
 class SolverStats(Event):
     """Aggregate solver statistics for the job's solving phase.
 
-    ``blocker_hits`` (watcher visits resolved by the cached blocker literal)
-    and ``heap_discards`` (lazily deleted decision-heap entries) are
-    *optional* members added by the solver hot-path overhaul, and
-    ``binary_subsumed`` (learnt-clause literals removed by glucose-style
-    binary self-subsumption) by the service PR: following the
-    only-when-nonzero rule, they are serialized only when the solve actually
-    produced them, so pre-overhaul consumers (and streams from the linear
-    fallback policy) see the historical payload unchanged.
-
-    The sharded dispatcher adds two more optional members under the same
-    rule: ``lane`` (which worker lane ran the job; serialized only for jobs
-    dispatched through the sharded executor, never for blocking runs) and
-    ``family_absorbed`` (learnt clauses absorbed from smaller same-family
-    codes before this solve; serialized only when absorption happened).
-
-    The clause store adds ``store_absorbed`` (clauses absorbed from the
-    persistent store's family index) and ``learnt_evicted`` (learnt clauses
-    the solver's database reduction deleted during this job — eviction was
-    previously silent), both under the only-when-nonzero rule.
+    The search counters and the encoding size are always present.  The
+    other counters are *optional* members, serialized only when nonzero
+    (:func:`~repro.smt.solver.nonzero`): ``blocker_hits`` (watcher visits
+    resolved by the cached blocker literal), ``heap_discards`` (lazily
+    deleted decision-heap entries), ``binary_subsumed`` (learnt-clause
+    literals removed by binary self-subsumption), ``family_absorbed`` and
+    ``store_absorbed`` (clauses absorbed from smaller same-family codes or
+    from the clause store before the solve) and ``learnt_evicted`` (learnt
+    clauses deleted by clause-database reduction).  ``lane`` (the worker
+    lane that ran the job) is serialized only for jobs dispatched through
+    the sharded executor, never for blocking runs.
     """
 
     conflicts: int = 0
@@ -193,12 +187,19 @@ class SolverStats(Event):
 
     def to_dict(self) -> dict:
         payload = super().to_dict()
-        for name in self._OPTIONAL_WHEN_ZERO:
-            if not payload.get(name):
-                payload.pop(name, None)
-        if payload.get("lane", -1) < 0:
-            payload.pop("lane", None)
+        lane = payload.pop("lane")
+        payload.update(nonzero({name: payload.pop(name) for name in self._OPTIONAL_WHEN_ZERO}))
+        if lane >= 0:
+            payload["lane"] = lane
         return payload
+
+    @classmethod
+    def from_counters(cls, counters: Mapping[str, int], **extra) -> "SolverStats":
+        """The event for a job's ``counters`` mapping plus ``extra`` fields;
+        counters that are not event fields stay off the wire."""
+        names = {f.name for f in fields(cls)}
+        picked = {key: value for key, value in counters.items() if key in names}
+        return cls(**{**picked, **extra})
 
 
 @dataclass

@@ -36,14 +36,14 @@ import os
 import threading
 import weakref
 import zlib
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 from repro import sanitize
 from repro.classical.expr import free_variables
 from repro.codes.registry import family_of, family_siblings
 from repro.smt.interface import SMTCheck, SolveSession
 from repro.smt.parallel import IncrementalSplitSession
-from repro.smt.solver import SolveControl, SolverInterrupted
+from repro.smt.solver import SEARCH_COUNTERS, SolveControl, SolverInterrupted, nonzero
 from repro.store import ClauseStore
 
 __all__ = [
@@ -143,23 +143,20 @@ class CodeContext:
         self._warm_attempted = False
         self._warm_fingerprint: str | None = None
         self._warm_vars = 0
-        self.warm_absorbed = 0
-        self.warm_hits = 0
-        self.warm_misses = 0
+        #: Cumulative clause-transfer counters: warm_hits / warm_misses /
+        #: warm_absorbed (exact-fingerprint loads), family_probes /
+        #: family_absorbed (live siblings), store_probes / store_absorbed
+        #: (the clause store's family index).
+        self.counters: Counter = Counter()
         # Family warm-start bookkeeping: how many sibling learnt clauses
         # were already examined per (sibling key, shared-subformula
-        # fingerprint), which candidate clauses were already absorbed, and
-        # the cumulative absorbed/probed counters for stats.
+        # fingerprint), and which candidate clauses were already absorbed.
         self._sibling_marks: dict[tuple, int] = {}
         self._absorbed_keys: set[tuple] = set()
-        self.family_absorbed = 0
-        self.family_probes = 0
         # Clause-store transfer bookkeeping: candidates already probed (in
         # either direction — absorbed or refuted — so repeated jobs on the
-        # same context never re-pay failed probes) plus cumulative counters.
+        # same context never re-pay failed probes).
         self._store_probed: set[tuple] = set()
-        self.store_absorbed = 0
-        self.store_probes = 0
 
     # ------------------------------------------------------------------
     @sanitize.entry_guarded
@@ -317,8 +314,7 @@ class CodeContext:
         absorbed, probed = self._absorb_candidates(
             candidates, selectors, max_probes, conflict_budget
         )
-        self.family_probes += probed
-        self.family_absorbed += absorbed
+        self.counters.update(family_probes=probed, family_absorbed=absorbed)
         return absorbed
 
     def _absorb_candidates(
@@ -392,7 +388,7 @@ class CodeContext:
         # Snapshot the fingerprint first so our own persisted entries are
         # excluded from the candidate set (they come back via the exact path).
         self.maybe_warm_load()
-        if self.warm_hits:
+        if self.counters["warm_hits"]:
             # The exact-fingerprint entry already restored this context's
             # own learnt state; sibling candidates could only re-prove
             # weaker versions of it.  Probing them would spend conflict
@@ -415,8 +411,7 @@ class CodeContext:
         absorbed, probed = self._absorb_candidates(
             candidates, selectors, max_probes, conflict_budget
         )
-        self.store_probes += probed
-        self.store_absorbed += absorbed
+        self.counters.update(store_probes=probed, store_absorbed=absorbed)
         return absorbed
 
     # ------------------------------------------------------------------
@@ -432,10 +427,9 @@ class CodeContext:
         self._warm_vars = self.session.encoder.cnf.num_vars
         learnt = self.warm_cache.load(self._warm_fingerprint)
         if learnt:
-            self.warm_hits += 1
-            self.warm_absorbed = self.session.absorb_learnt(learnt)
+            self.counters.update(warm_hits=1, warm_absorbed=self.session.absorb_learnt(learnt))
         else:
-            self.warm_misses += 1
+            self.counters["warm_misses"] += 1
 
     @sanitize.entry_guarded
     def save_warm(self) -> None:
@@ -808,7 +802,7 @@ class ResourceManager:
             # dominates anything a sibling could offer — re-proving sibling
             # candidates on top would spend probe budget for nothing.
             context.maybe_warm_load()
-            if context.warm_hits:
+            if context.counters["warm_hits"]:
                 return 0
         total = 0
         for sibling_key in family_siblings(code_key):
@@ -982,47 +976,30 @@ class ResourceManager:
         learnt_deleted = 0
         context_hits = 0
         context_misses = 0
-        warm_absorbed = 0
         retired_guards = 0
-        erased_clauses = 0
-        blocker_hits = 0
-        heap_discards = 0
-        binary_subsumed = 0
-        family_absorbed = 0
-        family_probes = 0
-        store_absorbed = 0
-        store_probes = 0
+        solver: Counter = Counter()
+        transfer: Counter = Counter()
         store = self.clause_store
         # Per-lane warm hit/miss/absorption attribution: each context maps to
         # exactly one lane (its shard key's sticky assignment).
-        lane_store: dict[int, list[int]] = {}
+        lane_store: dict[int, Counter] = {}
         with self._lock:
             contexts = list(self._contexts.values())
             num_contexts = len(self._contexts)
             assignments = dict(self._shard_assignments)
         for context in contexts:
             session_stats = context.session.stats()
-            learnt_kept += session_stats.get("learnt_kept", 0)
-            learnt_deleted += session_stats.get("learnt_deleted", 0)
-            erased_clauses += session_stats.get("erased_clauses", 0)
-            blocker_hits += session_stats.get("blocker_hits", 0)
-            heap_discards += session_stats.get("heap_discards", 0)
-            binary_subsumed += session_stats.get("binary_subsumed", 0)
+            learnt_kept += session_stats["learnt_kept"]
+            learnt_deleted += session_stats["learnt_deleted"]
+            solver.update(context.session.counters())
+            transfer.update(context.counters)
             context_hits += context.hits
             context_misses += context.misses
-            warm_absorbed += context.warm_absorbed
             retired_guards += context.retired
-            family_absorbed += context.family_absorbed
-            family_probes += context.family_probes
-            store_absorbed += context.store_absorbed
-            store_probes += context.store_probes
             if store is not None:
                 lane = assignments.get(self.shard_key(context.key))
                 if lane is not None:
-                    row = lane_store.setdefault(lane, [0, 0, 0])
-                    row[0] += context.warm_hits
-                    row[1] += context.warm_misses
-                    row[2] += context.warm_absorbed + context.store_absorbed
+                    lane_store.setdefault(lane, Counter()).update(context.counters)
         stats = {
             "contexts": num_contexts,
             "context_hits": context_hits,
@@ -1033,32 +1010,31 @@ class ResourceManager:
             "learnt_kept": learnt_kept,
             "learnt_deleted": learnt_deleted,
         }
-        # Guard-GC counters appear only once retirement has happened, so the
-        # result schema of guard-free runs (e.g. a plain registry sweep) is
-        # unchanged from earlier releases.  The hot-path counters follow the
-        # same only-when-nonzero rule.
+        # Guard-GC counters appear once retirement has happened, so the
+        # result schema of guard-free runs (e.g. a plain registry sweep)
+        # stays as it was.  The other solver counters beyond the search
+        # counters (which every Result carries itself) follow the
+        # only-when-nonzero rule.
+        erased_clauses = solver.pop("erased_clauses", 0)
         if retired_guards:
             stats["retired_guards"] = retired_guards
             stats["erased_clauses"] = erased_clauses
-        if blocker_hits:
-            stats["blocker_hits"] = blocker_hits
-        if heap_discards:
-            stats["heap_discards"] = heap_discards
-        if binary_subsumed:
-            stats["binary_subsumed"] = binary_subsumed
-        if family_probes:
-            stats["family_absorbed"] = family_absorbed
-            stats["family_probes"] = family_probes
+        for name in SEARCH_COUNTERS:
+            del solver[name]
+        stats.update(nonzero(solver))
+        if transfer["family_probes"]:
+            stats["family_absorbed"] = transfer["family_absorbed"]
+            stats["family_probes"] = transfer["family_probes"]
         if self.quarantined:
             stats["quarantined_contexts"] = self.quarantined
         if self.warm_cache is not None:
             stats["warm_hits"] = self.warm_cache.hits
             stats["warm_misses"] = self.warm_cache.misses
-            stats["warm_absorbed"] = warm_absorbed + self.pools.warm_absorbed()
+            stats["warm_absorbed"] = transfer["warm_absorbed"] + self.pools.warm_absorbed()
         if store is not None:
-            if store_probes:
-                stats["store_absorbed"] = store_absorbed
-                stats["store_probes"] = store_probes
+            if transfer["store_probes"]:
+                stats["store_absorbed"] = transfer["store_absorbed"]
+                stats["store_probes"] = transfer["store_probes"]
             if store.evictions:
                 stats["store_evictions"] = store.evictions
             stats["store"] = store.stats()
@@ -1084,11 +1060,12 @@ class ResourceManager:
                 if store is not None:
                     # Store hit-rate per lane validates the dispatcher's
                     # family routing against actual reuse.
-                    hits, misses, absorbed = lane_store.get(lane.lane, (0, 0, 0))
+                    counts = lane_store.get(lane.lane, Counter())
+                    hits, misses = counts["warm_hits"], counts["warm_misses"]
                     looked_up = hits + misses
                     row["store_hits"] = hits
                     row["store_misses"] = misses
-                    row["store_absorbed"] = absorbed
+                    row["store_absorbed"] = counts["warm_absorbed"] + counts["store_absorbed"]
                     row["store_hit_rate"] = (
                         round(hits / looked_up, 4) if looked_up else 0.0
                     )

@@ -19,24 +19,27 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro import sanitize
 from repro.classical.expr import BoolExpr, IntConst, IntExpr, Not
 from repro.smt.encoder import FormulaEncoder
-from repro.smt.solver import SATSolver, SolveControl
+from repro.smt.solver import SEARCH_COUNTERS, SATSolver, SearchCounters, SolveControl, nonzero
 
 __all__ = ["SMTCheck", "SolveControl", "SolveSession", "check_formula", "check_valid"]
 
 
 @dataclass
-class SMTCheck:
+class SMTCheck(SearchCounters):
     """Result of a satisfiability or validity check.
 
-    Solver statistics (``conflicts``, ``decisions``, ``propagations``) are
-    per-check deltas; a session's running totals live in
-    :meth:`SolveSession.stats` and are mirrored into ``metadata`` under
-    ``"session"`` by :meth:`SolveSession.check`.
+    ``counters`` maps each solver counter (see
+    :meth:`~repro.smt.solver.SATSolver.counters`) to the work this check
+    did; ``conflicts``, ``decisions`` and ``propagations`` read from it.  A
+    session's running totals live in :meth:`SolveSession.stats` and are
+    mirrored into ``metadata`` under ``"session"`` by
+    :meth:`SolveSession.check`.
     """
 
     status: str  # "sat" or "unsat"
@@ -44,23 +47,7 @@ class SMTCheck:
     elapsed_seconds: float = 0.0
     num_variables: int = 0
     num_clauses: int = 0
-    conflicts: int = 0
-    decisions: int = 0
-    propagations: int = 0
-    #: Watcher visits resolved by the cached blocker literal alone and
-    #: decision-heap pops that lazily discarded an assigned variable —
-    #: per-check deltas like the counters above (0 on pre-overhaul paths
-    #: that do not report them).
-    blocker_hits: int = 0
-    heap_discards: int = 0
-    #: Learnt-clause literals removed by binary self-subsumption during
-    #: conflict analysis (glucose-style resolution against the dedicated
-    #: binary watcher arrays); a per-check delta like the counters above.
-    binary_subsumed: int = 0
-    #: Learnt clauses deleted by clause-database reduction during this check —
-    #: surfaced so eviction is observable instead of happening silently inside
-    #: the solver; a per-check delta like the counters above.
-    learnt_evicted: int = 0
+    counters: Counter = field(default_factory=Counter)
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -209,13 +196,7 @@ class SolveSession:
             elapsed_seconds=elapsed,
             num_variables=self.encoder.cnf.num_vars,
             num_clauses=self.encoder.cnf.num_clauses,
-            conflicts=result.conflicts,
-            decisions=result.decisions,
-            propagations=result.propagations,
-            blocker_hits=result.blocker_hits,
-            heap_discards=result.heap_discards,
-            binary_subsumed=result.binary_subsumed,
-            learnt_evicted=result.learnt_evicted,
+            counters=result.counters,
             metadata={"session": self.stats()},
         )
 
@@ -269,38 +250,26 @@ class SolveSession:
         return absorbed
 
     # ------------------------------------------------------------------
+    def counters(self) -> Counter:
+        """Cumulative solver counters (empty before the first check)."""
+        return self._solver.counters() if self._solver is not None else Counter()
+
     def stats(self) -> dict:
-        """Cumulative statistics over every check run through this session."""
+        """Cumulative statistics over every check run through this session.
+
+        The search counters are always present; the other solver counters
+        follow :func:`~repro.smt.solver.nonzero`.
+        """
         solver = self._solver
-        stats = {
+        return {
             "checks": self.num_checks,
-            "conflicts": solver.conflicts if solver else 0,
-            "decisions": solver.decisions if solver else 0,
-            "propagations": solver.propagations if solver else 0,
+            **nonzero(self.counters(), always=SEARCH_COUNTERS),
             "learnt_kept": solver.num_learnt if solver else 0,
             "learnt_deleted": solver.learnt_deleted if solver else 0,
             "reductions": solver.reductions if solver else 0,
             "minimized_literals": solver.minimized_literals if solver else 0,
             "elapsed_seconds": self.elapsed_seconds,
         }
-        # New counters follow the only-when-nonzero rule: a key appears
-        # once the underlying behaviour has actually happened, so sessions
-        # that never erase a clause (or, with the linear decision fallback,
-        # never touch the heap) keep their historical schema.
-        if solver is not None and solver.erased_clauses:
-            stats["erased_clauses"] = solver.erased_clauses
-        if solver is not None and solver.blocker_hits:
-            stats["blocker_hits"] = solver.blocker_hits
-        if solver is not None and solver.heap_discards:
-            stats["heap_discards"] = solver.heap_discards
-        if solver is not None and solver.binary_subsumed:
-            stats["binary_subsumed"] = solver.binary_subsumed
-        if solver is not None and solver.learnt_deleted:
-            # Alias of ``learnt_deleted`` under the name the eviction
-            # observability chain uses (SolverStats events, GET /stats);
-            # only-when-nonzero so quiet sessions keep their schema.
-            stats["learnt_evicted"] = solver.learnt_deleted
-        return stats
 
 
 def check_formula(

@@ -30,12 +30,13 @@ import signal
 import threading
 import time
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro import faults
 from repro.classical.expr import BoolExpr, IntExpr
 from repro.smt.interface import SMTCheck, SolveSession
-from repro.smt.solver import SolveControl, SolverInterrupted
+from repro.smt.solver import SEARCH_COUNTERS, SolveControl, SolverInterrupted, nonzero
 
 __all__ = [
     "SplitTask",
@@ -180,13 +181,8 @@ class IncrementalSplitSession:
                 learnt = _load_warm(warm_dir, self._local_fingerprint)
                 if learnt:
                     self.warm_absorbed = self._local.absorb_learnt(learnt)
-        # Cumulative statistics aggregated across every subtask and worker.
-        self.total_conflicts = 0
-        self.total_decisions = 0
-        self.total_propagations = 0
-        self.total_blocker_hits = 0
-        self.total_heap_discards = 0
-        self.total_binary_subsumed = 0
+        # Cumulative solver counters summed across every subtask and worker.
+        self.counters: Counter = Counter()
         self.num_checks = 0
         self.elapsed_seconds = 0.0
 
@@ -275,58 +271,30 @@ class IncrementalSplitSession:
         return result
 
     def _finish(
-        self,
-        check: SMTCheck,
-        num_variables: int,
-        num_clauses: int,
-        conflicts: int,
-        decisions: int,
-        propagations: int,
-        blocker_hits: int = 0,
-        heap_discards: int = 0,
-        binary_subsumed: int = 0,
+        self, check: SMTCheck, num_variables: int, num_clauses: int, counters: Counter
     ) -> SMTCheck:
-        """Record a check's aggregated per-call statistics (deltas, like
+        """Record a check's counters summed over its subtasks (deltas, like
         :class:`SMTCheck` everywhere else; cumulative totals are in
         :meth:`stats` and the ``"session"`` metadata entry)."""
-        self.total_conflicts += conflicts
-        self.total_decisions += decisions
-        self.total_propagations += propagations
-        self.total_blocker_hits += blocker_hits
-        self.total_heap_discards += heap_discards
-        self.total_binary_subsumed += binary_subsumed
+        self.counters.update(counters)
         check.num_variables = num_variables
         check.num_clauses = num_clauses
-        check.conflicts = conflicts
-        check.decisions = decisions
-        check.propagations = propagations
-        check.blocker_hits = blocker_hits
-        check.heap_discards = heap_discards
-        check.binary_subsumed = binary_subsumed
+        check.counters = counters
         check.metadata["num_subtasks"] = len(self.assumption_sets)
         check.metadata["num_workers"] = self.num_workers
         return check
 
     def _check_sequential(self, select, control=None) -> SMTCheck:
         session = self._local
-        conflicts = decisions = propagations = 0
-        blocker_hits = heap_discards = binary_subsumed = 0
+        counters: Counter = Counter()
         last: SMTCheck | None = None
         for assumptions in self.assumption_sets:
             last = session.check(assumptions, select=select, control=control)
-            conflicts += last.conflicts
-            decisions += last.decisions
-            propagations += last.propagations
-            blocker_hits += last.blocker_hits
-            heap_discards += last.heap_discards
-            binary_subsumed += last.binary_subsumed
+            counters.update(last.counters)
             if last.is_sat:
                 break
         result = SMTCheck(status=last.status, model=last.model)
-        return self._finish(
-            result, last.num_variables, last.num_clauses, conflicts, decisions,
-            propagations, blocker_hits, heap_discards, binary_subsumed,
-        )
+        return self._finish(result, last.num_variables, last.num_clauses, counters)
 
     def _check_pool(self, select, control=None) -> SMTCheck:
         warm_absorbed = self.warm_absorbed
@@ -391,8 +359,7 @@ class IncrementalSplitSession:
             watcher = threading.Thread(target=_watch, daemon=True)
             watcher.start()
         num_variables = num_clauses = 0
-        conflicts = decisions = propagations = 0
-        blocker_hits = heap_discards = binary_subsumed = 0
+        counters: Counter = Counter()
         sat_model = None
         interrupted: str | None = None
         try:
@@ -413,12 +380,7 @@ class IncrementalSplitSession:
                         raise _PoolDiedError()
                     continue
                 remaining -= 1
-                conflicts += stats["conflicts"]
-                decisions += stats["decisions"]
-                propagations += stats["propagations"]
-                blocker_hits += stats.get("blocker_hits", 0)
-                heap_discards += stats.get("heap_discards", 0)
-                binary_subsumed += stats.get("binary_subsumed", 0)
+                counters.update(stats["counters"])
                 num_variables = max(num_variables, stats["num_variables"])
                 num_clauses = max(num_clauses, stats["num_clauses"])
                 self.warm_absorbed += stats.get("warm_absorbed", 0)
@@ -453,43 +415,29 @@ class IncrementalSplitSession:
                 # once the event is set), so the pool and its live sessions
                 # stay reusable for the next check.
                 self._cancel_event.clear()
-                self._finish(
-                    SMTCheck(status="unsat"), num_variables, num_clauses,
-                    conflicts, decisions, propagations, blocker_hits, heap_discards,
-                    binary_subsumed,
-                )
+                self._finish(SMTCheck(status="unsat"), num_variables, num_clauses, counters)
                 raise SolverInterrupted(reason)
         result = SMTCheck(status="sat" if sat_model is not None else "unsat", model=sat_model)
-        return self._finish(
-            result, num_variables, num_clauses, conflicts, decisions,
-            propagations, blocker_hits, heap_discards, binary_subsumed,
-        )
+        return self._finish(result, num_variables, num_clauses, counters)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Cumulative statistics; same schema as :meth:`SolveSession.stats`.
 
-        Clause-management counters are only observable on the sequential path
-        (pool workers hold their solvers in other processes); they are merged
-        in when a local session exists.
+        Clause-database state (learnt clauses kept and deleted, reductions,
+        minimized literals, erased clauses) is only observable on the
+        sequential path (pool workers hold their solvers in other
+        processes); it is merged in when a local session exists.
         """
         stats = {
             "checks": self.num_checks,
-            "conflicts": self.total_conflicts,
-            "decisions": self.total_decisions,
-            "propagations": self.total_propagations,
+            **nonzero(self.counters, always=SEARCH_COUNTERS),
             "elapsed_seconds": self.elapsed_seconds,
         }
-        # Hot-path counters follow the only-when-nonzero schema rule.
-        if self.total_blocker_hits:
-            stats["blocker_hits"] = self.total_blocker_hits
-        if self.total_heap_discards:
-            stats["heap_discards"] = self.total_heap_discards
-        if self.total_binary_subsumed:
-            stats["binary_subsumed"] = self.total_binary_subsumed
-        if self._local is not None and hasattr(self._local, "stats"):
+        if self._local is not None:
             local = self._local.stats()
-            for key in ("learnt_kept", "learnt_deleted", "reductions", "minimized_literals"):
+            for key in ("learnt_kept", "learnt_deleted", "reductions",
+                        "minimized_literals", "erased_clauses"):
                 if key in local:
                     stats[key] = local[key]
         if self.warm_absorbed:
@@ -723,16 +671,7 @@ def _solve_chunk_in_worker(payload) -> tuple[str, dict | str | None, dict]:
         else:
             _WORKER_SESSION.add_guard(name, operand)
         _WORKER_GUARDS.add(name)
-    stats = {
-        "conflicts": 0,
-        "decisions": 0,
-        "propagations": 0,
-        "blocker_hits": 0,
-        "heap_discards": 0,
-        "binary_subsumed": 0,
-        "num_variables": 0,
-        "num_clauses": 0,
-    }
+    stats = {"counters": Counter(), "num_variables": 0, "num_clauses": 0}
     if not _WORKER_WARM_REPORTED and _WORKER_WARM_ABSORBED:
         # Each worker reports its absorbed count exactly once, on its first
         # chunk, so the parent can aggregate without double counting.
@@ -751,12 +690,7 @@ def _solve_chunk_in_worker(payload) -> tuple[str, dict | str | None, dict]:
             check = _WORKER_SESSION.check(assumptions, select=select, control=control)
         except SolverInterrupted as exc:
             return "interrupted", exc.reason, stats
-        stats["conflicts"] += check.conflicts
-        stats["decisions"] += check.decisions
-        stats["propagations"] += check.propagations
-        stats["blocker_hits"] += check.blocker_hits
-        stats["heap_discards"] += check.heap_discards
-        stats["binary_subsumed"] += check.binary_subsumed
+        stats["counters"].update(check.counters)
         stats["num_variables"] = max(stats["num_variables"], check.num_variables)
         stats["num_clauses"] = max(stats["num_clauses"], check.num_clauses)
         if check.is_sat:

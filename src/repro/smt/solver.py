@@ -69,10 +69,19 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
-from typing import Callable
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping
 
-__all__ = ["SATSolver", "SolveControl", "SolverInterrupted", "SolverResult"]
+__all__ = [
+    "SEARCH_COUNTERS",
+    "SATSolver",
+    "SearchCounters",
+    "SolveControl",
+    "SolverInterrupted",
+    "SolverResult",
+    "nonzero",
+]
 
 _UNASSIGNED = 0
 _TRUE = 1
@@ -83,22 +92,53 @@ _SEEN_SOURCE = 1  # marked during first-UIP resolution (or a learnt literal)
 _SEEN_REMOVABLE = 2  # minimization memo: proven to ground out in the clause
 _SEEN_FAILED = 3  # minimization memo: proven NOT to ground out
 
+#: The counters every stats layer reports even when zero (``Result``, the
+#: ``SolverStats`` event and benchmark tracers read them unconditionally).
+SEARCH_COUNTERS = ("conflicts", "decisions", "propagations")
+
+
+def nonzero(counters: Mapping[str, int], always: Iterable[str] = ()) -> dict[str, int]:
+    """The counters a stats layer reports: the ``always`` keys (0 when
+    absent), then every other key whose value is nonzero, in mapping order.
+
+    This is the only-when-nonzero rule, written once: a counter appears in
+    stats dicts and events once the behaviour it counts has happened, so
+    runs that never trigger it keep their schema.
+    """
+    report = {key: counters.get(key, 0) for key in always}
+    for key, value in counters.items():
+        if value and key not in report:
+            report[key] = value
+    return report
+
+
+class SearchCounters:
+    """Attribute access to the search counters of a ``counters`` mapping."""
+
+    @property
+    def conflicts(self) -> int:
+        return self.counters["conflicts"]
+
+    @property
+    def decisions(self) -> int:
+        return self.counters["decisions"]
+
+    @property
+    def propagations(self) -> int:
+        return self.counters["propagations"]
+
 
 @dataclass
-class SolverResult:
-    """Outcome of one solve call; statistics are per-call deltas."""
+class SolverResult(SearchCounters):
+    """Outcome of one solve call.
+
+    ``counters`` holds the per-call deltas of :meth:`SATSolver.counters`;
+    counters the call did not move are absent (and read as 0).
+    """
 
     satisfiable: bool
     model: dict[int, bool] | None = None
-    conflicts: int = 0
-    decisions: int = 0
-    propagations: int = 0
-    blocker_hits: int = 0
-    heap_discards: int = 0
-    binary_subsumed: int = 0
-    #: Learnt clauses deleted by clause-database reduction during this call —
-    #: a per-call delta of the cumulative ``solver.learnt_deleted`` counter.
-    learnt_evicted: int = 0
+    counters: Counter = field(default_factory=Counter)
 
     def __bool__(self) -> bool:
         return self.satisfiable
@@ -1263,12 +1303,30 @@ class SATSolver:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
+    def counters(self) -> Counter:
+        """Cumulative work counters under the names every stats layer uses.
+
+        The hot loop bumps plain int attributes; this is the one place they
+        become a mapping.  ``learnt_evicted`` is ``learnt_deleted`` under
+        its reported name.
+        """
+        return Counter({
+            "conflicts": self.conflicts,
+            "decisions": self.decisions,
+            "propagations": self.propagations,
+            "erased_clauses": self.erased_clauses,
+            "blocker_hits": self.blocker_hits,
+            "heap_discards": self.heap_discards,
+            "binary_subsumed": self.binary_subsumed,
+            "learnt_evicted": self.learnt_deleted,
+        })
+
     def solve(self, assumptions=(), control: SolveControl | None = None) -> SolverResult:
         """Decide satisfiability under the given assumption literals.
 
         May be called repeatedly; learnt clauses and heuristic state persist
-        between calls.  The returned statistics are per-call deltas — the
-        cumulative counters stay available as ``solver.conflicts`` etc.
+        between calls.  The result's ``counters`` are per-call deltas — the
+        cumulative ones are :meth:`counters`.
 
         ``control`` bounds the call: the solver polls it on a conflict- and
         decision-count cadence (see :class:`SolveControl`) and raises
@@ -1276,32 +1334,15 @@ class SATSolver:
         0 so the instance stays reusable.
         """
         self.num_solves += 1
-        start = (
-            self.conflicts,
-            self.decisions,
-            self.propagations,
-            self.blocker_hits,
-            self.heap_discards,
-            self.binary_subsumed,
-            self.learnt_deleted,
-        )
+        start = self.counters()
+        start_conflicts = self.conflicts
         if control is not None:
             reason = control.interrupted(0)
             if reason is not None:
                 raise SolverInterrupted(reason)
 
         def _result(satisfiable: bool, model=None) -> SolverResult:
-            return SolverResult(
-                satisfiable,
-                model,
-                self.conflicts - start[0],
-                self.decisions - start[1],
-                self.propagations - start[2],
-                self.blocker_hits - start[3],
-                self.heap_discards - start[4],
-                self.binary_subsumed - start[5],
-                self.learnt_deleted - start[6],
-            )
+            return SolverResult(satisfiable, model, self.counters() - start)
 
         if self._contradiction:
             return _result(False)
@@ -1362,7 +1403,7 @@ class SATSolver:
                 conflicts_since_restart += 1
                 if (
                     self.max_conflicts is not None
-                    and self.conflicts - start[0] > self.max_conflicts
+                    and self.conflicts - start_conflicts > self.max_conflicts
                 ):
                     self._exit_backtrack()
                     raise RuntimeError("conflict budget exhausted")
@@ -1370,7 +1411,7 @@ class SATSolver:
                     events_since_check += 8
                     if events_since_check >= check_interval:
                         events_since_check = 0
-                        reason = control.interrupted(self.conflicts - start[0])
+                        reason = control.interrupted(self.conflicts - start_conflicts)
                         if reason is not None:
                             self._exit_backtrack()
                             raise SolverInterrupted(reason)
@@ -1402,7 +1443,7 @@ class SATSolver:
                     events_since_check += 1
                     if events_since_check >= check_interval:
                         events_since_check = 0
-                        reason = control.interrupted(self.conflicts - start[0])
+                        reason = control.interrupted(self.conflicts - start_conflicts)
                         if reason is not None:
                             self._exit_backtrack()
                             raise SolverInterrupted(reason)

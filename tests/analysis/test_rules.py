@@ -15,7 +15,6 @@ CASES = [
     ("lock_bad.py", "lock_clean.py", "REPRO-LOCK", 4),
     ("affinity_bad.py", "affinity_clean.py", "REPRO-SESSION", 3),
     ("async_bad.py", "async_clean.py", "REPRO-ASYNC", 3),
-    ("stats_bad.py", "stats_clean.py", "REPRO-STATS", 4),
     ("events_bad.py", "events_clean.py", "REPRO-EVENT", 3),
     ("exc_bad.py", "exc_clean.py", "REPRO-EXC", 3),
 ]
@@ -59,9 +58,9 @@ def test_suppression_on_standalone_comment_covers_next_line():
     table = parse_suppressions([
         "# repro: allow[REPRO-LOCK] reason",
         "self._cache[k] = v",
-        "x = 1  # repro: allow[REPRO-STATS]",
+        "x = 1  # repro: allow[REPRO-EXC]",
     ])
-    assert table == {2: {"REPRO-LOCK"}, 3: {"REPRO-STATS"}}
+    assert table == {2: {"REPRO-LOCK"}, 3: {"REPRO-EXC"}}
 
 
 def test_wildcard_suppression_waives_every_rule():

@@ -357,12 +357,12 @@ class TestEvictionCounters:
         from repro.smt.solver import SATSolver
 
         solver = SATSolver(self._steane_cnf(), max_learnt=5)
-        first = solver.solve()
-        assert first.learnt_evicted > 0
-        assert first.learnt_evicted == solver.learnt_deleted
+        first = solver.solve().counters["learnt_evicted"]
+        assert first > 0
+        assert first == solver.learnt_deleted
         # A second call reports only its own delta, not the lifetime total.
-        second = solver.solve()
-        assert second.learnt_evicted == solver.learnt_deleted - first.learnt_evicted
+        second = solver.solve().counters["learnt_evicted"]
+        assert second == solver.learnt_deleted - first
 
     def test_session_stats_surface_the_counter(self):
         from repro.codes import steane_code
@@ -375,7 +375,7 @@ class TestEvictionCounters:
         session._solver.max_learnt = 5
         session._solver._reduce_learnt()
         assert session.stats()["learnt_evicted"] > 0
-        assert check.learnt_evicted == 0
+        assert check.counters["learnt_evicted"] == 0
 
 
 class TestEventFields:

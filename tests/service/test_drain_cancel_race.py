@@ -111,7 +111,10 @@ class RaceHarness:
 
 
 @pytest.mark.parametrize("order", ["cancel-then-drain", "drain-then-cancel"])
-def test_drain_and_delete_race_reports_cancelled(order):
+def test_drain_and_delete_race_reports_cancelled(order, hold_jobs):
+    # The job is held on its lane until both the DELETE and the drain have
+    # arrived, so neither can find it already finished.
+    hold_jobs()
     with RaceHarness() as harness:
         client = harness.client(api_key="race", retries=3, backoff=0.01)
         job = client.submit({"kind": "distance", "code": "surface-5"})

@@ -103,35 +103,42 @@ class TestLifecycle:
             client.submit({"kind": "correction", "code": "steane"}, lane="warp")
         assert excinfo.value.status == 400
 
-    def test_deadline_expiry_cancels_and_session_stays_reusable(self, harness):
-        client = harness.client(api_key="deadline")
-        job = client.submit(
-            {"kind": "distance", "code": "surface-5"}, deadline=0.01
-        )
-        for _ in range(200):
-            final = client.job(job["id"])
-            if final["status"] != "pending" and final["status"] != "running":
-                break
-            time.sleep(0.05)
-        assert final["status"] == "cancelled"
-        assert final["reason"] == "deadline"
-        # The shared per-code session survived the expiry: the same code
-        # verifies cleanly on a fresh job.
-        job = client.submit({"kind": "detection", "code": "surface-5", "trial_distance": 3})
-        events = list(client.events(job["id"]))
-        assert events[-1]["event"] == "JobCompleted"
+    def test_deadline_expiry_cancels_and_session_stays_reusable(self, hold_jobs):
+        # Held past its deadline, so the job cannot finish first.
+        hold_jobs(delay=0.2)
+        with ServiceHarness() as harness:
+            client = harness.client(api_key="deadline")
+            job = client.submit(
+                {"kind": "distance", "code": "surface-5"}, deadline=0.01
+            )
+            for _ in range(200):
+                final = client.job(job["id"])
+                if final["status"] != "pending" and final["status"] != "running":
+                    break
+                time.sleep(0.05)
+            assert final["status"] == "cancelled"
+            assert final["reason"] == "deadline"
+            # The shared per-code session survived the expiry: the same code
+            # verifies cleanly on a fresh job.
+            job = client.submit(
+                {"kind": "detection", "code": "surface-5", "trial_distance": 3}
+            )
+            events = list(client.events(job["id"]))
+            assert events[-1]["event"] == "JobCompleted"
 
-    def test_cancel_running_job_is_202_then_409(self, harness):
-        client = harness.client(api_key="cancel")
-        job = client.submit({"kind": "distance", "code": "surface-5"})
-        accepted = client.cancel(job["id"])
-        assert accepted["status"] == "cancelling"
-        # await the terminal event, then a second DELETE is a stable 409
-        events = list(client.events(job["id"]))
-        assert events[-1]["event"] in ("JobCancelled", "JobCompleted")
-        with pytest.raises(ServiceError) as excinfo:
-            client.cancel(job["id"])
-        assert excinfo.value.status == 409
+    def test_cancel_running_job_is_202_then_409(self, hold_jobs):
+        hold_jobs()
+        with ServiceHarness() as harness:
+            client = harness.client(api_key="cancel")
+            job = client.submit({"kind": "distance", "code": "surface-5"})
+            accepted = client.cancel(job["id"])
+            assert accepted["status"] == "cancelling"
+            # await the terminal event, then a second DELETE is a stable 409
+            events = list(client.events(job["id"]))
+            assert events[-1]["event"] == "JobCancelled"
+            with pytest.raises(ServiceError) as excinfo:
+                client.cancel(job["id"])
+            assert excinfo.value.status == 409
 
     def test_delete_terminal_job_is_409(self, harness):
         client = harness.client()
@@ -223,7 +230,8 @@ class TestValidation:
 
 
 class TestAdmissionOverHttp:
-    def test_quota_exceeded_is_429_with_retry_after(self):
+    def test_quota_exceeded_is_429_with_retry_after(self, hold_jobs):
+        hold_jobs()  # the first job stays in flight while the second arrives
         admission = AdmissionController(max_pending=64, max_inflight_per_key=1)
         with ServiceHarness(admission=admission) as harness:
             client = harness.client(api_key="tenant-a")
@@ -237,10 +245,7 @@ class TestAdmissionOverHttp:
             other = harness.client(api_key="tenant-b")
             ok = other.submit({"kind": "correction", "code": "steane"})
             assert ok["status"] == "pending"
-            try:
-                client.cancel(job["id"])
-            except ServiceError:
-                pass  # lost the race: the job already finished
+            client.cancel(job["id"])
 
     def test_rate_limited_is_429(self):
         admission = AdmissionController(rate=0.001, burst=1.0)
@@ -252,7 +257,8 @@ class TestAdmissionOverHttp:
             assert excinfo.value.status == 429
             assert "rate" in excinfo.value.payload["error"]
 
-    def test_capacity_backpressure_is_429(self):
+    def test_capacity_backpressure_is_429(self, hold_jobs):
+        hold_jobs()  # the first job stays in flight while the second arrives
         admission = AdmissionController(max_pending=1)
         with ServiceHarness(admission=admission) as harness:
             slow = harness.client(api_key="a")
@@ -263,10 +269,7 @@ class TestAdmissionOverHttp:
                 )
             assert excinfo.value.status == 429
             assert "capacity" in excinfo.value.payload["error"]
-            try:
-                slow.cancel(job["id"])
-            except ServiceError:
-                pass  # lost the race: the job already finished
+            slow.cancel(job["id"])
 
 
 class TestConcurrentClients:
@@ -316,7 +319,9 @@ class TestConcurrentClients:
 
 
 class TestDrain:
-    def test_drain_cancels_inflight_with_shutdown_reason(self):
+    def test_drain_cancels_inflight_with_shutdown_reason(self, hold_jobs):
+        # The second job is held past the 0.2 s grace window.
+        hold_jobs(after=1)
         with ServiceHarness(drain_grace=0.2) as harness:
             client = harness.client()
             quick = client.submit({"kind": "correction", "code": "steane"})
@@ -327,9 +332,8 @@ class TestDrain:
         assert summary is not None
         assert summary["orphaned"] == 0
         job = harness.service.drain.get(slow["id"])
-        assert job.status.terminal
-        if job.status is JobStatus.CANCELLED:
-            assert job.cancel_reason == "shutdown"
+        assert job.status is JobStatus.CANCELLED
+        assert job.cancel_reason == "shutdown"
         done = harness.service.drain.get(quick["id"])
         assert done.status is JobStatus.SUCCEEDED
 

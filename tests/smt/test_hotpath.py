@@ -346,11 +346,15 @@ class TestAnalyzeScratch:
         clauses = random_clauses(rng, 9, 38)
         solver = SATSolver(build_cnf(9, clauses))
         result = solver.solve()
-        assert result.blocker_hits == solver.blocker_hits
-        assert result.heap_discards == solver.heap_discards
+        assert result.counters["blocker_hits"] == solver.blocker_hits
+        assert result.counters["heap_discards"] == solver.heap_discards
         again = solver.solve(assumptions=[2])
-        assert again.blocker_hits == solver.blocker_hits - result.blocker_hits
-        assert again.heap_discards == solver.heap_discards - result.heap_discards
+        assert again.counters["blocker_hits"] == (
+            solver.blocker_hits - result.counters["blocker_hits"]
+        )
+        assert again.counters["heap_discards"] == (
+            solver.heap_discards - result.counters["heap_discards"]
+        )
 
 
 class TestMinimizationSoundness:
@@ -472,9 +476,11 @@ class TestBinarySubsumption:
         )
         solver = SATSolver(build_cnf(9, clauses))
         result = solver.solve()
-        assert result.binary_subsumed == solver.binary_subsumed
+        assert result.counters["binary_subsumed"] == solver.binary_subsumed
         again = solver.solve(assumptions=[3])
-        assert again.binary_subsumed == solver.binary_subsumed - result.binary_subsumed
+        assert again.counters["binary_subsumed"] == (
+            solver.binary_subsumed - result.counters["binary_subsumed"]
+        )
 
     @staticmethod
     def pigeonhole(holes):
@@ -501,7 +507,7 @@ class TestBinarySubsumption:
             assert_seen_clean(solver)
             assert_watchers_valid(solver)
             fired += solver.binary_subsumed
-            assert result.binary_subsumed == solver.binary_subsumed
+            assert result.counters["binary_subsumed"] == solver.binary_subsumed
         assert fired > 0, "subsumption never fired on pigeonhole instances"
 
     def test_random_verdicts_unchanged_by_subsumption(self):
