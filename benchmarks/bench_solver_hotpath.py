@@ -10,12 +10,10 @@ new harness.
 
 Two uses:
 
-* **Policy comparison** (``--policies heap,linear``): runs the workload once
-  per decision policy (``REPRO_DECISION_POLICY`` is exported before each run
-  so pool workers inherit it), asserts the heap policy wins on
-  decisions-per-second (>= ``--min-speedup``, default 2.0, on the largest
-  distance workload) and on total wall-clock, and asserts the
-  timing-stripped answers are identical across policies.
+* **Seed comparison**: compares decisions-per-second against the committed
+  pre-overhaul capture (``benchmarks/baselines/solver_seed.json``) and, on
+  the full workload, requires >= ``--min-speedup`` (default 2.0) on the
+  largest distance workload.
 * **Regression gate** (``--check-baseline benchmarks/baselines/solver.json``):
   compares this run's calibration-normalized wall-clock against a committed
   baseline and fails on a > ``--tolerance`` (default 1.2x) regression.
@@ -48,16 +46,6 @@ os.environ.setdefault("REPRO_MP_CONTEXT", "forkserver")
 QUICK_CODES = ("steane", "surface-3")
 FULL_CODES = ("steane", "surface-3", "surface-5")
 
-#: Fields of a Result dict whose values depend on wall-clock measurement,
-#: plus the runtime-statistics sections ("session" / "resources") whose keys
-#: legitimately differ across decision policies (e.g. heap_discards only
-#: exists under the heap policy).  Stripped before cross-policy answer
-#: comparison (mirrors repro.api.events.TIMING_FIELDS for event streams);
-#: everything left — verdicts, counterexamples, distances, per-trial
-#: conflict/decision counts — must be byte-identical across policies.
-TIMING_KEYS = frozenset({"elapsed_seconds", "compile_seconds", "session", "resources"})
-
-
 def _percentile(samples: list[float], fraction: float) -> float:
     if not samples:
         return 0.0
@@ -76,18 +64,6 @@ def calibrate() -> float:
             total += i * i
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _strip_timing(value):
-    if isinstance(value, dict):
-        return {
-            key: _strip_timing(item)
-            for key, item in value.items()
-            if key not in TIMING_KEYS
-        }
-    if isinstance(value, list):
-        return [_strip_timing(item) for item in value]
-    return value
 
 
 def build_workloads(codes: tuple[str, ...], pooled: bool) -> list[dict]:
@@ -141,17 +117,13 @@ def _decision_samples(result) -> list[tuple[float, int]]:
     return [(solve, result.decisions)]
 
 
-def run_policy(policy: str, codes: tuple[str, ...], pooled: bool) -> dict:
-    """Run the full workload once under one decision policy."""
-    if policy == "seed":
-        os.environ.pop("REPRO_DECISION_POLICY", None)
-    else:
-        os.environ["REPRO_DECISION_POLICY"] = policy
+def run_workloads(codes: tuple[str, ...], pooled: bool) -> dict:
+    """Run the full workload once on a fresh engine."""
     from repro.api import Engine, ParallelBackend
 
     engine = Engine()
     workloads = build_workloads(codes, pooled)
-    report: dict = {"workloads": {}, "answers": {}}
+    report: dict = {"workloads": {}}
     decision_us: list[float] = []
     total_wall = 0.0
     total_solve = 0.0
@@ -187,10 +159,8 @@ def run_policy(policy: str, codes: tuple[str, ...], pooled: bool) -> dict:
                 "pooled": bool(spec["backend"]),
                 "decision_us_samples": per_call_us,
             }
-            report["answers"][spec["name"]] = _strip_timing(result.to_dict())
     finally:
         engine.close()
-        os.environ.pop("REPRO_DECISION_POLICY", None)
     report["total_wall_seconds"] = total_wall
     report["total_solve_seconds"] = total_solve
     report["total_decisions"] = total_decisions
@@ -206,9 +176,8 @@ def run_policy(policy: str, codes: tuple[str, ...], pooled: bool) -> dict:
 def merge_repeats(repeats: list[dict]) -> dict:
     """Best-of-N merge: per workload, keep the repeat with the least solve
     time (the standard noise-robust estimator for a deterministic workload);
-    totals and percentiles are recomputed over the kept rows.  Answers come
-    from the first repeat."""
-    merged: dict = {"workloads": {}, "answers": repeats[0]["answers"]}
+    totals and percentiles are recomputed over the kept rows."""
+    merged: dict = {"workloads": {}}
     decision_us: list[float] = []
     total_wall = total_solve = 0.0
     total_decisions = 0
@@ -232,45 +201,6 @@ def merge_repeats(repeats: list[dict]) -> dict:
     merged["decision_us_p90"] = _percentile(decision_us, 0.90)
     merged["decision_us_p99"] = _percentile(decision_us, 0.99)
     return merged
-
-
-def _serial_answers(report: dict) -> dict:
-    """Answers of the serial workloads only: a pooled run's witness and
-    stats legitimately depend on worker scheduling, so only the serial
-    workloads are required to be byte-identical across decision policies."""
-    return {
-        name: answer
-        for name, answer in report["answers"].items()
-        if not report["workloads"][name]["pooled"]
-    }
-
-
-def compare_policies(reports: dict[str, dict], codes: tuple[str, ...]) -> dict:
-    """Heap-vs-fallback ratios on the shared workload set."""
-    if "heap" not in reports:
-        return {}
-    heap = reports["heap"]
-    other_name = next((name for name in ("linear", "seed") if name in reports), None)
-    if other_name is None:
-        return {}
-    other = reports[other_name]
-    distance_key = f"distance:{codes[-1]}"
-    comparison = {
-        "baseline_policy": other_name,
-        "distance_workload": distance_key,
-        "distance_decisions_per_second_speedup": _ratio(
-            heap["workloads"][distance_key]["decisions_per_second"],
-            other["workloads"][distance_key]["decisions_per_second"],
-        ),
-        "total_wallclock_speedup": _ratio(
-            other["total_wall_seconds"], heap["total_wall_seconds"]
-        ),
-        "decisions_per_second_speedup": _ratio(
-            heap["decisions_per_second"], other["decisions_per_second"]
-        ),
-        "answers_identical": _serial_answers(heap) == _serial_answers(other),
-    }
-    return comparison
 
 
 def compare_with_seed_capture(report: dict, seed_path: str, codes) -> dict:
@@ -333,9 +263,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="small workload (steane + surface-3, no pooled run)")
-    parser.add_argument("--policies", default="heap,linear",
-                        help="comma list of decision policies to run "
-                             "(heap, linear, seed)")
     parser.add_argument("--output", default="BENCH_solver.json",
                         help="where to write the JSON report")
     parser.add_argument("--check-baseline", default=None, metavar="PATH",
@@ -347,8 +274,8 @@ def main(argv=None) -> int:
                              "pre-overhaul capture on the largest distance "
                              "workload")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="interleaved repeats per policy; each workload "
-                             "keeps its fastest repeat (noise robustness)")
+                        help="repeats of the workload; each workload keeps "
+                             "its fastest repeat (noise robustness)")
     parser.add_argument("--seed-baseline", default=None, metavar="PATH",
                         help="pre-overhaul capture to compute the speedup "
                              "against (default: benchmarks/baselines/"
@@ -359,7 +286,6 @@ def main(argv=None) -> int:
 
     codes = QUICK_CODES if args.quick else FULL_CODES
     pooled = not args.quick
-    policies = [policy.strip() for policy in args.policies.split(",") if policy.strip()]
     seed_baseline = args.seed_baseline
     if seed_baseline is None:
         default_seed = pathlib.Path(__file__).parent / "baselines" / "solver_seed.json"
@@ -377,47 +303,33 @@ def main(argv=None) -> int:
         "calibration_seconds": calibrate(),
         "policies": {},
     }
-    # Interleave the repeats across policies so slow drift (thermal /
-    # frequency scaling / co-tenancy) hits every policy equally instead of
-    # biasing whichever ran last.
-    runs: dict[str, list[dict]] = {policy: [] for policy in policies}
+    runs: list[dict] = []
     for repeat in range(max(1, args.repeats)):
-        for policy in policies:
-            print(
-                f"== policy {policy} repeat {repeat + 1}/{max(1, args.repeats)}"
-                f" ({', '.join(codes)}) ==",
-                flush=True,
-            )
-            runs[policy].append(run_policy(policy, codes, pooled))
-    for policy in policies:
-        policy_report = merge_repeats(runs[policy])
-        report["policies"][policy] = policy_report
-        for name, row in policy_report["workloads"].items():
-            print(
-                f"  {name:28s} {row['wall_seconds']:8.3f}s"
-                f" {row['decisions']:8d} dec"
-                f" {row['decisions_per_second']:10.0f} dec/s"
-                f" p50 {row['decision_us_p50']:7.1f}us"
-            )
         print(
-            f"  [{policy}] {'TOTAL':24s} {policy_report['total_wall_seconds']:8.3f}s"
-            f" {policy_report['total_decisions']:8d} dec"
-            f" {policy_report['decisions_per_second']:10.0f} dec/s"
+            f"== repeat {repeat + 1}/{max(1, args.repeats)} ({', '.join(codes)}) ==",
+            flush=True,
         )
-
-    comparison = compare_policies(report["policies"], codes)
-    if comparison:
-        report["comparison"] = comparison
+        runs.append(run_workloads(codes, pooled))
+    # The section keeps its historical "policies.heap" key so committed
+    # baselines (which also recorded a since-removed "linear" policy) stay
+    # readable by check_baseline and compare_with_seed_capture.
+    heap_report = merge_repeats(runs)
+    report["policies"]["heap"] = heap_report
+    for name, row in heap_report["workloads"].items():
         print(
-            f"speedup vs {comparison['baseline_policy']}: "
-            f"{comparison['distance_decisions_per_second_speedup']:.2f}x dec/s on "
-            f"{comparison['distance_workload']}, "
-            f"{comparison['total_wallclock_speedup']:.2f}x total wall-clock, "
-            f"answers identical: {comparison['answers_identical']}"
+            f"  {name:28s} {row['wall_seconds']:8.3f}s"
+            f" {row['decisions']:8d} dec"
+            f" {row['decisions_per_second']:10.0f} dec/s"
+            f" p50 {row['decision_us_p50']:7.1f}us"
         )
+    print(
+        f"  {'TOTAL':28s} {heap_report['total_wall_seconds']:8.3f}s"
+        f" {heap_report['total_decisions']:8d} dec"
+        f" {heap_report['decisions_per_second']:10.0f} dec/s"
+    )
 
     seed_comparison = {}
-    if seed_baseline and os.path.exists(seed_baseline) and "heap" in report["policies"]:
+    if seed_baseline and os.path.exists(seed_baseline):
         seed_comparison = compare_with_seed_capture(report, seed_baseline, codes)
         if seed_comparison:
             report["seed_comparison"] = seed_comparison
@@ -427,26 +339,11 @@ def main(argv=None) -> int:
                 f"dec/s on {seed_comparison['distance_workload']}"
             )
 
-    # The answers section is large and fully determined by the workload; the
-    # committed report keeps only the cross-policy verdict.  The raw
-    # decision-cost samples collapse to their percentiles.
-    for policy_report in report["policies"].values():
-        policy_report.pop("answers", None)
-        for row in policy_report["workloads"].values():
-            row.pop("decision_us_samples", None)
+    # The raw decision-cost samples collapse to their percentiles.
+    for row in heap_report["workloads"].values():
+        row.pop("decision_us_samples", None)
 
     problems: list[str] = []
-    if comparison and not args.no_assert:
-        if not comparison["answers_identical"]:
-            problems.append("serial answers differ across decision policies")
-        # On the laptop-scale quick workload the policies are within noise
-        # of each other, so only a clear overall slowdown fails.
-        wallclock_floor = 1.0 if not args.quick else 0.9
-        if comparison["total_wallclock_speedup"] <= wallclock_floor:
-            problems.append(
-                f"heap policy is not faster overall "
-                f"({comparison['total_wallclock_speedup']:.2f}x)"
-            )
     if seed_comparison and not args.no_assert and not args.quick:
         # The speedup gate is only meaningful on the full workload: the
         # quick set has no surface-5 and its distance walks finish in

@@ -45,7 +45,6 @@ from repro.api.resources import (
     ContextView,
     PoolManager,
     ResourceManager,
-    SessionCache,
 )
 from repro.api.result import Result
 from repro.api.tasks import (
@@ -89,7 +88,6 @@ __all__ = [
     "ContextView",
     "PoolManager",
     "ResourceManager",
-    "SessionCache",
     "Result",
     "Task",
     "CorrectionTask",

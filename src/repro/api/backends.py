@@ -5,8 +5,8 @@ the property is verified.  Two implementations ship with the engine:
 
 * :class:`SerialBackend`   — one SAT query on a :class:`~repro.smt.interface.SolveSession`;
 * :class:`ParallelBackend` — enumeration-based task splitting across a worker
-  pool through :class:`repro.smt.parallel.ParallelChecker` (Appendix D.4),
-  each worker holding a persistent incremental session.
+  pool through :class:`repro.smt.parallel.IncrementalSplitSession`
+  (Appendix D.4), each worker holding a persistent incremental session.
 
 Both accept an optional ``session`` — a live :class:`SolveSession` that
 already holds the compiled formula — so the engine can reuse one solver (and
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Protocol, runtime_checkable
 
 from repro.smt.interface import SMTCheck, SolveSession
-from repro.smt.parallel import ParallelChecker
+from repro.smt.parallel import IncrementalSplitSession
 from repro.smt.solver import SolveControl
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -145,7 +145,7 @@ class ParallelBackend:
                 max_subtasks=self.max_subtasks,
             )
             return split.check(control=control)
-        checker = ParallelChecker(
+        with IncrementalSplitSession(
             compiled.formula,
             split_variables=list(compiled.split_variables),
             heuristic_weight=heuristic_weight,
@@ -153,8 +153,8 @@ class ParallelBackend:
             num_workers=self.num_workers,
             max_subtasks=self.max_subtasks,
             session=session if self.num_workers <= 1 else None,
-        )
-        return checker.run(control=control)
+        ) as split:
+            return split.check(control=control)
 
 
 def coerce_backend(backend: "Backend | str | None", num_workers: int = 2) -> "Backend":

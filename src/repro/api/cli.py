@@ -266,28 +266,6 @@ def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
         help="durable clause-store directory; repeated invocations (and "
         "sibling codes) warm-start, distance walks resume after a kill",
     )
-    parser.add_argument(
-        "--warm-cache",
-        metavar="DIR",
-        default=None,
-        help="deprecated alias for --clause-store",
-    )
-
-
-def _store_directory(args: argparse.Namespace, warn: bool = False) -> str | None:
-    """The clause-store directory from ``--clause-store`` or its legacy alias."""
-    directory = getattr(args, "clause_store", None)
-    legacy = getattr(args, "warm_cache", None)
-    if directory:
-        return directory
-    if legacy:
-        if warn:
-            print(
-                "warning: --warm-cache is deprecated; use --clause-store",
-                file=sys.stderr,
-            )
-        return legacy
-    return None
 
 
 def _add_job_arguments(parser: argparse.ArgumentParser) -> None:
@@ -314,7 +292,7 @@ def _stream_job(job: Job) -> None:
 def _run_as_job(engine: Engine, task, args: argparse.Namespace, print_result) -> int:
     """The shared ``--stream``/``--deadline`` lifecycle of one CLI task.
 
-    Submit, stream or wait, flush the warm cache, then map the terminal
+    Submit, stream or wait, flush the clause store, then map the terminal
     state: cancelled → stderr notice (non-stream) + exit 3; failed →
     re-raise (``main`` renders ValueError/KeyError as exit 2); succeeded →
     ``print_result(result)`` unless streaming, exit by verdict.
@@ -336,15 +314,11 @@ def _run_as_job(engine: Engine, task, args: argparse.Namespace, print_result) ->
 
 
 def _make_engine(backend, args: argparse.Namespace) -> Engine:
-    engine = Engine(backend=backend)
-    directory = _store_directory(args, warn=True)
-    if directory:
-        engine.resources.enable_clause_store(directory)
-    return engine
+    return Engine(backend=backend, clause_store=args.clause_store or None)
 
 
 def _finish_engine(engine: Engine, args: argparse.Namespace) -> None:
-    if _store_directory(args):
+    if args.clause_store:
         engine.resources.save_warm()
 
 
@@ -542,7 +516,7 @@ def _resource_table(stats: dict) -> str:
     lines.append(f"{'learnt':12s} {stats.get('learnt_kept', 0):6d}   "
                  f"kept {stats.get('learnt_kept', 0)}, deleted {stats.get('learnt_deleted', 0)}")
     if "warm_hits" in stats:
-        lines.append(f"{'warm-cache':12s} {stats.get('warm_absorbed', 0):6d}   "
+        lines.append(f"{'warm-start':12s} {stats.get('warm_absorbed', 0):6d}   "
                      f"hits {stats.get('warm_hits', 0)}, misses {stats.get('warm_misses', 0)}")
     if "store" in stats:
         store = stats["store"]

@@ -21,18 +21,17 @@ This module centralizes those resources *per code*:
   alive across ``Engine.run`` / ``run_many`` calls (registry sweeps stop
   paying pool startup and re-encoding per task) and torn down when the
   owning engine is garbage-collected, on eviction, or at interpreter exit.
-* :class:`SessionCache` — serialize/restore a session's learnt clauses to a
-  cache directory (the CLI's ``--warm-cache``), keyed by a fingerprint of
-  the exact CNF so stale state can never be absorbed.
 * :class:`ResourceManager` — the engine-facing facade tying the above
   together, with hit/miss counters surfaced in ``Result.session_stats()``.
+  Its optional ``clause_store`` (:class:`~repro.store.ClauseStore`, the
+  CLI's ``--clause-store``) is the one warm-start cache: contexts and pools
+  restore and persist learnt clauses keyed by a fingerprint of the exact
+  CNF, so stale state can never be absorbed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import threading
 import weakref
 import zlib
@@ -52,7 +51,6 @@ __all__ = [
     "LaneStats",
     "PoolManager",
     "ResourceManager",
-    "SessionCache",
 ]
 
 
@@ -123,7 +121,7 @@ class CodeContext:
     def __init__(
         self,
         key,
-        warm_cache: "SessionCache | None" = None,
+        clause_store: ClauseStore | None = None,
         max_task_guards: int = 64,
     ):
         self.key = key
@@ -131,7 +129,7 @@ class CodeContext:
         # lane-affine exactly like the session they drive.
         self._entry_guard = sanitize.new_entry_guard(f"CodeContext({key!r})")
         self.session = SolveSession()
-        self.warm_cache = warm_cache
+        self.clause_store = clause_store
         self.max_task_guards = max_task_guards
         self.hits = 0
         self.misses = 0
@@ -376,11 +374,8 @@ class CodeContext:
         corrupted store entry can cost probe budget, never soundness.
         Returns the number of clauses absorbed.
         """
-        cache = self.warm_cache
-        if cache is None or not selectors:
-            return 0
-        family_lookup = getattr(cache, "family_candidates", None)
-        if family_lookup is None:
+        store = self.clause_store
+        if store is None or not selectors:
             return 0
         family = family_of(self.key) if isinstance(self.key, str) else None
         if not family:
@@ -397,7 +392,9 @@ class CodeContext:
         my_names = set(self.session.encoder.named_literals())
         guard_key = tuple(selectors)
         candidates: list[list[tuple[str, bool]]] = []
-        for pairs in family_lookup(family, exclude_fingerprint=self._warm_fingerprint or ""):
+        for pairs in store.family_candidates(
+            family, exclude_fingerprint=self._warm_fingerprint or ""
+        ):
             projected = [(name, positive) for name, positive in pairs if name in my_names]
             if not 2 <= len(projected) <= 6:
                 continue
@@ -415,17 +412,17 @@ class CodeContext:
         return absorbed
 
     # ------------------------------------------------------------------
-    # Warm cache: learnt clauses round-trip through the cache directory,
-    # keyed on the CNF fingerprint at the moment of the first check (the
-    # point identical CLI invocations reach with an identical encoding).
+    # Warm start: learnt clauses round-trip through the clause store, keyed
+    # on the CNF fingerprint at the moment of the first check (the point
+    # identical CLI invocations reach with an identical encoding).
     @sanitize.entry_guarded
     def maybe_warm_load(self) -> None:
-        if self.warm_cache is None or self._warm_attempted:
+        if self.clause_store is None or self._warm_attempted:
             return
         self._warm_attempted = True
         self._warm_fingerprint = self.session.fingerprint()
         self._warm_vars = self.session.encoder.cnf.num_vars
-        learnt = self.warm_cache.load(self._warm_fingerprint)
+        learnt = self.clause_store.load(self._warm_fingerprint)
         if learnt:
             self.counters.update(warm_hits=1, warm_absorbed=self.session.absorb_learnt(learnt))
         else:
@@ -433,16 +430,10 @@ class CodeContext:
 
     @sanitize.entry_guarded
     def save_warm(self) -> None:
-        if self.warm_cache is None or not self._warm_attempted:
+        if self.clause_store is None or not self._warm_attempted:
             return
-        store_meta = getattr(self.warm_cache, "store_meta", None)
-        if store_meta is None:
-            self.warm_cache.store(
-                self._warm_fingerprint, self.session.learnt_clauses(max_var=self._warm_vars)
-            )
-            return
-        # Clause store: persist LBDs for eviction ranking, and record the
-        # named-literal projections of every learnt clause under the code's
+        # Persist LBDs for eviction ranking, and record the named-literal
+        # projections of every learnt clause under the code's
         # family so sibling fingerprints can pick them up as candidates.
         meta = self.session.learnt_clauses_meta(max_var=self._warm_vars)
         family = family_of(self.key) if isinstance(self.key, str) else None
@@ -469,53 +460,9 @@ class CodeContext:
                     continue
                 seen.add(key)
                 named.append((tuple(projected), lbd))
-        store_meta(self._warm_fingerprint, meta, family=family or "", named=named)
-
-
-class SessionCache:
-    """On-disk learnt-clause cache (the CLI's ``--warm-cache`` directory).
-
-    Entries are JSON files named by the CNF fingerprint they belong to; a
-    lookup with a different fingerprint simply misses, so absorbing stale or
-    foreign state is impossible by construction.
-    """
-
-    def __init__(self, directory: str):
-        self.directory = directory
-        self.hits = 0
-        self.misses = 0
-        os.makedirs(directory, exist_ok=True)
-
-    def _path(self, fingerprint: str) -> str:
-        return os.path.join(self.directory, f"{fingerprint}.json")
-
-    def load(self, fingerprint: str) -> list[list[int]] | None:
-        try:
-            with open(self._path(fingerprint), "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        learnt = payload.get("learnt")
-        if payload.get("fingerprint") != fingerprint or not isinstance(learnt, list):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return [[int(lit) for lit in clause] for clause in learnt]
-
-    def store(self, fingerprint: str, learnt: list[list[int]]) -> None:
-        payload = {"fingerprint": fingerprint, "learnt": learnt}
-        path = self._path(fingerprint)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        self.clause_store.store_meta(
+            self._warm_fingerprint, meta, family=family or "", named=named
+        )
 
 
 def _close_split_sessions(sessions: "OrderedDict") -> None:
@@ -541,9 +488,9 @@ class PoolManager:
     leak semaphores or worker processes.
     """
 
-    def __init__(self, max_pools: int = 4, warm_cache: "SessionCache | None" = None):
+    def __init__(self, max_pools: int = 4, clause_store: ClauseStore | None = None):
         self.max_pools = max_pools
-        self.warm_cache = warm_cache
+        self.clause_store = clause_store
         self.hits = 0
         self.misses = 0
         self._sessions: OrderedDict[tuple, IncrementalSplitSession] = OrderedDict()
@@ -580,7 +527,7 @@ class PoolManager:
             threshold=threshold,
             num_workers=num_workers,
             max_subtasks=max_subtasks,
-            warm_dir=self.warm_cache.directory if self.warm_cache is not None else None,
+            warm_dir=self.clause_store.directory if self.clause_store is not None else None,
         )
         evicted_sessions: list[IncrementalSplitSession] = []
         with self._lock:
@@ -641,7 +588,7 @@ class LaneStats:
 
 
 class ResourceManager:
-    """The engine's solver-resource facade: contexts, pools, warm cache.
+    """The engine's solver-resource facade: contexts, pools, clause store.
 
     With the sharded dispatcher the manager is also the *routing authority*:
     :meth:`shard_for_task` maps every task to the one worker lane allowed to
@@ -670,7 +617,8 @@ class ResourceManager:
         #: pre-family behaviour exactly (the benchmark's serial baseline).
         self.family_warm_start = family_warm_start
         self.pools = PoolManager(max_pools=max_pools)
-        self.warm_cache: SessionCache | None = None
+        #: the persistent warm-start cache, attached by :meth:`enable_clause_store`
+        self.clause_store: ClauseStore | None = None
         self._contexts: OrderedDict[object, CodeContext] = OrderedDict()
         # Deterministic tasks WITHOUT a code to key a context on (the
         # program-logic route) still get a persistent per-task session, so
@@ -755,11 +703,11 @@ class ResourceManager:
             except TypeError:  # unhashable key
                 return None
             if context is None:
-                context = CodeContext(key, warm_cache=self.warm_cache)
+                context = CodeContext(key, clause_store=self.clause_store)
                 self._contexts[key] = context
                 while len(self._contexts) > self.max_contexts:
                     evicted_key, evicted = self._contexts.popitem(last=False)
-                    if evicted.warm_cache is not None:
+                    if evicted.clause_store is not None:
                         # save_warm touches the evicted session, which only
                         # its own lane may do: park it on that lane's retire
                         # list, flushed at the lane's next job boundary.
@@ -796,8 +744,8 @@ class ResourceManager:
             return 0
         if not isinstance(code_key, str) or not selectors:
             return 0
-        if self.warm_cache is not None:
-            # With a cache attached, try the exact-fingerprint entry first:
+        if self.clause_store is not None:
+            # With a store attached, try the exact-fingerprint entry first:
             # a hit restores this context's own learnt state, which strictly
             # dominates anything a sibling could offer — re-proving sibling
             # candidates on top would spend probe budget for nothing.
@@ -902,32 +850,18 @@ class ResourceManager:
             return dropped
 
     # ------------------------------------------------------------------
-    def enable_warm_cache(self, directory: str) -> SessionCache:
-        with self._lock:
-            self.warm_cache = SessionCache(directory)
-            self.pools.warm_cache = self.warm_cache
-            for context in self._contexts.values():
-                if context.warm_cache is None:
-                    context.warm_cache = self.warm_cache
-            return self.warm_cache
-
     def enable_clause_store(self, directory: "str | ClauseStore") -> ClauseStore:
-        """Attach the persistent sqlite clause store (supersedes the JSON
-        warm cache: same ``load``/``store`` plumbing, plus LBD-ranked
-        eviction, the family candidate index and distance checkpoints)."""
+        """Attach the persistent sqlite clause store: exact-fingerprint warm
+        starts with LBD-ranked eviction, the family candidate index and
+        distance checkpoints."""
         store = directory if isinstance(directory, ClauseStore) else ClauseStore(str(directory))
         with self._lock:
-            self.warm_cache = store
-            self.pools.warm_cache = store
+            self.clause_store = store
+            self.pools.clause_store = store
             for context in self._contexts.values():
-                if context.warm_cache is None:
-                    context.warm_cache = store
+                if context.clause_store is None:
+                    context.clause_store = store
             return store
-
-    @property
-    def clause_store(self) -> ClauseStore | None:
-        cache = self.warm_cache
-        return cache if isinstance(cache, ClauseStore) else None
 
     def absorb_from_store(self, code_key, context: CodeContext | None, selectors) -> int:
         """Offer ``context`` the store's family candidates (sibling
@@ -950,7 +884,7 @@ class ResourceManager:
             contexts = list(self._contexts.values())
         for context in contexts:
             context.save_warm()
-        if self.warm_cache is not None:
+        if self.clause_store is not None:
             self.pools.save_warm()
 
     # ------------------------------------------------------------------
@@ -1027,11 +961,10 @@ class ResourceManager:
             stats["family_probes"] = transfer["family_probes"]
         if self.quarantined:
             stats["quarantined_contexts"] = self.quarantined
-        if self.warm_cache is not None:
-            stats["warm_hits"] = self.warm_cache.hits
-            stats["warm_misses"] = self.warm_cache.misses
-            stats["warm_absorbed"] = transfer["warm_absorbed"] + self.pools.warm_absorbed()
         if store is not None:
+            stats["warm_hits"] = store.hits
+            stats["warm_misses"] = store.misses
+            stats["warm_absorbed"] = transfer["warm_absorbed"] + self.pools.warm_absorbed()
             if transfer["store_probes"]:
                 stats["store_absorbed"] = transfer["store_absorbed"]
                 stats["store_probes"] = transfer["store_probes"]

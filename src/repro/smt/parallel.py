@@ -16,9 +16,10 @@ Each worker process holds ONE live :class:`~repro.smt.interface.SolveSession`
 for the shared base encoding: every subtask is an incremental
 ``solve(assumptions)`` call on that session, so learnt clauses and heuristic
 state accumulate across subtasks instead of being rebuilt per query.
-:class:`IncrementalSplitSession` exposes the same machinery as a long-lived
-object supporting repeated guarded checks (the engine's trial-distance walk),
-with selector-guarded weight bounds broadcast lazily to the workers.
+:class:`IncrementalSplitSession` is the one driver: used for a single check
+(``ParallelBackend`` without engine resources) or kept alive for repeated
+guarded checks (the engine's trial-distance walk), with selector-guarded
+weight bounds broadcast lazily to the workers.
 """
 
 from __future__ import annotations
@@ -31,16 +32,14 @@ import threading
 import time
 import weakref
 from collections import Counter
-from dataclasses import dataclass, field
 
 from repro import faults
 from repro.classical.expr import BoolExpr, IntExpr
 from repro.smt.interface import SMTCheck, SolveSession
 from repro.smt.solver import SEARCH_COUNTERS, SolveControl, SolverInterrupted, nonzero
+from repro.store import load_clauses, merge_clauses
 
 __all__ = [
-    "SplitTask",
-    "ParallelChecker",
     "IncrementalSplitSession",
     "generate_split_assumptions",
 ]
@@ -87,20 +86,28 @@ _LIVE_POOLS: "weakref.WeakSet" = weakref.WeakSet()
 def _terminate_pool(pool, timeout: float = 5.0) -> None:
     """Terminate ``pool`` without risking a caller deadlock.
 
-    ``Pool.join`` after ``terminate`` can block forever when an
-    ``imap_unordered`` iteration was abandoned mid-flight (its result-handler
-    thread waits on a queue nobody drains; the workers are already defunct).
-    Joining from a bounded watchdog thread converts that rare deadlock into
-    a short delay — the daemon thread and the atexit hook below still reap
-    whatever is left at interpreter shutdown.
+    Both halves can block forever.  ``Pool.terminate`` joins the pool's task
+    handler, whose final sentinel ``put`` on the result queue never gets the
+    queue's write lock when a worker was killed mid-way through posting a
+    result (the sat path terminates while other chunks are still reporting).
+    ``Pool.join`` after ``terminate`` blocks when an ``imap_unordered``
+    iteration was abandoned mid-flight (its result-handler thread waits on a
+    queue nobody drains; the workers are already defunct).  Running both in
+    a bounded watchdog thread converts those rare deadlocks into a short
+    delay — the daemon thread and the atexit hook below still reap whatever
+    is left at interpreter shutdown.
     """
-    try:
-        pool.terminate()
-    except Exception:
-        return
-    joiner = threading.Thread(target=pool.join, daemon=True)
-    joiner.start()
-    joiner.join(timeout)
+
+    def terminate_and_join() -> None:
+        try:
+            pool.terminate()
+            pool.join()
+        except Exception:
+            pass
+
+    watchdog = threading.Thread(target=terminate_and_join, daemon=True)
+    watchdog.start()
+    watchdog.join(timeout)
 
 
 def _terminate_live_pools() -> None:
@@ -113,14 +120,6 @@ atexit.register(_terminate_live_pools)
 
 class _PoolDiedError(Exception):
     """Every worker of a pool exited without posting results (fork hazard)."""
-
-
-@dataclass
-class SplitTask:
-    """One subtask: the shared formula under fixed values for some variables."""
-
-    assumptions: dict[str, bool]
-    index: int = 0
 
 
 class IncrementalSplitSession:
@@ -164,9 +163,9 @@ class IncrementalSplitSession:
         self._pool = None
         self._cancel_event = None
         self._fault = faults.hook("pool")
-        # Warm cache: pool workers absorb serialized learnt clauses in their
-        # init payload; the sequential path warm-starts its own session the
-        # same way the per-code contexts do.
+        # Clause store: pool workers absorb its learnt clauses in their init
+        # payload; the sequential path warm-starts its own session the same
+        # way the per-code contexts do.
         self.warm_dir = warm_dir
         self.warm_absorbed = 0
         self._local: SolveSession | None = None
@@ -178,7 +177,7 @@ class IncrementalSplitSession:
             if warm_dir is not None and owns_local:
                 self._local_base_vars = self._local.encoder.cnf.num_vars
                 self._local_fingerprint = self._local.fingerprint()
-                learnt = _load_warm(warm_dir, self._local_fingerprint)
+                learnt = load_clauses(warm_dir, self._local_fingerprint)
                 if learnt:
                     self.warm_absorbed = self._local.absorb_learnt(learnt)
         # Cumulative solver counters summed across every subtask and worker.
@@ -223,21 +222,10 @@ class IncrementalSplitSession:
             context = _pool_context()
             if self._cancel_event is None:
                 self._cancel_event = context.Event()
-            # Environment knobs ship explicitly in the init payload: under
-            # forkserver the workers fork from a server whose environment
-            # was frozen at server start, so inherited-env assumptions
-            # (e.g. the benchmark flipping REPRO_DECISION_POLICY between
-            # runs) would silently not reach them.
-            worker_env = {
-                key: value
-                for key in ("REPRO_DECISION_POLICY",)
-                if (value := os.environ.get(key)) is not None
-            }
             self._pool = context.Pool(
                 processes=self.num_workers,
                 initializer=_worker_init,
-                initargs=(self.formula, self.warm_dir, self._cancel_event,
-                          worker_env),
+                initargs=(self.formula, self.warm_dir, self._cancel_event),
             )
             _LIVE_POOLS.add(self._pool)
         return self._pool
@@ -445,17 +433,18 @@ class IncrementalSplitSession:
         return stats
 
     def save_warm(self) -> int:
-        """Serialize learnt clauses into ``warm_dir``; returns clauses stored.
+        """Merge learnt clauses into the clause store at ``warm_dir``;
+        returns clauses stored.
 
         On the pool path the save tasks fan out across the pool and each
         worker that picks one up merges its base-encoding learnt clauses
-        into the shared cache entry (all workers share one CNF fingerprint,
+        into the shared store entry (all workers share one CNF fingerprint,
         so the entries union safely).  Pool scheduling gives no per-worker
         affinity, so this is best-effort: a busy worker's clauses may be
         skipped this round — acceptable for a cache that only ever
         accelerates.  The sequential path stores from the local session.  A
-        no-op without a warm directory, and after a sat-terminated pool (the
-        worker sessions died with it).
+        no-op without a store directory, and after a sat-terminated pool
+        (the worker sessions died with it).
         """
         if self.warm_dir is None:
             return 0
@@ -463,7 +452,7 @@ class IncrementalSplitSession:
             if not self._local_base_vars:
                 return 0
             learnt = self._local.learnt_clauses(max_var=self._local_base_vars)
-            _store_warm(self.warm_dir, self._local_fingerprint, learnt)
+            merge_clauses(self.warm_dir, self._local_fingerprint, learnt)
             return len(learnt)
         if self._pool is None:
             return 0
@@ -486,115 +475,6 @@ class IncrementalSplitSession:
         self.close()
 
 
-@dataclass
-class ParallelChecker:
-    """Drives parallel (or sequential) checking of one formula.
-
-    Parameters mirror the tool configuration in the paper: the set of
-    variables eligible for enumeration (usually the error indicators), the
-    heuristic weight ``2 * d`` and the worker count.  One-shot facade over
-    :class:`IncrementalSplitSession`; pass ``session`` to reuse a live
-    sequential solver across ``run`` calls (the engine's session cache does
-    this for repeated tasks).
-    """
-
-    formula: BoolExpr
-    split_variables: list[str] = field(default_factory=list)
-    heuristic_weight: int = 2
-    threshold: int | None = None
-    num_workers: int = 1
-    max_subtasks: int = 1024
-    session: SolveSession | None = None
-
-    def run(self, control: SolveControl | None = None) -> SMTCheck:
-        start = time.perf_counter()
-        split = IncrementalSplitSession(
-            self.formula,
-            split_variables=self.split_variables,
-            heuristic_weight=self.heuristic_weight,
-            threshold=self.threshold,
-            num_workers=self.num_workers,
-            max_subtasks=self.max_subtasks,
-            session=self.session,
-        )
-        try:
-            result = split.check(control=control)
-        finally:
-            split.close()
-        result.elapsed_seconds = time.perf_counter() - start
-        return result
-
-    def make_tasks(self) -> list[SplitTask]:
-        threshold = self.threshold
-        if threshold is None:
-            threshold = max(len(self.split_variables), 1)
-        assumption_sets = generate_split_assumptions(
-            self.split_variables, self.heuristic_weight, threshold,
-            max_subtasks=self.max_subtasks,
-        )
-        return [SplitTask(assumptions, index) for index, assumptions in enumerate(assumption_sets)]
-
-
-# ----------------------------------------------------------------------
-# Warm-cache files: the same JSON format as repro.api.resources.SessionCache
-# (fingerprint-keyed learnt clauses), read and written here so worker
-# processes need no import from the api layer.
-def _load_warm(directory: str, fingerprint: str) -> list[list[int]] | None:
-    import json
-    import os
-
-    if os.path.isfile(os.path.join(directory, "clauses.sqlite")):
-        # The directory holds the sqlite clause store (repro.store) rather
-        # than JSON warm files; route through its stdlib-only helpers.
-        from repro.store import load_clauses
-
-        return load_clauses(directory, fingerprint)
-    try:
-        with open(os.path.join(directory, f"{fingerprint}.json"), "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    learnt = payload.get("learnt")
-    if payload.get("fingerprint") != fingerprint or not isinstance(learnt, list):
-        return None
-    return [[int(lit) for lit in clause] for clause in learnt]
-
-
-def _store_warm(directory: str, fingerprint: str, learnt: list[list[int]]) -> None:
-    """Merge ``learnt`` into the cache entry for ``fingerprint`` (atomic).
-
-    Merging (rather than overwriting) lets every pool worker contribute its
-    own learnt clauses to the one shared entry; concurrent writers race
-    benignly — the cache is best-effort and each write is internally
-    consistent via the tmp-file rename.
-    """
-    import json
-    import os
-
-    if os.path.isfile(os.path.join(directory, "clauses.sqlite")):
-        from repro.store import merge_clauses
-
-        merge_clauses(directory, fingerprint, learnt)
-        return
-    existing = _load_warm(directory, fingerprint) or []
-    seen = {tuple(clause) for clause in existing}
-    merged = list(existing)
-    for clause in learnt:
-        key = tuple(int(lit) for lit in clause)
-        if key not in seen:
-            seen.add(key)
-            merged.append(list(key))
-    try:
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, f"{fingerprint}.json")
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump({"fingerprint": fingerprint, "learnt": merged}, handle)
-        os.replace(tmp, path)
-    except OSError:
-        pass
-
-
 # Per-worker session, built once by the pool initializer: encoding the shared
 # formula (and constructing the solver) is the expensive part; every subtask
 # afterwards is an incremental solve under assumptions on the live solver.
@@ -608,13 +488,10 @@ _WORKER_WARM_ABSORBED: int = 0
 _WORKER_WARM_REPORTED: bool = False
 
 
-def _worker_init(formula: BoolExpr, warm_dir: str | None = None, cancel_event=None,
-                 env: dict | None = None) -> None:
+def _worker_init(formula: BoolExpr, warm_dir: str | None = None, cancel_event=None) -> None:
     global _WORKER_SESSION, _WORKER_GUARDS, _WORKER_CANCEL, _WORKER_WARM_DIR
     global _WORKER_FINGERPRINT, _WORKER_BASE_VARS, _WORKER_WARM_ABSORBED
     global _WORKER_WARM_REPORTED
-    if env:
-        os.environ.update(env)
     _WORKER_SESSION = SolveSession(formula)
     _WORKER_GUARDS = set()
     _WORKER_CANCEL = cancel_event
@@ -629,24 +506,22 @@ def _worker_init(formula: BoolExpr, warm_dir: str | None = None, cancel_event=No
         # "first check" snapshot — the point identical runs can agree on.
         _WORKER_BASE_VARS = _WORKER_SESSION.encoder.cnf.num_vars
         _WORKER_FINGERPRINT = _WORKER_SESSION.fingerprint()
-        learnt = _load_warm(warm_dir, _WORKER_FINGERPRINT)
+        learnt = load_clauses(warm_dir, _WORKER_FINGERPRINT)
         if learnt:
             _WORKER_WARM_ABSORBED = _WORKER_SESSION.absorb_learnt(learnt)
 
 
 def _save_warm_in_worker(_index: int) -> tuple[int, int]:
-    """Merge this worker's base-encoding learnt clauses into the warm cache.
+    """Merge this worker's base-encoding learnt clauses into the clause store.
 
     Returns ``(pid, count)`` so the parent can de-duplicate when pool
     scheduling hands several save tasks to the same worker.
     """
-    import os
-
     if _WORKER_WARM_DIR is None or not _WORKER_FINGERPRINT:
         return os.getpid(), 0
     learnt = _WORKER_SESSION.learnt_clauses(max_var=_WORKER_BASE_VARS)
     if learnt:
-        _store_warm(_WORKER_WARM_DIR, _WORKER_FINGERPRINT, learnt)
+        merge_clauses(_WORKER_WARM_DIR, _WORKER_FINGERPRINT, learnt)
     return os.getpid(), len(learnt)
 
 

@@ -42,12 +42,7 @@ Hot-path engineering (MiniSat / glucose playbook):
   ``heap_discards``); a mid-search backtrack reinserts every variable it
   unassigns, while the end-of-solve backtrack defers reinsertion so the
   next call refills only the variables its root propagation left
-  unassigned.  A decision costs O(log n) instead of the previous O(n)
-  scan.  The scan survives as the ``"linear"`` decision policy
-  (``REPRO_DECISION_POLICY`` environment variable or the
-  ``decision_policy`` argument) purely so the benchmark harness can
-  measure the heap against the historical behaviour; both policies make
-  bit-identical decisions.
+  unassigned.  A decision costs O(log n) instead of an O(n) scan.
 * **Propagation** uses per-literal watcher arrays of (clause index, blocker
   literal) pairs stored interleaved in flat lists indexed by a literal→slot
   map, with truth values stored literal-indexed so a value check is one
@@ -67,7 +62,6 @@ Hot-path engineering (MiniSat / glucose playbook):
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -213,27 +207,12 @@ def _luby(index: int) -> int:
 class SATSolver:
     """Conflict-driven clause-learning solver over a :class:`~repro.smt.cnf.CNF`."""
 
-    #: Recognised decision policies; ``"linear"`` is the historical O(n)
-    #: activity scan kept as a benchmark fallback, never the default.
-    DECISION_POLICIES: tuple[str, ...] = ("heap", "linear")
-
     def __init__(
         self,
         cnf,
         max_conflicts: int | None = None,
         max_learnt: int | None = None,
-        decision_policy: str | None = None,
     ):
-        if decision_policy is None:
-            decision_policy = os.environ.get("REPRO_DECISION_POLICY") or "heap"
-        if decision_policy not in self.DECISION_POLICIES:
-            raise ValueError(
-                f"unknown decision policy {decision_policy!r}; "
-                f"expected one of {self.DECISION_POLICIES}"
-            )
-        self.decision_policy = decision_policy
-        self._use_heap: bool = decision_policy == "heap"
-
         self.clauses: list[list[int]] = []
         self.max_conflicts = max_conflicts
         # Learnt-clause budget: None derives the classic len(clauses)/3 floor
@@ -378,9 +357,8 @@ class SATSolver:
             self._binary_watchers.append([])
         first_new = self.num_vars + 1
         self.num_vars = num_vars
-        if self._use_heap:
-            for var in range(first_new, num_vars + 1):
-                self._heap_insert(var)
+        for var in range(first_new, num_vars + 1):
+            self._heap_insert(var)
 
     def grow_variables(self, num_vars: int) -> None:
         """Extend the variable range to ``num_vars`` (no-op when not larger)."""
@@ -831,7 +809,6 @@ class SATSolver:
         trail = self.trail
         activity = self.activity
         heap_index = self._heap_index
-        use_heap = self._use_heap
         increment = self._activity_increment
         counter = 0
         lit = 0  # 0 is never a literal: first iteration resolves nothing
@@ -856,7 +833,7 @@ class SATSolver:
                     if bumped > 1e100:
                         self._rescale_activities()
                         increment = self._activity_increment
-                    elif use_heap and heap_index[var] >= 0:
+                    elif heap_index[var] >= 0:
                         self._heap_sift_up(heap_index[var])
                     if level[var] >= current_level:
                         counter += 1
@@ -1077,7 +1054,7 @@ class SATSolver:
         activity[var] += self._activity_increment
         if activity[var] > 1e100:
             self._rescale_activities()
-        elif self._use_heap and self._heap_index[var] >= 0:
+        elif self._heap_index[var] >= 0:
             self._heap_sift_up(self._heap_index[var])
 
     def _rescale_activities(self) -> None:
@@ -1091,8 +1068,7 @@ class SATSolver:
         for index in range(1, self.num_vars + 1):
             activity[index] *= 1e-100
         self._activity_increment *= 1e-100
-        if self._use_heap:
-            self._heap_rebuild()
+        self._heap_rebuild()
 
     def _decay_activities(self) -> None:
         self._activity_increment /= self._activity_decay
@@ -1209,15 +1185,12 @@ class SATSolver:
     def _exit_backtrack(self) -> None:
         """Backtrack to level 0 on a solve-call exit, deferring heap
         reinsertion to the next call's :meth:`_heap_refill`."""
-        if self._use_heap:
-            self._heap_stale = True
-            self._defer_reinsert = True
-            try:
-                self._cancel_until(0)
-            finally:
-                self._defer_reinsert = False
-        else:
+        self._heap_stale = True
+        self._defer_reinsert = True
+        try:
             self._cancel_until(0)
+        finally:
+            self._defer_reinsert = False
 
     # ------------------------------------------------------------------
     # Backtracking
@@ -1229,7 +1202,7 @@ class SATSolver:
         values = self._lit_values
         reason = self.reason
         trail = self.trail
-        use_heap = self._use_heap and not self._defer_reinsert
+        reinsert = not self._defer_reinsert
         heap_index = self._heap_index
         polarity = self.polarity
         missing: list[int] = []
@@ -1248,7 +1221,7 @@ class SATSolver:
             reason[var] = None
             # Reinsert into the decision heap: every unassigned variable must
             # be present (lazy deletion only ever removes assigned ones).
-            if use_heap and heap_index[var] < 0:
+            if reinsert and heap_index[var] < 0:
                 missing.append(var)
         del trail[limit:]
         del self.trail_limits[target_level:]
@@ -1265,13 +1238,11 @@ class SATSolver:
     def _pick_branch_variable(self) -> int | None:
         """The unassigned variable with maximum (activity, -index), or None.
 
-        Heap policy: pop until an unassigned variable surfaces, lazily
-        discarding variables that were assigned while queued.  The tie-break
-        toward smaller variable indices makes the result identical to the
-        linear fallback's scan under any activity state.
+        Pops until an unassigned variable surfaces, lazily discarding
+        variables that were assigned while queued.  The tie-break toward
+        smaller variable indices makes the pick deterministic: it equals a
+        scan for the first variable of maximum activity.
         """
-        if not self._use_heap:
-            return self._pick_branch_variable_linear()
         heap = self._heap
         index = self._heap_index
         values = self._lit_values
@@ -1287,18 +1258,6 @@ class SATSolver:
                 return var
             self.heap_discards += 1
         return None
-
-    def _pick_branch_variable_linear(self) -> int | None:
-        """The historical O(num_vars) activity scan (benchmark fallback)."""
-        best_var = None
-        best_activity = -1.0
-        activity = self.activity
-        values = self._lit_values
-        for var in range(1, self.num_vars + 1):
-            if values[var] == _UNASSIGNED and activity[var] > best_activity:
-                best_var = var
-                best_activity = activity[var]
-        return best_var
 
     # ------------------------------------------------------------------
     # Main loop
@@ -1368,21 +1327,20 @@ class SATSolver:
                     self._exit_backtrack()
                     return _result(False)
         root_level = self._decision_level()
-        if self._use_heap:
-            if self._heap_stale:
-                # The previous call's exit deferred reinsertion; now that
-                # the root trail and assumptions have propagated, top up the
-                # heap with only the variables still available for
-                # decisions (the re-assigned majority never round-trips).
-                self._heap_refill()
-            elif 2 * len(self.trail) >= len(self._heap):
-                # Purge assigned variables only when they are a large
-                # fraction of the heap: the O(heap) filter + heapify beats
-                # lazy discard-pops then, but on a shared session whose
-                # encoding spans many task formulas the active subproblem
-                # is a sliver of the variable range and the purge would
-                # cost more than the discards it avoids.
-                self._heap_purge_assigned()
+        if self._heap_stale:
+            # The previous call's exit deferred reinsertion; now that the
+            # root trail and assumptions have propagated, top up the heap
+            # with only the variables still available for decisions (the
+            # re-assigned majority never round-trips).
+            self._heap_refill()
+        elif 2 * len(self.trail) >= len(self._heap):
+            # Purge assigned variables only when they are a large fraction
+            # of the heap: the O(heap) filter + heapify beats lazy
+            # discard-pops then, but on a shared session whose encoding
+            # spans many task formulas the active subproblem is a sliver of
+            # the variable range and the purge would cost more than the
+            # discards it avoids.
+            self._heap_purge_assigned()
 
         conflicts_until_restart = 100 * _luby(self._restart_count + 1)
         conflicts_since_restart = 0

@@ -3,12 +3,11 @@
 Design (ROADMAP item 4 — durable shared verification state):
 
 * **Keying.**  Exact reuse is keyed by the session's CNF fingerprint
-  (sha256 over variable count + clause list), the same safety condition the
-  JSON ``SessionCache`` used: a learnt clause is only a consequence of the
-  exact clause database it was learnt against.  Every row additionally
-  carries a checksum binding ``(fingerprint, clause)``, so a torn write or a
-  bit-flipped row is *dropped on load* instead of being absorbed — corrupted
-  state can degrade the cache, never the verdict.
+  (sha256 over variable count + clause list): a learnt clause is only a
+  consequence of the exact clause database it was learnt against.  Every
+  row additionally carries a checksum binding ``(fingerprint, clause)``, so
+  a torn write or a bit-flipped row is *dropped on load* instead of being
+  absorbed — corrupted state can degrade the cache, never the verdict.
 
 * **Family index.**  Alongside the exact entries, learnt clauses that
   project onto *named* literals (shared error indicators) are recorded under
@@ -51,7 +50,7 @@ import time
 
 from repro import faults
 
-__all__ = ["STORE_FILENAME", "ClauseStore", "has_store", "load_clauses", "merge_clauses"]
+__all__ = ["STORE_FILENAME", "ClauseStore", "load_clauses", "merge_clauses"]
 
 STORE_FILENAME = "clauses.sqlite"
 
@@ -105,13 +104,12 @@ def _canonical_clause(clause) -> list[int]:
 class ClauseStore:
     """Persistent learnt-clause + checkpoint store shared across processes.
 
-    Implements the ``SessionCache`` protocol (``load`` / ``store`` /
-    ``hits`` / ``misses`` / ``directory``) so it drops into the existing
-    warm-start plumbing of :class:`repro.api.resources.ResourceManager`,
-    and extends it with LBD-aware metadata, family candidates and
-    checkpoints.  All public methods degrade gracefully on storage errors:
-    a broken database behaves like an empty cache and is counted in
-    ``storage_errors``, never raised into a solve.
+    The engine's only warm-start cache
+    (:attr:`repro.api.resources.ResourceManager.clause_store`): exact
+    fingerprint reuse (``load`` / ``store_meta``) with LBD-aware metadata,
+    family candidates and checkpoints.  All public methods degrade
+    gracefully on storage errors: a broken database behaves like an empty
+    cache and is counted in ``storage_errors``, never raised into a solve.
     """
 
     def __init__(
@@ -260,7 +258,7 @@ class ClauseStore:
             self._local.conn = None
 
     # ------------------------------------------------------------------
-    # SessionCache protocol: exact-fingerprint clause reuse
+    # Exact-fingerprint clause reuse
     # ------------------------------------------------------------------
     def load(self, fingerprint: str) -> list[list[int]] | None:
         """Learnt clauses previously stored for this exact CNF, or ``None``.
@@ -322,7 +320,7 @@ class ClauseStore:
         return clauses
 
     def store(self, fingerprint: str, learnt) -> None:
-        """SessionCache-compatible write: LBD defaults to the clause length."""
+        """Merge plain learnt clauses; LBD defaults to the clause length."""
         self.store_meta(fingerprint, [(clause, len(clause)) for clause in learnt])
 
     def store_meta(
@@ -565,16 +563,10 @@ class ClauseStore:
 
 
 # ----------------------------------------------------------------------
-# Worker-side helpers: the process-pool init payload carries only the cache
-# *directory* (a string), so workers probe for the sqlite store by filename
-# and fall back to the JSON layout when it is absent.
+# Worker-side helpers: the process-pool init payload carries only the store
+# *directory* (a string), so each worker process opens its own ClauseStore.
 # ----------------------------------------------------------------------
 _WORKER_STORES: dict[tuple[int, str], ClauseStore] = {}
-
-
-def has_store(directory: str) -> bool:
-    """Whether ``directory`` holds a sqlite clause store (vs JSON warm files)."""
-    return os.path.isfile(os.path.join(directory, STORE_FILENAME))
 
 
 def _worker_store(directory: str) -> ClauseStore:

@@ -72,8 +72,8 @@ class TestStoreWarmStart:
         assert stats["store_absorbed"] > 0
 
     def test_store_and_json_cache_layouts_coexist(self, tmp_path):
-        # enable_clause_store and the legacy enable_warm_cache share the
-        # plumbing; a store directory must not be mistaken for JSON files.
+        # The store directory holds the sqlite database only, never
+        # per-fingerprint JSON files.
         engine = _store_engine(tmp_path)
         engine.run(CorrectionTask(code="steane"))
         engine.resources.save_warm()

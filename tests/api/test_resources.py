@@ -1,5 +1,5 @@
 """The engine-owned resource layer: shared per-code contexts, persistent
-pools, warm cache, and binary-search distance discovery.
+pools, clause-store warm starts, and binary-search distance discovery.
 
 The load-bearing property is cross-task equivalence: a task decided on a
 shared per-code session (its formula guarded behind a task selector, learnt
@@ -17,12 +17,12 @@ from repro.api import (
     Engine,
     ParallelBackend,
     SerialBackend,
-    SessionCache,
     registry_sweep_tasks,
 )
 from repro.api.resources import ResourceManager
 from repro.codes.registry import CODE_REGISTRY, build_code
-from repro.smt.interface import check_formula
+from repro.smt.interface import SolveSession, check_formula
+from repro.store import ClauseStore
 
 
 def _task_pair(key):
@@ -247,14 +247,14 @@ class TestWarmCache:
     def test_round_trip_skips_relearning(self, tmp_path):
         cache = str(tmp_path / "warm")
         cold_engine = Engine()
-        cold_engine.resources.enable_warm_cache(cache)
+        cold_engine.resources.enable_clause_store(cache)
         task = CorrectionTask(code="steane")
         cold = cold_engine.run(task)
         cold_engine.resources.save_warm()
         assert cold.conflicts > 0
 
         warm_engine = Engine()
-        warm_engine.resources.enable_warm_cache(cache)
+        warm_engine.resources.enable_clause_store(cache)
         warm = warm_engine.run(task)
         stats = warm.session_stats()
         assert stats["warm_hits"] == 1
@@ -266,39 +266,27 @@ class TestWarmCache:
     def test_mismatched_fingerprint_misses(self, tmp_path):
         cache = str(tmp_path / "warm")
         engine = Engine()
-        engine.resources.enable_warm_cache(cache)
+        engine.resources.enable_clause_store(cache)
         engine.run(CorrectionTask(code="steane"))
         engine.resources.save_warm()
 
         other = Engine()
-        other.resources.enable_warm_cache(cache)
+        other.resources.enable_clause_store(cache)
         result = other.run(CorrectionTask(code="five-qubit"))
         stats = result.session_stats()
         assert stats["warm_hits"] == 0
         assert stats["warm_misses"] == 1
 
-    def test_session_cache_rejects_corrupt_payloads(self, tmp_path):
-        cache = SessionCache(str(tmp_path))
-        cache.store("abc", [[1, -2], [2, 3]])
-        assert cache.load("abc") == [[1, -2], [2, 3]]
-        # Fingerprint embedded in the payload must match the request.
-        (tmp_path / "def.json").write_text('{"fingerprint": "zzz", "learnt": [[1]]}')
-        assert cache.load("def") is None
-        (tmp_path / "ghi.json").write_text("not json")
-        assert cache.load("ghi") is None
-        assert cache.load("missing") is None
-        assert cache.hits == 1 and cache.misses == 3
-
     def test_distance_warm_start(self, tmp_path):
         cache = str(tmp_path / "warm")
         task = DistanceTask(code="surface-3", max_trial=5)
         cold_engine = Engine()
-        cold_engine.resources.enable_warm_cache(cache)
+        cold_engine.resources.enable_clause_store(cache)
         cold = cold_engine.run(task)
         cold_engine.resources.save_warm()
 
         warm_engine = Engine()
-        warm_engine.resources.enable_warm_cache(cache)
+        warm_engine.resources.enable_clause_store(cache)
         warm = warm_engine.run(task)
         assert warm.details["distance"] == cold.details["distance"]
         assert warm.conflicts <= cold.conflicts
@@ -368,27 +356,25 @@ class TestGuardGarbageCollection:
 
 class TestPoolWorkerWarmCache:
     def test_pool_workers_absorb_and_contribute_learnt_clauses(self, tmp_path):
-        directory = str(tmp_path / "warm")
+        directory = str(tmp_path / "store")
         backend = ParallelBackend(num_workers=2)
-        task = DistanceTask(code="surface-3")
+        # A verified correction task: every pool check is unsat, so the pool
+        # (and its workers' learnt clauses) is still alive at save_warm.
+        task = CorrectionTask(code="surface-3")
 
-        first_engine = Engine(backend=backend)
-        first_engine.resources.enable_warm_cache(directory)
+        first_engine = Engine(backend=backend, clause_store=directory)
         first = first_engine.run(task)
         first_engine.resources.save_warm()
+        base = SolveSession(first_engine.compile_task(task).formula).fingerprint()
         first_engine.close()
-        assert first.details["distance"] == 3
-        import os
+        assert first.verified
+        assert first.details["num_workers"] == 2 and first.details["num_subtasks"] > 1
+        assert ClauseStore(directory).load(base), "pool workers stored no clauses"
 
-        assert os.listdir(directory), "pool workers wrote no warm entries"
-
-        second_engine = Engine(backend=backend)
-        second_engine.resources.enable_warm_cache(directory)
+        second_engine = Engine(backend=backend, clause_store=directory)
         second = second_engine.run(task)
         stats = second_engine.resources.stats()
         second_engine.close()
-        assert second.details["distance"] == 3
-        assert second.details["session"].get("warm_absorbed", 0) > 0
+        assert second.verified == first.verified
+        assert second.details["session"]["warm_absorbed"] > 0
         assert stats["warm_absorbed"] > 0
-        # Warm-started workers re-derive strictly less than they learnt.
-        assert second.conflicts <= first.conflicts

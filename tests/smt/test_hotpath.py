@@ -4,7 +4,7 @@ These pin the invariants the solver overhaul depends on:
 
 * the indexed decision heap stays a max-heap (tie-broken toward smaller
   variable indices) under bump / decay / rescale / backtrack-reinsert, and
-  its pick is identical to the historical linear activity scan;
+  every pick equals a reference scan of ``solver.activity`` (defined here);
 * every stored clause keeps exactly two registered watchers (its first two
   literals), with valid blockers, through solve / erase_satisfied /
   absorb_learnt / add_clause / learnt reduction;
@@ -16,7 +16,6 @@ These pin the invariants the solver overhaul depends on:
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,6 +54,37 @@ def random_clauses(rng, num_vars, num_clauses, max_len=3):
 # ----------------------------------------------------------------------
 # Invariant checkers
 # ----------------------------------------------------------------------
+def reference_pick(solver: SATSolver) -> int | None:
+    """The decision reference: the first unassigned variable of maximum
+    activity, by a plain scan over ``solver.activity``."""
+    best_var = None
+    best_activity = -1.0
+    for var in range(1, solver.num_vars + 1):
+        if solver._value(var) == 0 and solver.activity[var] > best_activity:
+            best_var = var
+            best_activity = solver.activity[var]
+    return best_var
+
+
+def check_every_pick(solver: SATSolver) -> list[int]:
+    """Wrap ``solver``'s branch picker so every heap pick made during its
+    solves is asserted equal to :func:`reference_pick`; returns the list the
+    picked decision variables are recorded in."""
+    picks: list[int] = []
+    pick = solver._pick_branch_variable
+
+    def checked_pick():
+        expected = reference_pick(solver)
+        picked = pick()
+        assert picked == expected, f"heap picked {picked}, scan picked {expected}"
+        if picked is not None:  # None ends the search: a model, not a decision
+            picks.append(picked)
+        return picked
+
+    solver._pick_branch_variable = checked_pick
+    return picks
+
+
 def assert_heap_valid(solver: SATSolver) -> None:
     """Max-heap order (activity, then smaller var), index map consistency,
     and presence of every unassigned variable.
@@ -143,16 +173,16 @@ class TestDecisionHeap:
             solver.activity[var] = rng.random()
         solver._heap_rebuild()
         assert_heap_valid(solver)
-        picked = solver._pick_branch_variable()
-        assert picked == solver._pick_branch_variable_linear()
+        expected = reference_pick(solver)
+        assert solver._pick_branch_variable() == expected
 
     def test_pick_breaks_ties_toward_smaller_index_like_the_scan(self):
         solver = SATSolver(build_cnf(6, [[1, 2]]))
         for var in (2, 4, 5):
             solver.activity[var] = 1.0
         solver._heap_rebuild()
+        assert reference_pick(solver) == 2
         assert solver._pick_branch_variable() == 2
-        assert solver._pick_branch_variable_linear() == 2
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -183,8 +213,9 @@ class TestDecisionHeap:
             elif name == "grow":
                 solver.grow_variables(solver.num_vars + 1)
             assert_heap_valid(solver)
+            expected = reference_pick(solver)
             picked = solver._pick_branch_variable()
-            assert picked == solver._pick_branch_variable_linear()
+            assert picked == expected
             if picked is not None:
                 solver._heap_insert(picked)  # _pick pops; restore for the next op
 
@@ -202,59 +233,41 @@ class TestDecisionHeap:
         assert solver.solve(assumptions=[2, 4]).satisfiable
 
 
-class TestDecisionPolicies:
-    def test_default_policy_is_heap(self):
-        solver = SATSolver(build_cnf(3, [[1, 2]]))
-        assert solver.decision_policy == "heap"
-        assert solver._use_heap
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            SATSolver(build_cnf(2, [[1]]), decision_policy="bogus")
-
-    def test_environment_variable_selects_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DECISION_POLICY", "linear")
-        solver = SATSolver(build_cnf(3, [[1, 2]]))
-        assert solver.decision_policy == "linear"
-        assert not solver._use_heap
-
-    def test_policies_make_identical_searches(self):
+    def test_picks_match_reference_scan_in_random_solves(self):
         rng = random.Random(23)
+        decisions = conflicts = 0
         for _ in range(20):
-            num_vars = rng.randint(4, 10)
-            clauses = random_clauses(rng, num_vars, rng.randint(3, 30))
-            heap_solver = SATSolver(build_cnf(num_vars, clauses), decision_policy="heap")
-            linear_solver = SATSolver(
-                build_cnf(num_vars, clauses), decision_policy="linear"
-            )
-            heap_result = heap_solver.solve()
-            linear_result = linear_solver.solve()
-            assert heap_result.satisfiable == linear_result.satisfiable
-            assert heap_result.model == linear_result.model
-            assert heap_result.conflicts == linear_result.conflicts
-            assert heap_result.decisions == linear_result.decisions
-            assert heap_result.propagations == linear_result.propagations
+            # Random 3-SAT near the satisfiability threshold: enough
+            # conflicts that activity bumps reorder the heap mid-search.
+            num_vars = rng.randint(12, 30)
+            clauses = [
+                [var if rng.random() < 0.5 else -var
+                 for var in rng.sample(range(1, num_vars + 1), 3)]
+                for _ in range(int(4.2 * num_vars))
+            ]
+            solver = SATSolver(build_cnf(num_vars, clauses))
+            picks = check_every_pick(solver)
+            result = solver.solve()
+            assert len(picks) == result.decisions
+            decisions += result.decisions
+            conflicts += result.conflicts
+        assert decisions > 0 and conflicts > 0
 
-    def test_incremental_equivalence_across_policies(self):
+    def test_picks_match_reference_scan_in_incremental_solves(self):
         rng = random.Random(5)
         num_vars = 8
         clauses = random_clauses(rng, num_vars, 16)
-        heap_solver = SATSolver(build_cnf(num_vars, clauses), decision_policy="heap")
-        linear_solver = SATSolver(build_cnf(num_vars, clauses), decision_policy="linear")
+        solver = SATSolver(build_cnf(num_vars, clauses))
+        picks = check_every_pick(solver)
         for _ in range(6):
             assumptions = [
                 var if rng.random() < 0.5 else -var
                 for var in rng.sample(range(1, num_vars + 1), rng.randint(0, 3))
             ]
-            first = heap_solver.solve(assumptions=assumptions)
-            second = linear_solver.solve(assumptions=assumptions)
-            assert first.satisfiable == second.satisfiable
-            assert first.decisions == second.decisions
-            assert first.conflicts == second.conflicts
-            extra = random_clauses(rng, num_vars, 2)
-            for clause in extra:
-                heap_solver.add_clause(clause)
-                linear_solver.add_clause(clause)
+            solver.solve(assumptions=assumptions)
+            for clause in random_clauses(rng, num_vars, 2):
+                solver.add_clause(clause)
+        assert len(picks) == solver.decisions
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,20 @@
 """Parallel task-splitting driver tests."""
 
+import threading
+
 from repro.classical.expr import And, BoolVar, IntConst, IntLe, Not, Or, sum_of
 from repro.smt.parallel import (
     IncrementalSplitSession,
-    ParallelChecker,
+    _pool_context,
+    _terminate_pool,
     generate_split_assumptions,
 )
+
+
+def check_once(formula, **kwargs):
+    """One check on a throwaway split session (ParallelBackend's one-shot path)."""
+    with IncrementalSplitSession(formula, **kwargs) as session:
+        return session.check()
 
 
 class TestSplitting:
@@ -38,29 +47,28 @@ class TestChecker:
     def test_sequential_unsat(self):
         e = [BoolVar(f"e{i}") for i in range(4)]
         formula = And((IntLe(sum_of(e), IntConst(1)), e[0], e[1]))
-        checker = ParallelChecker(formula, split_variables=[f"e{i}" for i in range(4)], threshold=4)
-        result = checker.run()
+        result = check_once(formula, split_variables=[f"e{i}" for i in range(4)], threshold=4)
         assert result.is_unsat
         assert result.metadata["num_subtasks"] >= 1
 
     def test_sequential_sat_returns_model(self):
         e = [BoolVar(f"e{i}") for i in range(4)]
         formula = And((Or((e[0], e[1])), Not(e[2])))
-        checker = ParallelChecker(formula, split_variables=["e0", "e1"], threshold=2)
-        result = checker.run()
+        result = check_once(formula, split_variables=["e0", "e1"], threshold=2)
         assert result.is_sat
         assert result.model["e0"] or result.model["e1"]
 
     def test_parallel_two_workers(self):
         e = [BoolVar(f"e{i}") for i in range(5)]
         formula = And((IntLe(sum_of(e), IntConst(1)), e[0], e[1]))
-        checker = ParallelChecker(
+        result = check_once(
             formula,
             split_variables=[f"e{i}" for i in range(5)],
             threshold=3,
             num_workers=2,
         )
-        assert checker.run().is_unsat
+        assert result.is_unsat
+        assert result.metadata["num_workers"] == 2
 
 
 class TestStatisticsAggregation:
@@ -69,9 +77,9 @@ class TestStatisticsAggregation:
         return And((IntLe(sum_of(e), IntConst(2)), e[0], e[1], e[2]))
 
     def test_sequential_totals_cover_all_subtasks(self):
-        result = ParallelChecker(
+        result = check_once(
             self.formula(), split_variables=[f"e{i}" for i in range(6)], threshold=6
-        ).run()
+        )
         assert result.is_unsat
         assert result.metadata["num_subtasks"] > 1
         # Every subtask's work is aggregated, not just the last one's.
@@ -82,12 +90,12 @@ class TestStatisticsAggregation:
         assert session["propagations"] == result.propagations
 
     def test_pool_totals_cover_all_subtasks(self):
-        result = ParallelChecker(
+        result = check_once(
             self.formula(),
             split_variables=[f"e{i}" for i in range(6)],
             threshold=6,
             num_workers=2,
-        ).run()
+        )
         assert result.is_unsat
         assert result.propagations > 0
         assert result.num_variables > 0 and result.num_clauses > 0
@@ -127,3 +135,21 @@ class TestIncrementalSplitSession:
         finally:
             sequential.close()
             pooled.close()
+
+
+class TestPoolTeardown:
+    def test_terminate_returns_when_a_dead_worker_holds_the_result_lock(self):
+        pool = _pool_context().Pool(processes=1)
+        # What a worker killed mid-way through posting a result leaves
+        # behind: the result queue's write lock, held forever.
+        lock = pool._outqueue._wlock
+        lock.acquire()
+        try:
+            caller = threading.Thread(
+                target=_terminate_pool, args=(pool,), kwargs={"timeout": 0.5}, daemon=True
+            )
+            caller.start()
+            caller.join(10)
+            assert not caller.is_alive(), "pool teardown blocked its caller"
+        finally:
+            lock.release()

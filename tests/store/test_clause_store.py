@@ -18,7 +18,6 @@ import pytest
 from repro.store import (
     STORE_FILENAME,
     ClauseStore,
-    has_store,
     load_clauses,
     merge_clauses,
 )
@@ -265,11 +264,6 @@ class TestConcurrency:
 
 
 class TestWorkerHelpers:
-    def test_has_store_probes_the_filename(self, tmp_path):
-        assert not has_store(str(tmp_path))
-        ClauseStore(str(tmp_path))
-        assert has_store(str(tmp_path))
-
     def test_load_and_merge_round_trip(self, tmp_path):
         ClauseStore(str(tmp_path))
         merge_clauses(str(tmp_path), "fp", [[5, -1]])
