@@ -204,8 +204,8 @@ class Engine:
         self.resources.clear_contexts()
 
     def close(self) -> None:
-        """Release live solver resources (worker pools, warm-cache flush),
-        cancelling any still-queued jobs first."""
+        """Release live solver resources (worker pools; learnt clauses are
+        saved to the ``ClauseStore``), cancelling any still-queued jobs first."""
         with self._submit_lock:
             executor, self._executor = self._executor, None
         if executor is not None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.pauli.group import StabilizerGroup
@@ -17,13 +19,14 @@ class StabilizerCode:
     preferred choice of logical X/Z operators.  When logical operators are
     not supplied they are constructed from the generators by symplectic
     Gram-Schmidt, exactly as the tool does for codes that only come with a
-    parity-check matrix (Section 7.4).
+    parity-check matrix (Section 7.4).  ``stabilizers`` is the group's
+    immutable generator tuple, which its cached GF(2) reduction relies on.
     """
 
     def __init__(
         self,
         name: str,
-        stabilizers: list[PauliOperator],
+        stabilizers: Sequence[PauliOperator],
         logical_xs: list[PauliOperator] | None = None,
         logical_zs: list[PauliOperator] | None = None,
         distance: int | None = None,

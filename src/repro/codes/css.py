@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.codes.base import StabilizerCode
 from repro.pauli.pauli import PauliOperator
-from repro.utils.bitmatrix import as_gf2, gf2_matmul, gf2_rank
+from repro.utils.bitmatrix import as_gf2, gf2_matmul
 
 __all__ = ["CSSCode", "hypergraph_product_code", "hamming_parity_check"]
 
@@ -59,14 +59,22 @@ class CSSCode(StabilizerCode):
 
 
 def _independent_subset(operators: list[PauliOperator]) -> list[PauliOperator]:
-    """Greedily keep a maximal independent subset of the symplectic rows."""
+    """Greedily keep a maximal independent subset of the symplectic rows.
+
+    One running reduction over packed ``[x | z]`` rows: ``basis`` maps each
+    kept row's leading bit to that row (already reduced against the earlier
+    ones), so a candidate is independent of the kept rows exactly when
+    reducing it leaves something over.
+    """
     kept: list[PauliOperator] = []
-    rows: list[np.ndarray] = []
+    basis: dict[int, int] = {}
     for op in operators:
-        candidate = rows + [op.symplectic_vector()]
-        if gf2_rank(np.array(candidate, dtype=np.uint8)) == len(candidate):
+        row = op.symplectic_mask
+        while row and row.bit_length() - 1 in basis:
+            row ^= basis[row.bit_length() - 1]
+        if row:
+            basis[row.bit_length() - 1] = row
             kept.append(op)
-            rows.append(op.symplectic_vector())
     return kept
 
 

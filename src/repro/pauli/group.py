@@ -9,9 +9,15 @@ reduction of Section 5.1 needs three structural operations on such groups:
 * logical-operator construction: complete a generating set of an ``[[n, k]]``
   code with ``k`` anti-commuting logical X/Z pairs (symplectic Gram-Schmidt);
 * syndrome maps: which generators anti-commute with a given error.
+
+The generators are an immutable tuple, so the group row-reduces their
+symplectic matrix once (lazily) and every membership query reuses that
+reduction, packed into ints, instead of eliminating the same matrix again.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -20,10 +26,14 @@ from repro.utils.bitmatrix import (
     as_gf2,
     gf2_gaussian_elimination,
     gf2_nullspace,
-    gf2_rank,
+    gf2_pack,
 )
 
 __all__ = ["StabilizerGroup", "symplectic_product_matrix"]
+
+# Packed pivot rows of the generator matrix's rref, the matching rows of the
+# transform, and the pivot columns (see ``StabilizerGroup._reduced``).
+_Reduction = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 def symplectic_product_matrix(num_qubits: int) -> np.ndarray:
@@ -36,15 +46,16 @@ def symplectic_product_matrix(num_qubits: int) -> np.ndarray:
 class StabilizerGroup:
     """An abelian subgroup of the Pauli group given by independent generators."""
 
-    def __init__(self, generators: list[PauliOperator], validate: bool = True):
+    def __init__(self, generators: Sequence[PauliOperator], validate: bool = True):
         if not generators:
             raise ValueError("a stabilizer group needs at least one generator")
         num_qubits = generators[0].num_qubits
         for gen in generators:
             if gen.num_qubits != num_qubits:
                 raise ValueError("all generators must act on the same number of qubits")
-        self.generators = list(generators)
+        self.generators: tuple[PauliOperator, ...] = tuple(generators)
         self.num_qubits = num_qubits
+        self._reduction: _Reduction | None = None
         if validate:
             self._validate()
 
@@ -59,8 +70,27 @@ class StabilizerGroup:
                     raise ValueError(
                         f"generators {gi.label()} and {gj.label()} do not commute"
                     )
-        if gf2_rank(self.symplectic_matrix()) != len(self.generators):
+        if len(self._reduced()[2]) != len(self.generators):
             raise ValueError("generators are not independent")
+
+    def _reduced(self) -> _Reduction:
+        """The generator matrix's GF(2) elimination as packed ``(rref, transform, pivots)``.
+
+        Only the pivot rows are kept: ``rref[i]`` is the reduced ``[x | z]``
+        row with its pivot at column ``pivots[i]`` (bit ``c`` = column ``c``)
+        and ``transform[i]`` marks the generators summed to produce it.
+        Computed on first use and then shared by every query; two threads
+        racing here only duplicate the (identical) work.
+        """
+        if self._reduction is None:
+            rref, transform, pivots = gf2_gaussian_elimination(self.symplectic_matrix())
+            rank = len(pivots)
+            self._reduction = (
+                tuple(gf2_pack(row) for row in rref[:rank].tolist()),
+                tuple(gf2_pack(row) for row in transform[:rank].tolist()),
+                tuple(pivots),
+            )
+        return self._reduction
 
     # ------------------------------------------------------------------
     @property
@@ -109,21 +139,18 @@ class StabilizerGroup:
         """
         if operator.num_qubits != self.num_qubits:
             raise ValueError("operator acts on a different number of qubits")
-        target = operator.symplectic_vector()
-        gens = self.symplectic_matrix()
-        # Solve c^T * gens = target over GF(2) by reducing gens and tracking rows.
-        rref, transform, pivots = gf2_gaussian_elimination(gens)
-        coeffs = np.zeros(self.num_generators, dtype=np.uint8)
-        residue = target.copy()
-        for row_index, col in enumerate(pivots):
-            if residue[col]:
-                residue ^= rref[row_index]
-                coeffs ^= transform[row_index]
-        if residue.any():
+        # Solve c^T * gens = target over GF(2) against the cached reduction.
+        residue = operator.symplectic_mask
+        coeffs = 0
+        for row, transform, col in zip(*self._reduced()):
+            if residue >> col & 1:
+                residue ^= row
+                coeffs ^= transform
+        if residue:
             return None
         product = PauliOperator.identity(self.num_qubits)
-        for coeff, gen in zip(coeffs, self.generators):
-            if coeff:
+        for index, gen in enumerate(self.generators):
+            if coeffs >> index & 1:
                 product = product * gen
         # product = (+/-1) * operator-without-its-phase; recover alpha.
         ratio = product * operator.adjoint()
@@ -136,7 +163,7 @@ class StabilizerGroup:
         else:
             # An imaginary ratio cannot happen for Hermitian inputs.
             return None
-        return tuple(int(c) for c in coeffs), alpha
+        return tuple(coeffs >> index & 1 for index in range(self.num_generators)), alpha
 
     def contains(self, operator: PauliOperator) -> bool:
         """Group membership including the phase."""

@@ -9,13 +9,21 @@ With this convention ``Y = i X Z`` is represented by ``x=1, z=1, t=1``.  The
 symplectic representation makes products, commutation checks and conjugation
 by Clifford gates cheap bit operations, which is what the stabilizer tableau
 simulator and the stabilizer-group machinery build on.
+
+Each operator also carries its ``x``/``z`` vectors packed into two ints
+(``x_mask``/``z_mask``, bit ``j`` = qubit ``j``), computed once at
+construction.  Commutation, product phases, weights and Y counts are popcounts
+over these masks, so they cost a few word operations at any qubit count.  The
+tuples stay the public representation every other module reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.utils.bitmatrix import gf2_pack, gf2_unpack
 
 __all__ = ["PauliOperator", "pauli_from_label", "single_qubit_pauli"]
 
@@ -33,13 +41,18 @@ class PauliOperator:
     x: tuple[int, ...]
     z: tuple[int, ...]
     phase: int = 0  # exponent of i, modulo 4
+    x_mask: int = field(init=False, repr=False, compare=False)
+    z_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.x) != len(self.z):
             raise ValueError("x and z bit vectors must have equal length")
-        object.__setattr__(self, "x", tuple(int(b) % 2 for b in self.x))
-        object.__setattr__(self, "z", tuple(int(b) % 2 for b in self.z))
+        x_bits, z_bits = _bit_bytes(self.x), _bit_bytes(self.z)
+        object.__setattr__(self, "x", tuple(x_bits))
+        object.__setattr__(self, "z", tuple(z_bits))
         object.__setattr__(self, "phase", int(self.phase) % 4)
+        object.__setattr__(self, "x_mask", gf2_pack(x_bits))
+        object.__setattr__(self, "z_mask", gf2_pack(z_bits))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -84,7 +97,11 @@ class PauliOperator:
     @property
     def weight(self) -> int:
         """Number of qubits on which the operator acts non-trivially."""
-        return sum(1 for xb, zb in zip(self.x, self.z) if xb or zb)
+        return (self.x_mask | self.z_mask).bit_count()
+
+    @property
+    def _y_count(self) -> int:
+        return (self.x_mask & self.z_mask).bit_count()
 
     @property
     def sign(self) -> complex:
@@ -96,13 +113,11 @@ class PauliOperator:
 
     def is_hermitian(self) -> bool:
         """Hermitian Paulis have phase +1 or -1 once the Y factors are absorbed."""
-        y_count = sum(1 for xb, zb in zip(self.x, self.z) if xb and zb)
-        return (self.phase - y_count) % 2 == 0
+        return (self.phase - self._y_count) % 2 == 0
 
     def label(self) -> str:
         """Human-readable label, e.g. ``"-XZY"``; the phase prefix is one of '', '-', 'i', '-i'."""
-        y_count = sum(1 for xb, zb in zip(self.x, self.z) if xb and zb)
-        display_phase = (self.phase - y_count) % 4
+        display_phase = (self.phase - self._y_count) % 4
         prefix = {0: "", 1: "i", 2: "-", 3: "-i"}[display_phase]
         body = "".join(_XZ_TO_LABEL[(xb, zb)] for xb, zb in zip(self.x, self.z))
         return prefix + body
@@ -114,12 +129,12 @@ class PauliOperator:
     # Algebra
     # ------------------------------------------------------------------
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
-        if self.num_qubits != other.num_qubits:
+        if len(self.x) != len(other.x):
             raise ValueError("cannot multiply Pauli operators on different qubit counts")
         # (X^a Z^b)(X^c Z^d) = (-1)^{b·c} X^{a+c} Z^{b+d}; (-1) = i^2.
-        anticommutations = sum(zb * xc for zb, xc in zip(self.z, other.x))
-        new_x = tuple((a ^ c) for a, c in zip(self.x, other.x))
-        new_z = tuple((b ^ d) for b, d in zip(self.z, other.z))
+        anticommutations = (self.z_mask & other.x_mask).bit_count()
+        new_x = gf2_unpack(self.x_mask ^ other.x_mask, len(self.x))
+        new_z = gf2_unpack(self.z_mask ^ other.z_mask, len(self.z))
         new_phase = self.phase + other.phase + 2 * anticommutations
         return PauliOperator(new_x, new_z, new_phase)
 
@@ -128,19 +143,20 @@ class PauliOperator:
 
     def adjoint(self) -> "PauliOperator":
         """Hermitian adjoint (conjugate transpose)."""
-        y_count = sum(1 for xb, zb in zip(self.x, self.z) if xb and zb)
         # The bare X^x Z^z part transposes to Z^z X^x = (-1)^{x·z} X^x Z^z.
-        return PauliOperator(self.x, self.z, -self.phase + 2 * y_count)
+        return PauliOperator(self.x, self.z, -self.phase + 2 * self._y_count)
 
     def commutes_with(self, other: "PauliOperator") -> bool:
         """Whether the two operators commute (symplectic inner product is 0)."""
-        if self.num_qubits != other.num_qubits:
+        if len(self.x) != len(other.x):
             raise ValueError("cannot compare Pauli operators on different qubit counts")
-        inner = sum(
-            (xa * zb) ^ (za * xb)
-            for xa, za, xb, zb in zip(self.x, self.z, other.x, other.z)
-        )
-        return inner % 2 == 0
+        inner = (self.x_mask & other.z_mask) ^ (self.z_mask & other.x_mask)
+        return inner.bit_count() & 1 == 0
+
+    @property
+    def symplectic_mask(self) -> int:
+        """:meth:`symplectic_vector` packed into an int (bit ``c`` = entry ``c``)."""
+        return self.x_mask | (self.z_mask << len(self.x))
 
     def symplectic_vector(self) -> np.ndarray:
         """The length-2n vector ``[x | z]`` over GF(2)."""
@@ -174,6 +190,23 @@ class PauliOperator:
                 y_count += 1
             result = np.kron(result, single[label])
         return (1j ** ((self.phase - y_count) % 4)) * result
+
+
+def _bit_bytes(values) -> bytes:
+    """``values`` reduced modulo 2, one byte per entry.
+
+    Tuples, lists and bytes of 0/1 ints (the common case) convert in C; any
+    other input falls back to ``int(v) % 2`` per entry.
+    """
+    if isinstance(values, (tuple, list, bytes)):
+        try:
+            raw = bytes(values)
+        except (TypeError, ValueError):  # floats, strings, negative or wide ints
+            pass
+        else:
+            if not raw.translate(None, b"\x00\x01"):  # every entry is 0 or 1
+                return raw
+    return bytes(int(v) % 2 for v in values)
 
 
 def single_qubit_pauli(num_qubits: int, qubit: int, pauli: str) -> PauliOperator:

@@ -228,8 +228,9 @@ class SolveSession:
     def learnt_clauses_meta(self, max_var: int | None = None) -> list[tuple[list[int], int]]:
         """Learnt clauses paired with their LBD (empty before the first check).
 
-        The clause store keeps the LBD so eviction can rank entries by
-        usefulness; plain JSON warm caches use :meth:`learnt_clauses`.
+        The ``ClauseStore`` keeps the LBD so eviction can rank entries by
+        usefulness; :meth:`learnt_clauses` serves callers that need only the
+        literals (family sibling absorption and split-session store merges).
         """
         if self._solver is None:
             return []

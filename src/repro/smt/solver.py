@@ -384,12 +384,13 @@ class SATSolver:
     def absorb_learnt(self, clause) -> bool:
         """Attach a clause known to be a consequence of the formula.
 
-        This is the warm-cache entry point: learnt clauses serialized from an
-        earlier session over the *same* formula may be re-attached here.  They
-        enter the database as learnt clauses (scored by their length, since
-        the original LBD is meaningless against a fresh trail), so the
-        periodic reduction can still delete them.  Returns whether the clause
-        survived root-level simplification and was stored.
+        This is the clause-store warm-start entry point: learnt clauses that
+        the ``ClauseStore`` kept from an earlier session over the *same*
+        formula may be re-attached here.  They enter the database as learnt
+        clauses (scored by their length, since the original LBD is
+        meaningless against a fresh trail), so the periodic reduction can
+        still delete them.  Returns whether the clause survived root-level
+        simplification and was stored.
         """
         simplified = self._simplify_against_root(clause)
         if simplified is None:

@@ -21,7 +21,13 @@ __all__ = [
     "gf2_nullspace",
     "gf2_span_contains",
     "gf2_matmul",
+    "gf2_pack",
+    "gf2_unpack",
 ]
+
+# Translation tables between one-byte-per-bit data and the digits "0"/"1".
+_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def as_gf2(matrix) -> np.ndarray:
@@ -36,6 +42,22 @@ def as_gf2(matrix) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"expected a 1-D or 2-D array, got shape {arr.shape}")
     return arr.astype(np.uint8)
+
+
+def gf2_pack(bits) -> int:
+    """Pack a sequence of 0/1 ints (or ``bytes``) into an int whose bit ``j`` is ``bits[j]``.
+
+    Packed rows turn GF(2) row operations into ``^`` and inner products into
+    ``(a & b).bit_count() & 1``, at any width.  An entry other than 0 or 1
+    raises ``ValueError``.
+    """
+    return int(bytes(bits)[::-1].translate(_BITS_TO_DIGITS) or b"0", 2)
+
+
+def gf2_unpack(mask: int, length: int) -> bytes:
+    """Inverse of :func:`gf2_pack`: ``length`` bytes, byte ``j`` = bit ``j`` of ``mask``."""
+    # A sentinel bit at ``length`` fixes the digit count; reversing drops it.
+    return format(mask | (1 << length), "b")[:0:-1].encode().translate(_DIGITS_TO_BITS)
 
 
 def gf2_row_reduce(matrix) -> tuple[np.ndarray, list[int]]:

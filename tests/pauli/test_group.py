@@ -1,8 +1,10 @@
 """Stabilizer group structure tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.codes import five_qubit_code, steane_code
+from repro.codes import build_code, five_qubit_code, steane_code
 from repro.pauli.group import StabilizerGroup, symplectic_product_matrix
 from repro.pauli.pauli import PauliOperator
 
@@ -116,3 +118,46 @@ class TestLogicals:
         code = steane_code()
         basis = code.group.centralizer_basis()
         assert len(basis) == 2 * 7 - 6
+
+
+HGP = build_code("hgp-hamming")
+# One group answers every example below, so its cached reduction is reused
+# across all of them; each answer is compared with a freshly built group's.
+SHARED_HGP_GROUP = StabilizerGroup(HGP.stabilizers)
+HGP_OUTSIDERS = (
+    [PauliOperator.from_sparse(HGP.num_qubits, {q: p}) for q in (0, 17, 57) for p in "XYZ"]
+    + HGP.logical_xs
+    + HGP.logical_zs
+)
+
+
+class TestCachedReduction:
+    def test_generators_are_immutable(self):
+        group = steane_group()
+        assert isinstance(group.generators, tuple)
+        with pytest.raises((TypeError, AttributeError)):
+            group.generators.append(PauliOperator.from_label("XXXXXXX"))
+        code = steane_code()
+        assert code.stabilizers is code.group.generators
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.booleans(), min_size=HGP.num_stabilizers, max_size=HGP.num_stabilizers),
+        st.booleans(),
+        st.one_of(st.none(), st.sampled_from(HGP_OUTSIDERS)),
+    )
+    def test_repeated_decompose_matches_fresh_group(self, subset, negate, outsider):
+        operator = PauliOperator.identity(HGP.num_qubits)
+        for chosen, gen in zip(subset, HGP.stabilizers):
+            if chosen:
+                operator = operator * gen
+        if negate:
+            operator = -operator
+        if outsider is not None:
+            operator = operator * outsider
+        answer = SHARED_HGP_GROUP.decompose(operator)
+        assert answer == StabilizerGroup(HGP.stabilizers).decompose(operator)
+        if outsider is None:
+            assert answer == (tuple(int(c) for c in subset), int(negate))
+        else:
+            assert answer is None

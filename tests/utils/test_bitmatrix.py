@@ -10,10 +10,12 @@ from repro.utils.bitmatrix import (
     gf2_gaussian_elimination,
     gf2_matmul,
     gf2_nullspace,
+    gf2_pack,
     gf2_rank,
     gf2_row_reduce,
     gf2_solve,
     gf2_span_contains,
+    gf2_unpack,
 )
 
 
@@ -122,3 +124,17 @@ class TestProperties:
         solution = gf2_solve(matrix, rhs)
         assert solution is not None
         assert (gf2_matmul(matrix, solution.reshape(-1, 1)).reshape(-1) == rhs).all()
+
+
+class TestPacking:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 1), max_size=200))
+    def test_pack_unpack_roundtrip(self, bits):
+        mask = gf2_pack(bits)
+        assert mask == sum(bit << j for j, bit in enumerate(bits))
+        assert gf2_pack(bytes(bits)) == mask
+        assert gf2_unpack(mask, len(bits)) == bytes(bits)
+
+    def test_pack_rejects_non_bits(self):
+        with pytest.raises(ValueError):
+            gf2_pack([0, 2, 1])
