@@ -40,6 +40,7 @@ from repro.api.tasks import (
     Task,
 )
 from repro.classical.expr import BoolExpr, BoolVar, Not
+from repro.codes.base import StabilizerCode
 from repro.codes.registry import CODE_REGISTRY, family_of
 from repro.smt.interface import SolveSession
 from repro.smt.solver import SolveControl, SolverInterrupted, nonzero
@@ -273,11 +274,13 @@ class Engine:
         self,
         task: CorrectionTask,
         *,
+        code: StabilizerCode | None = None,
         kind: str | None = None,
         extra_constraints: Sequence[BoolExpr] = (),
         extra_details: dict | None = None,
     ) -> CompiledTask:
-        code = task.build()
+        if code is None:
+            code = task.build()
         max_errors = task.max_errors
         if max_errors is None:
             if code.distance is None:
@@ -341,6 +344,7 @@ class Engine:
         )
         compiled = self._compile_correction(
             base,
+            code=code,
             kind=task.kind,
             extra_constraints=constraints,
             extra_details={"constraints": task.constraint_labels or ["none"]},
@@ -362,6 +366,7 @@ class Engine:
         base = CorrectionTask(code=task.code, max_errors=max_errors, error_model="any")
         compiled = self._compile_correction(
             base,
+            code=code,
             kind=task.kind,
             extra_constraints=constraints,
             extra_details={"error_qubits": error_map},

@@ -9,10 +9,16 @@ combinations of
   between two sums (the decoder condition P_f), and
 * uninterpreted decoder outputs ``f_z,i(s)``.
 
-Everything is reduced to CNF with a Tseitin transformation; sums are encoded
-with a bidirectional sequential counter producing unary "at least j" bits so
-that comparisons remain correct in any boolean context (negated, nested under
-implications, ...).
+Everything is reduced to CNF with a Tseitin transformation.  A sum is encoded
+as a bidirectional sequential counter whose unary "at least j" bits keep
+comparisons correct in any boolean context (negated, nested under
+implications, selector-guarded, ...).  Counters are truncated (Sinz, CP 2005):
+a comparison builds only the thresholds it reads -- ``sum <= t`` needs
+``t + 1`` of them, ``sum >= 1`` one -- so a weight bound over ``n`` indicators
+costs ``O(n * t)`` clauses rather than ``O(n^2)``.  A counter is cached per
+literal tuple and widened in place when a later comparison (a distance walk's
+next weight guard, say) reads a higher threshold; widening only defines
+fresh variables, so it is sound on a live incremental session.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ class FormulaEncoder:
     def __init__(self) -> None:
         self.cnf = CNF()
         self._cache: dict[Expr, int] = {}
-        self._counter_cache: dict[tuple[int, ...], list[int]] = {}
+        self._counter_cache: dict[tuple[int, ...], list[list[int]]] = {}
         self._constant_true: int | None = None
 
     # ------------------------------------------------------------------
@@ -86,9 +92,10 @@ class FormulaEncoder:
     def assert_le_if(self, name: str, left: IntExpr, right: IntExpr) -> int:
         """Constrain ``selector(name) -> (left <= right)``; return the selector.
 
-        The comparison reuses the shared unary counters, so emitting guards
+        The comparison reuses the shared unary counter, so emitting guards
         for many thresholds over the same sum (one per trial distance, say)
-        costs one counter construction plus one clause per guard.
+        costs one counter, widened to the largest bound, plus the guard
+        clauses.
         """
         guard = self.selector(name)
         self.cnf.add_clause([-guard, self.encode(IntLe(left, right))])
@@ -230,62 +237,59 @@ class FormulaEncoder:
             )
         raise TypeError(f"cannot flatten integer expression of type {type(expr).__name__}")
 
-    def _counter_at_least(self, literals: list[int], max_threshold: int) -> list[int]:
-        """Unary counter bits ``ge[j]`` (1-indexed) with ``ge[j] <-> sum >= j``.
+    def _counter_at_least(self, literals: list[int], width: int) -> list[int]:
+        """Unary counter bits ``ge[j]`` for ``1 <= j <= width``, with ``ge[j] <-> sum >= j``.
 
-        The construction is the classic sequential counter, built out of the
-        bidirectional AND/OR gates above so the bits can be used under any
-        polarity.
+        Row ``i`` holds the bits of the prefix sum over ``literals[:i + 1]``.
+        Column ``j`` of a row reads only columns ``j - 1`` and ``j`` of the
+        row above, so a counter ``width`` columns wide costs ``O(n * width)``
+        gates.  The rows are cached per literal tuple, and a wider request
+        appends the missing columns to every row in place.  The gates are the
+        bidirectional ones above, so the bits hold under any polarity and
+        widening a counter on a live session only defines fresh variables.
         """
-        key = tuple(literals)
-        cached = self._counter_cache.get(key, [])
-        threshold = min(max_threshold, len(literals))
-        if len(cached) >= threshold:
-            return cached[:threshold]
-        # (Re)build the full counter; reuse is common enough that building all
-        # thresholds once is cheaper than incremental extension.
-        previous: list[int] = []
-        for index, lit in enumerate(literals):
-            width = min(index + 1, len(literals))
-            current: list[int] = []
-            for j in range(1, width + 1):
-                at_least_without = previous[j - 1] if j - 1 < len(previous) else None
-                needs_previous = previous[j - 2] if j >= 2 else None
-                if j == 1:
-                    with_this = lit
-                else:
-                    if needs_previous is None:
-                        with_this = self.false_literal()
-                    else:
-                        with_this = self._mk_and([lit, needs_previous])
-                if at_least_without is None:
-                    current.append(with_this)
-                else:
-                    current.append(self._mk_or([at_least_without, with_this]))
-            previous = current
-        self._counter_cache[key] = previous
-        return previous[:threshold]
+        width = min(width, len(literals))
+        if width <= 0:
+            return []
+        rows = self._counter_cache.setdefault(tuple(literals), [[] for _ in literals])
+        if len(rows[-1]) < width:
+            for index, lit in enumerate(literals):
+                row = rows[index]
+                previous = rows[index - 1] if index else []
+                for j in range(len(row), min(index + 1, width)):
+                    # Column j is "prefix sum >= j + 1".
+                    with_this = lit if j == 0 else self._mk_and([lit, previous[j - 1]])
+                    if j < len(previous):
+                        with_this = self._mk_or([previous[j], with_this])
+                    row.append(with_this)
+        return rows[-1][:width]
 
-    def _threshold_literal(self, counter: list[int], threshold: int) -> int:
-        """Literal for ``sum >= threshold`` given the counter bits."""
+    def _at_least(self, literals: list[int], threshold: int) -> int:
+        """Literal for ``sum(literals) >= threshold``, widening the counter if needed."""
         if threshold <= 0:
             return self.true_literal()
-        if threshold > len(counter):
+        if threshold > len(literals):
             return self.false_literal()
-        return counter[threshold - 1]
+        return self._counter_at_least(literals, threshold)[threshold - 1]
 
     def _encode_le(self, left: IntExpr, right: IntExpr) -> int:
         left_literals, left_constant = self._flatten_sum(left)
         right_literals, right_constant = self._flatten_sum(right)
         delta = right_constant - left_constant
-        # sum(L) <= sum(R) + delta  <=>  for all j: sum(L) >= j  ->  sum(R) >= j - delta
-        left_counter = self._counter_at_least(left_literals, len(left_literals))
-        right_counter = self._counter_at_least(right_literals, len(right_literals))
-        # The constraint must hold for j = 0 as well (sum(L) >= 0 is always
-        # true), which carries the purely-constant part of the comparison.
-        conjuncts: list[int] = [self._threshold_literal(right_counter, -delta)]
-        for j in range(1, len(left_literals) + 1):
-            antecedent = self._threshold_literal(left_counter, j)
-            consequent = self._threshold_literal(right_counter, j - delta)
+        # sum(L) <= sum(R) + delta  <=>  for all j >= 0: sum(L) >= j -> sum(R) >= j - delta.
+        # Thresholds j <= delta hold trivially.  At j = |R| + delta + 1 the
+        # consequent is false, so the conjunct forbids sum(L) >= j outright,
+        # which implies every larger j.  The conjunct for j = 0 (only read
+        # when delta < 0) carries the purely-constant part of the comparison.
+        first = max(0, delta + 1)
+        last = max(0, min(len(left_literals), len(right_literals) + delta + 1))
+        if first > last:
+            return self.true_literal()
+        self._counter_at_least(left_literals, last)
+        self._counter_at_least(right_literals, last - delta)
+        conjuncts: list[int] = []
+        for j in range(first, last + 1):
+            antecedent = self._at_least(left_literals, j)
+            consequent = self._at_least(right_literals, j - delta)
             conjuncts.append(self._mk_or([-antecedent, consequent]))
         return self._mk_and(conjuncts)

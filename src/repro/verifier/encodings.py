@@ -29,6 +29,7 @@ from repro.classical.expr import (
     BoolConst,
     BoolExpr,
     BoolVar,
+    Implies,
     IntConst,
     IntLe,
     Not,
@@ -220,9 +221,11 @@ def accurate_correction_formula(
     )
     syndrome_vars, syndrome_constraints = syndrome_definitions(code, error_x, error_z)
 
+    error_weight = error_weight_indicators(error_indicators)
+    correction_weight = error_weight_indicators(corr_indicators)
     conjuncts: list[BoolExpr] = []
     # Error scope: weight bound plus any user constraints (Fig. 7).
-    conjuncts.append(IntLe(error_weight_indicators(error_indicators), IntConst(max_errors)))
+    conjuncts.append(IntLe(error_weight, IntConst(max_errors)))
     conjuncts.extend(extra_constraints or [])
     # Deterministic syndrome extraction.
     conjuncts.extend(syndrome_constraints)
@@ -230,10 +233,14 @@ def accurate_correction_formula(
     for generator, syndrome_var in zip(code.stabilizers, syndrome_vars):
         corr_parity = anticommutation_parity(generator, corr_x, corr_z)
         conjuncts.append(Not(Xor((syndrome_var, corr_parity))))
-    # ... and has weight no larger than the error (minimum-weight decoder).
-    conjuncts.append(
-        IntLe(error_weight_indicators(corr_indicators), error_weight_indicators(error_indicators))
-    )
+    # ... and has weight no larger than the error (minimum-weight decoder),
+    # stated threshold by threshold: wt(c) >= j -> wt(e) >= j for j <= k + 1.
+    # Given wt(e) <= k this is wt(c) <= wt(e), and both unary counters stop
+    # at width k + 1 instead of n.
+    for j in range(1, max_errors + 2):
+        conjuncts.append(
+            Implies(IntLe(IntConst(j), correction_weight), IntLe(IntConst(j), error_weight))
+        )
     # Residual error e + c acts non-trivially on the codespace.
     residual_x = [Xor((ex, cx)) for ex, cx in zip(error_x, corr_x)]
     residual_z = [Xor((ez, cz)) for ez, cz in zip(error_z, corr_z)]

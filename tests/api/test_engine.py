@@ -148,6 +148,29 @@ class TestRun:
         assert result.task == "fixed-error"
         assert result.details["error_qubits"] == {3: "Y"}
 
+    @pytest.mark.parametrize(
+        "task",
+        [
+            CorrectionTask(code="surface-3"),
+            ConstrainedTask(code="surface-3", locality=True, discreteness=True, seed=1),
+            FixedErrorTask(code="steane", error_qubits=((3, "Y"),)),
+        ],
+        ids=["correction", "constrained", "fixed-error"],
+    )
+    def test_compile_builds_the_code_once(self, monkeypatch, task):
+        import repro.api.tasks as tasks_module
+
+        calls = []
+        original = tasks_module.build_code
+
+        def counting(key):
+            calls.append(key)
+            return original(key)
+
+        monkeypatch.setattr(tasks_module, "build_code", counting)
+        Engine().compile_task(task)
+        assert calls == [task.code]
+
     def test_program_task(self):
         scenario = correction_triple(steane_code(), error="Y", max_errors=1)
         task = ProgramTask(triple=scenario.triple, decoder_condition=scenario.decoder_condition)

@@ -24,7 +24,7 @@ from repro.classical.expr import (
     sum_of,
 )
 from repro.smt.encoder import FormulaEncoder
-from repro.smt.interface import check_formula, check_valid
+from repro.smt.interface import SolveSession, check_formula, check_valid
 
 
 class TestCardinality:
@@ -137,3 +137,93 @@ class TestSemanticEquivalence:
         if result.is_sat:
             memory = {f"x{i}": result.model.get(f"x{i}", False) for i in range(4)}
             assert evaluate(formula, memory)
+
+
+class TestWidthBoundedCounters:
+    """Truncated, widen-on-demand counters against brute force."""
+
+    @staticmethod
+    def _side(name, size, constant):
+        variables = [BoolVar(f"{name}{i}") for i in range(size)]
+        return variables, sum_of(variables + [IntConst(constant)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 6), st.integers(0, 6),
+        st.integers(-3, 7), st.integers(-3, 7),
+        st.integers(-3, 7), st.integers(-3, 7),
+    )
+    def test_comparison_matches_brute_force(self, nl, nr, cl, cr, warm_cl, warm_cr):
+        left, left_sum = self._side("l", nl, cl)
+        right, right_sum = self._side("r", nr, cr)
+        comparison = IntLe(left_sum, right_sum)
+        # An inactive comparison over the same sums first builds the counters
+        # at some other width, so the target comparison may have to widen them.
+        warm_up = IntLe(self._side("l", nl, warm_cl)[1], self._side("r", nr, warm_cr)[1])
+        sessions = {}
+        for form in ("asserted", "negated", "guarded"):
+            session = SolveSession()
+            session.add_guard("warm-up", warm_up)
+            if form == "asserted":
+                session.assert_formula(comparison)
+            elif form == "negated":
+                session.assert_formula(Not(comparison))
+            else:
+                session.add_guard("target", comparison)
+            sessions[form] = session
+        names = [v.name for v in left + right]
+        for bits in itertools.product([False, True], repeat=len(names)):
+            assignment = dict(zip(names, bits))
+            expected = sum(bits[:nl]) + cl <= sum(bits[nl:]) + cr
+            assert evaluate(comparison, assignment) == expected
+            assert sessions["asserted"].check(assignment).is_sat == expected
+            assert sessions["negated"].check(assignment).is_sat == (not expected)
+            assert sessions["guarded"].check(assignment, select=("target",)).is_sat == expected
+            assert sessions["guarded"].check(assignment).is_sat
+
+    def test_distance_walk_widens_one_live_session(self):
+        # The guard order of a binary-search distance walk.  Every guard after
+        # the first is added after checks, so the counter widens under a live
+        # solver.
+        n = 6
+        indicators = [BoolVar(f"e{i}") for i in range(n)]
+        weight = sum_of(indicators)
+        session = SolveSession()
+        session.assert_formula(IntLe(IntConst(1), weight))
+        assignments = list(itertools.product([False, True], repeat=n))
+
+        def count(select):
+            total = 0
+            for bits in assignments:
+                assumptions = {f"e{i}": bit for i, bit in enumerate(bits)}
+                total += session.check(assumptions, select=select).is_sat
+            return total
+
+        def brute(low, high):
+            return sum(1 for bits in assignments if low <= sum(bits) <= high)
+
+        guards = [("le1", "le", 1), ("le4", "le", 4), ("ge3", "ge", 3), ("le2", "le", 2)]
+        for name, direction, bound in guards:
+            before = session.encoder.cnf.num_clauses
+            if direction == "le":
+                session.add_weight_guard(name, weight, bound)
+            else:
+                session.add_weight_lower_guard(name, weight, bound)
+            added = session.encoder.cnf.num_clauses - before
+            if name in ("ge3", "le2"):
+                # Already within the width "le4" built: one guard clause.
+                assert added == 1
+            low, high = (bound, n) if direction == "ge" else (1, bound)
+            assert count((name,)) == brute(low, high)
+        assert count(("ge3", "le4")) == brute(3, 4)
+        assert count(("ge3", "le2")) == 0
+        assert count(()) == brute(1, n)
+
+    def test_counter_width_follows_the_comparison(self):
+        indicators = [BoolVar(f"e{i}") for i in range(20)]
+        narrow = FormulaEncoder()
+        narrow.assert_formula(IntLe(sum_of(indicators), IntConst(1)))
+        wide = FormulaEncoder()
+        wide.assert_formula(IntLe(sum_of(indicators), IntConst(10)))
+        # O(n * width): the weight-1 bound costs a fraction of the weight-10 one.
+        assert 4 * narrow.cnf.num_clauses < wide.cnf.num_clauses
