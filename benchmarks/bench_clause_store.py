@@ -52,7 +52,7 @@ RESUME_CODE = "surface-5"
 TIMING_KEYS = frozenset({
     "elapsed_seconds", "compile_seconds", "session", "resources",
     "trials", "conflicts", "decisions", "propagations", "restarts",
-    "family_absorbed", "store_absorbed", "resumed_from",
+    "resumed_from",
 })
 
 

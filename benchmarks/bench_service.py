@@ -19,13 +19,12 @@ events to its terminal line.  The report (``BENCH_service.json``) carries:
 
 ``--mixed-registry`` switches to the dispatcher sweep (``BENCH_dispatch.json``):
 one task per registry code, run twice on identical single-client traffic —
-once against the serial baseline (1 lane, family warm start off, the
-historical two-connection submit-then-stream client) and once against the
-sharded dispatcher (``--lanes`` worker lanes, family warm start, keep-alive
-submit-and-stream).  The run *fails* unless the verdict maps are identical,
-the sharded/serial jobs-per-second ratio clears ``--min-speedup`` (default
-1.5x), and the surface family reports nonzero absorbed clauses; its
-baseline gate is ``--check-baseline benchmarks/baselines/dispatch.json``.
+once against the serial baseline (1 lane, the historical two-connection
+submit-then-stream client) and once against the sharded dispatcher
+(``--lanes`` worker lanes, keep-alive submit-and-stream).  The run *fails*
+unless the verdict maps are identical and the sharded/serial jobs-per-second
+ratio clears ``--min-speedup`` (default 1.5x); its baseline gate is
+``--check-baseline benchmarks/baselines/dispatch.json``.
 
 Regression gate (``--check-baseline benchmarks/baselines/service.json``):
 compares calibration-normalized job-latency p50 and jobs/sec against the
@@ -60,8 +59,7 @@ WORKLOAD = (
 LANES = ("interactive", "normal", "batch")
 
 #: the ``--mixed-registry`` sweep: one task per registry code family/key, so
-#: every job routes to a shard determined by its code and the surface family
-#: exercises the cross-code warm start (surface-3 runs before surface-5).
+#: every job routes to a shard determined by its code.
 MIXED_REGISTRY = (
     {"kind": "correction", "code": "steane"},
     {"kind": "correction", "code": "five-qubit"},
@@ -253,20 +251,17 @@ def _run_mixed_pass(client, specs, stream: bool, latencies=None) -> dict:
 
 
 def _mixed_side(
-    *, lanes: int, family_warm_start: bool, stream: bool,
-    per_spec: int, warmup_passes: int,
+    *, lanes: int, stream: bool, per_spec: int, warmup_passes: int,
 ) -> dict:
     """One side of the mixed-registry comparison: serve, warm, measure."""
     from repro.service.client import ServiceClient
 
-    with ServiceUnderTest(
-        lanes=lanes, family_warm_start=family_warm_start
-    ) as under_test:
+    with ServiceUnderTest(lanes=lanes) as under_test:
         client = ServiceClient(
             "127.0.0.1", under_test.port, api_key="mixed", keep_alive=stream
         )
-        # Warmup amortizes compilation and (on the sharded side) performs the
-        # family warm start, so the timed window measures dispatch + solving.
+        # Warmup amortizes compilation, so the timed window measures
+        # dispatch + solving.
         verdicts: dict[str, bool] = {}
         for _ in range(warmup_passes):
             verdicts = _run_mixed_pass(client, MIXED_REGISTRY, stream)
@@ -283,7 +278,6 @@ def _mixed_side(
     completed = per_spec * len(MIXED_REGISTRY)
     return {
         "lanes": lanes,
-        "family_warm_start": family_warm_start,
         "keep_alive_stream": stream,
         "passes": per_spec,
         "jobs_completed": completed,
@@ -292,7 +286,6 @@ def _mixed_side(
         "job_latency_p50": _percentile(latencies, 0.50),
         "job_latency_p99": _percentile(latencies, 0.99),
         "verdicts": verdicts,
-        "family_absorbed": stats["resources"].get("family_absorbed", 0),
         "lane_table": stats["resources"].get("lanes", []),
     }
 
@@ -300,19 +293,16 @@ def _mixed_side(
 def run_mixed_registry(per_spec: int, lanes: int) -> dict:
     """The sharded dispatcher vs the serial baseline on identical traffic.
 
-    Serial side: 1 lane, family warm start off, the historical two-connection
-    submit-then-stream client — the pre-dispatcher execution model.  Sharded
-    side: ``lanes`` worker lanes, family warm start on, submit-and-stream on
-    one keep-alive connection.  Both sides run the same single-client job
+    Serial side: 1 lane, the historical two-connection submit-then-stream
+    client — the pre-dispatcher execution model.  Sharded side: ``lanes``
+    worker lanes, submit-and-stream on one keep-alive connection.  Both sides run the same single-client job
     sequence, so the speedup is per-job cost, not client parallelism.
     """
     serial = _mixed_side(
-        lanes=1, family_warm_start=False, stream=False,
-        per_spec=per_spec, warmup_passes=2,
+        lanes=1, stream=False, per_spec=per_spec, warmup_passes=2,
     )
     sharded = _mixed_side(
-        lanes=lanes, family_warm_start=True, stream=True,
-        per_spec=per_spec, warmup_passes=2,
+        lanes=lanes, stream=True, per_spec=per_spec, warmup_passes=2,
     )
     speedup = (
         sharded["jobs_per_second"] / serial["jobs_per_second"]
@@ -561,15 +551,14 @@ def main_mixed_registry(args) -> int:
     mixed = report["mixed_registry"]
     serial, sharded = mixed["serial"], mixed["sharded"]
     print(
-        f"serial   (1 lane, no warm start, 2-conn): "
+        f"serial   (1 lane, 2-conn): "
         f"{serial['jobs_per_second']:.1f} jobs/s  "
         f"p50 {1e3 * serial['job_latency_p50']:.2f}ms"
     )
     print(
-        f"sharded  ({sharded['lanes']} lanes, warm start, keep-alive): "
+        f"sharded  ({sharded['lanes']} lanes, keep-alive): "
         f"{sharded['jobs_per_second']:.1f} jobs/s  "
-        f"p50 {1e3 * sharded['job_latency_p50']:.2f}ms  "
-        f"absorbed {sharded['family_absorbed']} clauses"
+        f"p50 {1e3 * sharded['job_latency_p50']:.2f}ms"
     )
     print(
         f"speedup {mixed['speedup']:.2f}x  "
@@ -587,8 +576,6 @@ def main_mixed_registry(args) -> int:
             f"speedup {mixed['speedup']:.2f}x below required "
             f"{args.min_speedup}x"
         )
-    if sharded["family_absorbed"] <= 0:
-        problems.append("family warm start absorbed no clauses")
     if args.check_baseline:
         if not os.path.exists(args.check_baseline):
             problems.append(f"missing baseline file: {args.check_baseline}")

@@ -263,8 +263,8 @@ def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
         "--clause-store",
         metavar="DIR",
         default=None,
-        help="durable clause-store directory; repeated invocations (and "
-        "sibling codes) warm-start, distance walks resume after a kill",
+        help="durable clause-store directory; repeated invocations "
+        "warm-start, distance walks resume after a kill",
     )
 
 
@@ -522,7 +522,6 @@ def _resource_table(stats: dict) -> str:
         store = stats["store"]
         lines.append(f"{'store':12s} {store.get('stored', 0):6d}   "
                      f"hits {store.get('hits', 0)}, misses {store.get('misses', 0)}, "
-                     f"absorbed {stats.get('store_absorbed', 0)}, "
                      f"evicted {store.get('evictions', 0)}")
     return "\n".join(lines)
 

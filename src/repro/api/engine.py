@@ -43,7 +43,7 @@ from repro.classical.expr import BoolExpr, BoolVar, Not
 from repro.codes.base import StabilizerCode
 from repro.codes.registry import CODE_REGISTRY, family_of
 from repro.smt.interface import SolveSession
-from repro.smt.solver import SolveControl, SolverInterrupted, nonzero
+from repro.smt.solver import SolveControl, SolverInterrupted
 from repro.verifier.constraints import discreteness_constraint, locality_constraint
 from repro.verifier.encodings import (
     ErrorModel,
@@ -130,7 +130,6 @@ class Engine:
         session_cache_size: int = 32,
         max_pools: int = 4,
         lanes: int = 4,
-        family_warm_start: bool = True,
         clause_store: str | None = None,
         fault_plan=None,
     ):
@@ -152,12 +151,11 @@ class Engine:
         self.resources = ResourceManager(
             max_contexts=session_cache_size,
             max_pools=max_pools,
-            family_warm_start=family_warm_start,
         )
         self.resources.configure_shards(self.lanes)
         # The persistent clause store (``repro.store``): durable learnt
-        # clauses, family candidates and distance-walk checkpoints shared
-        # across every lane, pool worker and process using the directory.
+        # clauses and distance-walk checkpoints shared across every lane,
+        # pool worker and process using the directory.
         if clause_store is not None:
             self.resources.enable_clause_store(clause_store)
         self._hits = 0
@@ -498,21 +496,8 @@ class Engine:
                 cached=cached, compile_seconds=compiled.compile_seconds,
             ))
         session = None
-        absorbed: Counter = Counter()
         if getattr(chosen, "wants_session", False):
             session = self.resources.session_for(task, compiled)
-            if session is not None and hasattr(session, "context"):
-                # Family warm start: offer this code's context the learnt
-                # clauses of its smaller siblings before the solve, guarded
-                # by this task's own selectors.
-                absorbed["family_absorbed"] = self.resources.absorb_from_family(
-                    getattr(task, "code", None), session.context, session.selectors
-                )
-                # Clause-store transfer: sibling-fingerprint candidates from
-                # past runs / other processes, entailment-proved on attach.
-                absorbed["store_absorbed"] = self.resources.absorb_from_store(
-                    getattr(task, "code", None), session.context, session.selectors
-                )
         kwargs = {}
         if control is not None and getattr(chosen, "supports_control", False):
             kwargs["control"] = control
@@ -529,12 +514,11 @@ class Engine:
         elapsed = time.perf_counter() - start
         if emit is not None:
             emit(SolverStats.from_counters(
-                check.counters + absorbed,
+                check.counters,
                 num_variables=check.num_variables, num_clauses=check.num_clauses,
             ))
         details = dict(compiled.details)
         details.update(check.metadata)
-        details.update(nonzero(absorbed))
         if session is not None or getattr(chosen, "wants_resources", False):
             details["resources"] = self.resources.stats()
         return Result(
@@ -638,7 +622,6 @@ class Engine:
         num_workers = getattr(backend, "num_workers", 1)
         used_resources = True
         context = None
-        absorbed: Counter = Counter()
         # On the shared context session the extracted witness also assigns
         # variables of other guarded task formulas; restrict it to the base
         # encoding's own variables.  The pool/fallback sessions hold only the
@@ -667,12 +650,6 @@ class Engine:
                 context.maybe_warm_load()
                 session = context.session
                 base_selectors = (base_guard,)
-                absorbed["family_absorbed"] = self.resources.absorb_from_family(
-                    task.code, context, base_selectors
-                )
-                absorbed["store_absorbed"] = self.resources.absorb_from_store(
-                    task.code, context, base_selectors
-                )
             else:
                 base, weight = precise_detection_base(code, error_model)
                 session = SolveSession(base)
@@ -824,7 +801,7 @@ class Engine:
                 self.resources.pools.mark_idle(pool_session)
         if emit is not None:
             emit(SolverStats.from_counters(
-                counters + absorbed,
+                counters,
                 num_variables=last.num_variables if last is not None else 0,
                 num_clauses=last.num_clauses if last is not None else 0,
             ))
@@ -834,7 +811,6 @@ class Engine:
             "base_encodings": 1,
             "strategy": strategy,
             "session": stats,
-            **nonzero(absorbed),
         }
         if resumed_from is not None:
             details["resumed_from"] = resumed_from
@@ -1056,8 +1032,9 @@ def _restore_sweep_manifest(state: dict | None, total: int) -> "dict[int, Result
 
 
 # Execution-order key for the reuse-aware sweep schedule: group by family
-# (smaller family_rank first, so each code warm-starts its bigger siblings),
-# then by task kind cheapest-first, then by how wide the weight window is.
+# (smaller family_rank first), then by code, so consecutive tasks reuse one
+# code's context, then by task kind cheapest-first, then by how wide the
+# weight window is.
 _KIND_ORDER = {
     "precise-detection": 0,
     "accurate-correction": 1,

@@ -14,7 +14,11 @@ or :class:`JobFailed`) ends every job's stream.
 Stability policy: within one ``schema_version`` the emitted fields of every
 event type only ever *gain* optional members; renaming or removing a field,
 changing a type, or changing terminal-event semantics bumps the major
-version.  Consumers should ignore unknown event types and unknown fields.
+version.  One exception: an optional-when-zero counter whose producer is
+gone may be dropped without a bump, since consumers already handle its
+absence (``SolverStats.family_absorbed``/``store_absorbed`` went this way;
+the validator below now flags an old stream that still carries them).
+Consumers should ignore unknown event types and unknown fields.
 
 The module doubles as the stream validator used in CI::
 
@@ -157,12 +161,10 @@ class SolverStats(Event):
     (:func:`~repro.smt.solver.nonzero`): ``blocker_hits`` (watcher visits
     resolved by the cached blocker literal), ``heap_discards`` (lazily
     deleted decision-heap entries), ``binary_subsumed`` (learnt-clause
-    literals removed by binary self-subsumption), ``family_absorbed`` and
-    ``store_absorbed`` (clauses absorbed from smaller same-family codes or
-    from the clause store before the solve) and ``learnt_evicted`` (learnt
-    clauses deleted by clause-database reduction).  ``lane`` (the worker
-    lane that ran the job) is serialized only for jobs dispatched through
-    the sharded executor, never for blocking runs.
+    literals removed by binary self-subsumption) and ``learnt_evicted``
+    (learnt clauses deleted by clause-database reduction).  ``lane`` (the
+    worker lane that ran the job) is serialized only for jobs dispatched
+    through the sharded executor, never for blocking runs.
     """
 
     conflicts: int = 0
@@ -173,16 +175,13 @@ class SolverStats(Event):
     blocker_hits: int = 0
     heap_discards: int = 0
     binary_subsumed: int = 0
-    family_absorbed: int = 0
-    store_absorbed: int = 0
     learnt_evicted: int = 0
     lane: int = -1
 
     TYPE: ClassVar[str] = "SolverStats"
 
     _OPTIONAL_WHEN_ZERO: ClassVar[tuple[str, ...]] = (
-        "blocker_hits", "heap_discards", "binary_subsumed", "family_absorbed",
-        "store_absorbed", "learnt_evicted",
+        "blocker_hits", "heap_discards", "binary_subsumed", "learnt_evicted",
     )
 
     def to_dict(self) -> dict:
@@ -315,8 +314,6 @@ EVENT_SCHEMAS: dict[str, dict[str, tuple[tuple[type, ...], bool]]] = {
         "blocker_hits": ((int,), False),
         "heap_discards": ((int,), False),
         "binary_subsumed": ((int,), False),
-        "family_absorbed": ((int,), False),
-        "store_absorbed": ((int,), False),
         "learnt_evicted": ((int,), False),
         "lane": ((int,), False),
     },

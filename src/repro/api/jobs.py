@@ -8,9 +8,8 @@ lifecycle:
 * the engine-owned :class:`ShardedJobExecutor` routes each job to a worker
   *lane* (one dispatcher thread + priority queue per lane, highest
   :attr:`Job.priority` first, FIFO among equals).  Lane assignment is the
-  concurrency-safety invariant: every code — and every code *family*, so
-  that cross-code clause absorption stays single-threaded too — maps to
-  exactly one lane via the engine's
+  concurrency-safety invariant: every code (and every code *family*) maps
+  to exactly one lane via the engine's
   :class:`~repro.api.resources.ResourceManager`, so two jobs that could
   touch the same :class:`~repro.smt.interface.SolveSession` always run on
   the same thread while jobs on unrelated codes run concurrently.
@@ -510,13 +509,12 @@ class ShardedJobExecutor:
 
     Routing is delegated to the engine's
     :class:`~repro.api.resources.ResourceManager`: the shard key is the
-    task's code *family* when it has one (so family members — whose contexts
-    absorb each other's learnt clauses — share a thread) and the code itself
-    otherwise, with code-less tasks pinned to lane 0.  Lane affinity is the
-    whole concurrency story: a ``SolveSession`` is only ever touched from
-    the one lane its code maps to (blocking ``Engine.run`` calls serialize
-    against that same lane through the engine's per-lane locks), so no
-    session, context or family-absorption path needs its own locking.
+    task's code *family* when it has one (family members share a thread) and
+    the code itself otherwise, with code-less tasks pinned to lane 0.  Lane
+    affinity is the whole concurrency story: a ``SolveSession`` is only ever
+    touched from the one lane its code maps to (blocking ``Engine.run``
+    calls serialize against that same lane through the engine's per-lane
+    locks), so no session or context needs its own locking.
 
     Lane threads are named ``repro-lane-<shard>`` and started lazily on the
     first job routed to them; a one-lane executor behaves exactly like the

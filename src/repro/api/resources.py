@@ -31,7 +31,6 @@ This module centralizes those resources *per code*:
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import weakref
 import zlib
@@ -39,10 +38,10 @@ from collections import Counter, OrderedDict
 
 from repro import sanitize
 from repro.classical.expr import free_variables
-from repro.codes.registry import family_of, family_siblings
+from repro.codes.registry import family_of
 from repro.smt.interface import SMTCheck, SolveSession
 from repro.smt.parallel import IncrementalSplitSession
-from repro.smt.solver import SEARCH_COUNTERS, SolveControl, SolverInterrupted, nonzero
+from repro.smt.solver import SEARCH_COUNTERS, nonzero
 from repro.store import ClauseStore
 
 __all__ = [
@@ -141,20 +140,9 @@ class CodeContext:
         self._warm_attempted = False
         self._warm_fingerprint: str | None = None
         self._warm_vars = 0
-        #: Cumulative clause-transfer counters: warm_hits / warm_misses /
-        #: warm_absorbed (exact-fingerprint loads), family_probes /
-        #: family_absorbed (live siblings), store_probes / store_absorbed
-        #: (the clause store's family index).
+        #: Cumulative exact-fingerprint warm-start counters: warm_hits /
+        #: warm_misses / warm_absorbed.
         self.counters: Counter = Counter()
-        # Family warm-start bookkeeping: how many sibling learnt clauses
-        # were already examined per (sibling key, shared-subformula
-        # fingerprint), and which candidate clauses were already absorbed.
-        self._sibling_marks: dict[tuple, int] = {}
-        self._absorbed_keys: set[tuple] = set()
-        # Clause-store transfer bookkeeping: candidates already probed (in
-        # either direction — absorbed or refuted — so repeated jobs on the
-        # same context never re-pay failed probes).
-        self._store_probed: set[tuple] = set()
 
     # ------------------------------------------------------------------
     @sanitize.entry_guarded
@@ -241,177 +229,6 @@ class CodeContext:
         return name
 
     # ------------------------------------------------------------------
-    # Family warm start: absorb a smaller sibling's learnt clauses.
-    @sanitize.entry_guarded
-    def absorb_from_sibling(
-        self,
-        sibling: "CodeContext",
-        selectors: tuple[str, ...],
-        max_probes: int = 24,
-        conflict_budget: int = 200,
-    ) -> int:
-        """Warm-start this context from a smaller same-family sibling.
-
-        The sibling's learnt clauses are *candidates*, not facts: its CNF is
-        a different formula, so nothing it learnt transfers by fingerprint.
-        Instead each clause is projected onto the variable names the two
-        encodings share (auxiliary/Tseitin literals are dropped, which may
-        strengthen the clause — harmless, because nothing below relies on
-        the projection being implied by anything), then *re-proved on this
-        context*: a conflict-budgeted ``check`` under ``selectors`` with the
-        projected clause negated as assumptions.  Only a candidate the
-        target session itself refutes — i.e. proves entailed under the
-        active selectors — is attached, via
-        :meth:`~repro.smt.interface.SolveSession.absorb_learnt`, widened
-        with the selectors' negations so it is vacuous whenever the guards
-        are inactive.  Soundness therefore never depends on the projection
-        quality or on the sibling at all; the sibling only proposes.
-
-        Probes are memoised by ``(sibling key, shared-subformula
-        fingerprint)`` high-water marks, so repeated calls only examine
-        clauses the sibling learnt since last time.  Callers must ensure
-        the sibling is not solving concurrently — the sharded dispatcher
-        guarantees that by construction, since family members share a lane.
-        Returns the number of clauses absorbed.
-        """
-        if not selectors or sibling.session._solver is None:
-            return 0
-        my_names = self.session.encoder.named_literals()
-        sibling_names = sibling.session.encoder.named_literals()
-        shared = sorted(set(my_names) & set(sibling_names))
-        if not shared:
-            return 0
-        shared_fingerprint = hashlib.sha256("\n".join(shared).encode()).hexdigest()
-        mark_key = (sibling.key, shared_fingerprint)
-        learnt = sibling.session.learnt_clauses()
-        start = self._sibling_marks.get(mark_key, 0)
-        self._sibling_marks[mark_key] = len(learnt)
-        if start >= len(learnt):
-            return 0
-        shared_set = set(shared)
-        reverse = {var: name for name, var in sibling_names.items()}
-        guard_key = tuple(selectors)
-        candidates: list[list[tuple[str, bool]]] = []
-        seen: set[frozenset] = set()
-        for clause in learnt[start:]:
-            projected = []
-            for literal in clause:
-                name = reverse.get(abs(literal))
-                if name is None or name not in shared_set:
-                    continue
-                projected.append((name, literal > 0))
-            # Tiny projections (short, high-reuse consequences) are the ones
-            # worth a probe; long ones rarely pass and cost more to attach.
-            if not 2 <= len(projected) <= 6:
-                continue
-            key = frozenset(projected)
-            if key in seen or (key, guard_key) in self._absorbed_keys:
-                continue
-            seen.add(key)
-            candidates.append(projected)
-        absorbed, probed = self._absorb_candidates(
-            candidates, selectors, max_probes, conflict_budget
-        )
-        self.counters.update(family_probes=probed, family_absorbed=absorbed)
-        return absorbed
-
-    def _absorb_candidates(
-        self,
-        candidates: list[list[tuple[str, bool]]],
-        selectors: tuple[str, ...],
-        max_probes: int,
-        conflict_budget: int,
-    ) -> tuple[int, int]:
-        """Entailment-probe projected candidates and attach the proven ones.
-
-        The shared verification core of both transfer paths (live sibling
-        contexts and the persistent clause store): each candidate clause is
-        re-proved by a conflict-budgeted check with its negation assumed
-        under ``selectors``, and only refuted (entailed) candidates are
-        absorbed, widened with the selector negations.  Returns
-        ``(absorbed, probed)``.
-        """
-        guard_key = tuple(selectors)
-        absorbed = 0
-        probed = 0
-        encoder = self.session.encoder
-        for projected in candidates[:max_probes]:
-            probed += 1
-            assumptions = {name: not positive for name, positive in projected}
-            control = SolveControl(
-                conflict_budget=conflict_budget, check_interval=32
-            )
-            try:
-                check = self.session.check(
-                    assumptions, select=selectors, control=control
-                )
-            except SolverInterrupted:
-                continue  # not cheaply entailed; skip, stay sound
-            if not check.is_unsat:
-                continue
-            literals = [
-                encoder.variable(name) if positive else -encoder.variable(name)
-                for name, positive in projected
-            ]
-            literals.extend(-encoder.selector(selector) for selector in selectors)
-            absorbed += self.session.absorb_learnt([literals])
-            self._absorbed_keys.add((frozenset(projected), guard_key))
-        return absorbed, probed
-
-    @sanitize.entry_guarded
-    def absorb_from_store(
-        self,
-        selectors: tuple[str, ...],
-        max_probes: int = 24,
-        conflict_budget: int = 200,
-    ) -> int:
-        """Warm-start this context from the clause store's family index.
-
-        Candidates are named-literal projections recorded by *sibling
-        fingerprints* (other codes of the same family, possibly from other
-        processes or past runs).  They go through exactly the same
-        entailment re-proof as live-sibling candidates — a stale, foreign or
-        corrupted store entry can cost probe budget, never soundness.
-        Returns the number of clauses absorbed.
-        """
-        store = self.clause_store
-        if store is None or not selectors:
-            return 0
-        family = family_of(self.key) if isinstance(self.key, str) else None
-        if not family:
-            return 0
-        # Snapshot the fingerprint first so our own persisted entries are
-        # excluded from the candidate set (they come back via the exact path).
-        self.maybe_warm_load()
-        if self.counters["warm_hits"]:
-            # The exact-fingerprint entry already restored this context's
-            # own learnt state; sibling candidates could only re-prove
-            # weaker versions of it.  Probing them would spend conflict
-            # budget for nothing on every warm start.
-            return 0
-        my_names = set(self.session.encoder.named_literals())
-        guard_key = tuple(selectors)
-        candidates: list[list[tuple[str, bool]]] = []
-        for pairs in store.family_candidates(
-            family, exclude_fingerprint=self._warm_fingerprint or ""
-        ):
-            projected = [(name, positive) for name, positive in pairs if name in my_names]
-            if not 2 <= len(projected) <= 6:
-                continue
-            key = (frozenset(projected), guard_key)
-            if key in self._store_probed or key in self._absorbed_keys:
-                continue
-            self._store_probed.add(key)
-            candidates.append(projected)
-            if len(candidates) >= max_probes:
-                break
-        absorbed, probed = self._absorb_candidates(
-            candidates, selectors, max_probes, conflict_budget
-        )
-        self.counters.update(store_probes=probed, store_absorbed=absorbed)
-        return absorbed
-
-    # ------------------------------------------------------------------
     # Warm start: learnt clauses round-trip through the clause store, keyed
     # on the CNF fingerprint at the moment of the first check (the point
     # identical CLI invocations reach with an identical encoding).
@@ -432,36 +249,10 @@ class CodeContext:
     def save_warm(self) -> None:
         if self.clause_store is None or not self._warm_attempted:
             return
-        # Persist LBDs for eviction ranking, and record the named-literal
-        # projections of every learnt clause under the code's
-        # family so sibling fingerprints can pick them up as candidates.
-        meta = self.session.learnt_clauses_meta(max_var=self._warm_vars)
-        family = family_of(self.key) if isinstance(self.key, str) else None
-        named: list[tuple[tuple[tuple[str, bool], ...], int]] = []
-        if family:
-            reverse = {
-                var: name
-                for name, var in self.session.encoder.named_literals().items()
-            }
-            seen: set[frozenset] = set()
-            for clause, lbd in self.session.learnt_clauses_meta():
-                projected = []
-                for literal in clause:
-                    name = reverse.get(abs(literal))
-                    if name is None:
-                        continue
-                    projected.append((name, literal > 0))
-                # Same window as the sibling path: short projections are the
-                # reusable ones, and consumers re-prove them anyway.
-                if not 2 <= len(projected) <= 6:
-                    continue
-                key = frozenset(projected)
-                if key in seen:
-                    continue
-                seen.add(key)
-                named.append((tuple(projected), lbd))
+        # Persist LBDs for eviction ranking.
         self.clause_store.store_meta(
-            self._warm_fingerprint, meta, family=family or "", named=named
+            self._warm_fingerprint,
+            self.session.learnt_clauses_meta(max_var=self._warm_vars),
         )
 
 
@@ -573,18 +364,16 @@ class PoolManager:
 
 
 class LaneStats:
-    """Counters for one dispatcher lane (mutated by the sharded executor
-    and the family-absorption path; read by ``ResourceManager.stats``)."""
+    """Counters for one dispatcher lane (mutated by the sharded executor;
+    read by ``ResourceManager.stats``)."""
 
-    __slots__ = ("lane", "enqueued", "jobs_completed", "busy_seconds",
-                 "absorbed_clauses")
+    __slots__ = ("lane", "enqueued", "jobs_completed", "busy_seconds")
 
     def __init__(self, lane: int):
         self.lane = lane
         self.enqueued = 0
         self.jobs_completed = 0
         self.busy_seconds = 0.0
-        self.absorbed_clauses = 0
 
 
 class ResourceManager:
@@ -593,8 +382,7 @@ class ResourceManager:
     With the sharded dispatcher the manager is also the *routing authority*:
     :meth:`shard_for_task` maps every task to the one worker lane allowed to
     touch its code's session.  The shard key is the code's registry *family*
-    when it has one (family members must share a lane so cross-code clause
-    absorption is single-threaded by construction) and the code itself
+    when it has one (family members share a lane) and the code itself
     otherwise; assignment is sticky — a key, once mapped, keeps its lane for
     the manager's lifetime — with crc32 hashing onto free lanes and
     least-recently-used lane reuse once every lane carries keys.
@@ -610,12 +398,8 @@ class ResourceManager:
         self,
         max_contexts: int = 32,
         max_pools: int = 4,
-        family_warm_start: bool = True,
     ):
         self.max_contexts = max_contexts
-        #: master switch for cross-code clause absorption; off reproduces the
-        #: pre-family behaviour exactly (the benchmark's serial baseline).
-        self.family_warm_start = family_warm_start
         self.pools = PoolManager(max_pools=max_pools)
         #: the persistent warm-start cache, attached by :meth:`enable_clause_store`
         self.clause_store: ClauseStore | None = None
@@ -730,40 +514,15 @@ class ResourceManager:
             context.save_warm()
 
     # ------------------------------------------------------------------
-    # Family warm start
+    # Inert names kept for ``perfbench/tracer.py``, which wraps them by name
+    # and is their only reader; nothing in ``src/`` calls them.  ROADMAP
+    # item 1 (phase spans) deletes them together with the name-wrapping.
     # ------------------------------------------------------------------
-    def absorb_from_family(self, code_key, context: CodeContext, selectors) -> int:
-        """Offer ``context`` the learnt clauses of its smaller family
-        siblings (those with live contexts), under the task's selectors.
+    def absorb_from_family(self, code_key, context, selectors) -> int:
+        return 0
 
-        Safe to call only from the code's own lane: family members share a
-        shard by construction, so no sibling session is solving concurrently.
-        Returns the number of clauses absorbed (0 for non-family codes).
-        """
-        if not self.family_warm_start:
-            return 0
-        if not isinstance(code_key, str) or not selectors:
-            return 0
-        if self.clause_store is not None:
-            # With a store attached, try the exact-fingerprint entry first:
-            # a hit restores this context's own learnt state, which strictly
-            # dominates anything a sibling could offer — re-proving sibling
-            # candidates on top would spend probe budget for nothing.
-            context.maybe_warm_load()
-            if context.counters["warm_hits"]:
-                return 0
-        total = 0
-        for sibling_key in family_siblings(code_key):
-            with self._lock:
-                sibling = self._contexts.get(sibling_key)
-            if sibling is None or sibling is context:
-                continue
-            total += context.absorb_from_sibling(sibling, tuple(selectors))
-        if total:
-            stats = self.lane_stat(self.shard_for(self.shard_key(code_key)))
-            if stats is not None:
-                stats.absorbed_clauses += total
-        return total
+    def absorb_from_store(self, code_key, context, selectors) -> int:
+        return 0
 
     def session_for(self, task, compiled) -> ContextView | SolveSession | None:
         """A persistent session for ``task``: a guarded shared-context view
@@ -852,8 +611,7 @@ class ResourceManager:
     # ------------------------------------------------------------------
     def enable_clause_store(self, directory: "str | ClauseStore") -> ClauseStore:
         """Attach the persistent sqlite clause store: exact-fingerprint warm
-        starts with LBD-ranked eviction, the family candidate index and
-        distance checkpoints."""
+        starts with LBD-ranked eviction and distance checkpoints."""
         store = directory if isinstance(directory, ClauseStore) else ClauseStore(str(directory))
         with self._lock:
             self.clause_store = store
@@ -862,22 +620,6 @@ class ResourceManager:
                 if context.clause_store is None:
                     context.clause_store = store
             return store
-
-    def absorb_from_store(self, code_key, context: CodeContext | None, selectors) -> int:
-        """Offer ``context`` the store's family candidates (sibling
-        fingerprints from any process, past or present), entailment-proved
-        before attachment.  Gated on the same ``family_warm_start`` switch
-        as live-sibling absorption; returns the number absorbed."""
-        if not self.family_warm_start or self.clause_store is None:
-            return 0
-        if context is None or not selectors:
-            return 0
-        absorbed = context.absorb_from_store(tuple(selectors))
-        if absorbed:
-            stats = self.lane_stat(self.shard_for(self.shard_key(code_key)))
-            if stats is not None:
-                stats.absorbed_clauses += absorbed
-        return absorbed
 
     def save_warm(self) -> None:
         with self._lock:
@@ -956,18 +698,12 @@ class ResourceManager:
         for name in SEARCH_COUNTERS:
             del solver[name]
         stats.update(nonzero(solver))
-        if transfer["family_probes"]:
-            stats["family_absorbed"] = transfer["family_absorbed"]
-            stats["family_probes"] = transfer["family_probes"]
         if self.quarantined:
             stats["quarantined_contexts"] = self.quarantined
         if store is not None:
             stats["warm_hits"] = store.hits
             stats["warm_misses"] = store.misses
             stats["warm_absorbed"] = transfer["warm_absorbed"] + self.pools.warm_absorbed()
-            if transfer["store_probes"]:
-                stats["store_absorbed"] = transfer["store_absorbed"]
-                stats["store_probes"] = transfer["store_probes"]
             if store.evictions:
                 stats["store_evictions"] = store.evictions
             stats["store"] = store.stats()
@@ -984,21 +720,20 @@ class ResourceManager:
                     "enqueued": lane.enqueued,
                     "jobs_completed": lane.jobs_completed,
                     "busy_seconds": round(lane.busy_seconds, 6),
-                    "absorbed_clauses": lane.absorbed_clauses,
                     "shard_keys": sorted(
                         key for key, assigned in assignments.items()
                         if assigned == lane.lane
                     ),
                 }
                 if store is not None:
-                    # Store hit-rate per lane validates the dispatcher's
-                    # family routing against actual reuse.
+                    # Store hit-rate per lane: where exact-fingerprint
+                    # reuse lands under the dispatcher's routing.
                     counts = lane_store.get(lane.lane, Counter())
                     hits, misses = counts["warm_hits"], counts["warm_misses"]
                     looked_up = hits + misses
                     row["store_hits"] = hits
                     row["store_misses"] = misses
-                    row["store_absorbed"] = counts["warm_absorbed"] + counts["store_absorbed"]
+                    row["warm_absorbed"] = counts["warm_absorbed"]
                     row["store_hit_rate"] = (
                         round(hits / looked_up, 4) if looked_up else 0.0
                     )

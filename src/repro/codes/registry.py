@@ -27,7 +27,6 @@ __all__ = [
     "CODE_REGISTRY",
     "build_code",
     "family_of",
-    "family_siblings",
     "list_codes",
 ]
 
@@ -38,9 +37,9 @@ class CodeEntry:
 
     ``family`` groups codes sharing sub-structure (e.g. the rotated surface
     codes at increasing distance): the dispatcher co-locates a family on one
-    worker lane and the resource layer warm-starts a member from the learnt
-    clauses of its smaller siblings.  ``family_rank`` orders members within
-    the family (smaller rank = smaller code); 0 means "not in a family".
+    worker lane and the reuse-aware sweep schedule groups it.  ``family_rank``
+    orders members within the family (smaller rank = smaller code); 0 means
+    "not in a family".
     """
 
     key: str
@@ -185,19 +184,3 @@ def family_of(key: str) -> str | None:
         return None
     return entry.family
 
-
-def family_siblings(key: str) -> list[str]:
-    """Smaller same-family registry keys, ordered smallest first.
-
-    These are the codes whose learnt clauses are worth offering to ``key``
-    as warm-start candidates (a larger code never seeds a smaller one).
-    """
-    entry = CODE_REGISTRY.get(key) if isinstance(key, str) else None
-    if entry is None or not entry.family:
-        return []
-    members = [
-        other
-        for other in CODE_REGISTRY.values()
-        if other.family == entry.family and other.family_rank < entry.family_rank
-    ]
-    return [member.key for member in sorted(members, key=lambda m: m.family_rank)]

@@ -230,7 +230,7 @@ class SolveSession:
 
         The ``ClauseStore`` keeps the LBD so eviction can rank entries by
         usefulness; :meth:`learnt_clauses` serves callers that need only the
-        literals (family sibling absorption and split-session store merges).
+        literals (split-session store merges).
         """
         if self._solver is None:
             return []

@@ -8,13 +8,8 @@ Design (ROADMAP item 4 — durable shared verification state):
   row additionally carries a checksum binding ``(fingerprint, clause)``, so
   a torn write or a bit-flipped row is *dropped on load* instead of being
   absorbed — corrupted state can degrade the cache, never the verdict.
-
-* **Family index.**  Alongside the exact entries, learnt clauses that
-  project onto *named* literals (shared error indicators) are recorded under
-  the owning code's family.  A sibling lookup returns those projections as
-  *candidates only*: the caller re-proves each one by entailment under its
-  own encoding before attachment (``CodeContext.absorb_from_store``), so
-  foreign clauses are verified, never trusted.
+  Stores written by older versions may also hold a ``named_clauses`` table
+  (a since-removed cross-code index); it is left in place and never read.
 
 * **Eviction.**  The store is size-bounded; when an upsert pushes it over
   budget the worst clauses go first — highest LBD, then least recently
@@ -67,16 +62,6 @@ CREATE TABLE IF NOT EXISTS clauses (
     PRIMARY KEY (fingerprint, clause)
 );
 CREATE INDEX IF NOT EXISTS clauses_eviction ON clauses (lbd DESC, last_used ASC);
-CREATE TABLE IF NOT EXISTS named_clauses (
-    family      TEXT    NOT NULL,
-    fingerprint TEXT    NOT NULL,
-    clause      TEXT    NOT NULL,
-    checksum    TEXT    NOT NULL,
-    lbd         INTEGER NOT NULL,
-    updated     REAL    NOT NULL,
-    PRIMARY KEY (family, fingerprint, clause)
-);
-CREATE INDEX IF NOT EXISTS named_by_family ON named_clauses (family, lbd ASC);
 CREATE TABLE IF NOT EXISTS checkpoints (
     key      TEXT PRIMARY KEY,
     payload  TEXT NOT NULL,
@@ -107,7 +92,7 @@ class ClauseStore:
     The engine's only warm-start cache
     (:attr:`repro.api.resources.ResourceManager.clause_store`): exact
     fingerprint reuse (``load`` / ``store_meta``) with LBD-aware metadata,
-    family candidates and checkpoints.  All public methods degrade
+    plus checkpoints.  All public methods degrade
     gracefully on storage errors: a broken database behaves like an empty
     cache and is counted in ``storage_errors``, never raised into a solve.
     """
@@ -116,7 +101,6 @@ class ClauseStore:
         self,
         directory: str,
         max_clauses: int = 200_000,
-        max_named: int = 20_000,
         *,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 30.0,
@@ -125,7 +109,6 @@ class ClauseStore:
         self.directory = str(directory)
         self.path = os.path.join(self.directory, STORE_FILENAME)
         self.max_clauses = max_clauses
-        self.max_named = max_named
         #: consecutive storage failures that open the circuit breaker
         self.breaker_threshold = max(1, int(breaker_threshold))
         #: seconds the breaker stays open before a half-open recovery probe
@@ -136,8 +119,6 @@ class ClauseStore:
         self.evictions = 0
         self.corrupt_dropped = 0
         self.storage_errors = 0
-        self.family_queries = 0
-        self.family_served = 0
         self.checkpoint_hits = 0
         self.checkpoint_misses = 0
         self.checkpoints_saved = 0
@@ -323,19 +304,11 @@ class ClauseStore:
         """Merge plain learnt clauses; LBD defaults to the clause length."""
         self.store_meta(fingerprint, [(clause, len(clause)) for clause in learnt])
 
-    def store_meta(
-        self,
-        fingerprint: str,
-        clauses,
-        family: str = "",
-        named=(),
-    ) -> None:
-        """Merge learnt clauses (with LBD) and optional family candidates.
+    def store_meta(self, fingerprint: str, clauses) -> None:
+        """Merge learnt clauses (with LBD).
 
-        ``clauses`` is an iterable of ``(literal_list, lbd)``; ``named`` an
-        iterable of ``(((name, value), ...), lbd)`` projections onto named
-        literals, indexed under ``family`` for sibling transfer.  Upserts
-        keep the best (lowest) LBD seen for a clause; the whole merge is one
+        ``clauses`` is an iterable of ``(literal_list, lbd)``.  Upserts keep
+        the best (lowest) LBD seen for a clause; the whole merge is one
         transaction, so concurrent writers interleave atomically.
         """
         conn = self._connect()
@@ -352,35 +325,18 @@ class ClauseStore:
             clause_rows.append(
                 (fingerprint, text, _row_checksum(fingerprint, text), int(lbd), len(literals), now, now)
             )
-        named_rows = []
-        if family:
-            for projection, lbd in named:
-                pairs = sorted((str(name), bool(value)) for name, value in projection)
-                text = json.dumps(pairs, separators=(",", ":"))
-                named_rows.append(
-                    (family, fingerprint, text, _row_checksum(family, fingerprint, text), int(lbd), now)
-                )
-        if not clause_rows and not named_rows:
+        if not clause_rows:
             return
         try:
             self._check_fault("write", fingerprint)
             with conn:
-                if clause_rows:
-                    conn.executemany(
-                        "INSERT INTO clauses (fingerprint, clause, checksum, lbd, size, created, last_used) "
-                        "VALUES (?, ?, ?, ?, ?, ?, ?) "
-                        "ON CONFLICT (fingerprint, clause) DO UPDATE SET "
-                        "lbd = MIN(lbd, excluded.lbd), last_used = excluded.last_used",
-                        clause_rows,
-                    )
-                if named_rows:
-                    conn.executemany(
-                        "INSERT INTO named_clauses (family, fingerprint, clause, checksum, lbd, updated) "
-                        "VALUES (?, ?, ?, ?, ?, ?) "
-                        "ON CONFLICT (family, fingerprint, clause) DO UPDATE SET "
-                        "lbd = MIN(lbd, excluded.lbd), updated = excluded.updated",
-                        named_rows,
-                    )
+                conn.executemany(
+                    "INSERT INTO clauses (fingerprint, clause, checksum, lbd, size, created, last_used) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?) "
+                    "ON CONFLICT (fingerprint, clause) DO UPDATE SET "
+                    "lbd = MIN(lbd, excluded.lbd), last_used = excluded.last_used",
+                    clause_rows,
+                )
             self._storage_ok()
             self.stored += len(clause_rows)
             self._evict(conn)
@@ -388,7 +344,7 @@ class ClauseStore:
             self._storage_failure()
 
     def _evict(self, conn: sqlite3.Connection) -> None:
-        """Trim both clause tables to budget: worst LBD first, then oldest."""
+        """Trim the clause table to budget: worst LBD first, then oldest."""
         try:
             with conn:
                 (count,) = conn.execute("SELECT COUNT(*) FROM clauses").fetchone()
@@ -400,56 +356,16 @@ class ClauseStore:
                         (excess,),
                     )
                     self.evictions += excess
-                (count,) = conn.execute("SELECT COUNT(*) FROM named_clauses").fetchone()
-                excess = count - self.max_named
-                if excess > 0:
-                    conn.execute(
-                        "DELETE FROM named_clauses WHERE rowid IN ("
-                        "SELECT rowid FROM named_clauses ORDER BY lbd DESC, updated ASC, rowid ASC LIMIT ?)",
-                        (excess,),
-                    )
-                    self.evictions += excess
         except sqlite3.Error:
             self._storage_failure()
 
     # ------------------------------------------------------------------
-    # Family-aware secondary index
+    # Inert name kept for ``perfbench/tracer.py``, which wraps it by name and
+    # is its only reader; nothing in ``src/`` calls it.  ROADMAP item 1
+    # (phase spans) deletes it together with the name-wrapping.
     # ------------------------------------------------------------------
-    def family_candidates(
-        self, family: str, exclude_fingerprint: str = "", limit: int = 256
-    ) -> list[list[tuple[str, bool]]]:
-        """Named-literal clause candidates learnt by sibling fingerprints.
-
-        Best (lowest-LBD) candidates first.  These are *hints*, not facts:
-        the caller must re-prove each projection by entailment against its
-        own encoding before attaching anything.
-        """
-        self.family_queries += 1
-        conn = self._connect()
-        if not family or conn is None:
-            return []
-        try:
-            self._check_fault("read", f"family:{family}")
-            rows = conn.execute(
-                "SELECT DISTINCT clause FROM named_clauses "
-                "WHERE family = ? AND fingerprint != ? ORDER BY lbd ASC, updated DESC LIMIT ?",
-                (family, exclude_fingerprint, limit),
-            ).fetchall()
-        except sqlite3.Error:
-            self._storage_failure()
-            return []
-        self._storage_ok()
-        candidates = []
-        for (text,) in rows:
-            try:
-                pairs = [(str(name), bool(value)) for name, value in json.loads(text)]
-            except (ValueError, TypeError):
-                self.corrupt_dropped += 1
-                continue
-            if pairs:
-                candidates.append(pairs)
-        self.family_served += len(candidates)
-        return candidates
+    def family_candidates(self, family, exclude_fingerprint="", limit=256) -> list:
+        return []
 
     # ------------------------------------------------------------------
     # Checkpoints (resumable distance walks)
@@ -544,8 +460,6 @@ class ClauseStore:
         for key in (
             "corrupt_dropped",
             "storage_errors",
-            "family_queries",
-            "family_served",
             "checkpoint_hits",
             "checkpoint_misses",
             "checkpoints_saved",

@@ -1,5 +1,5 @@
-"""The clause store wired into the engine: warm starts, family transfer,
-resumable distance walks and the reuse-aware sweep schedule.
+"""The clause store wired into the engine: warm starts, resumable distance
+walks and the reuse-aware sweep schedule.
 
 The load-bearing property is the same one the warm cache pinned, extended
 to durable state: nothing the store holds — fresh, stale, foreign or
@@ -42,6 +42,40 @@ def _db_path(directory):
     return str(directory / "clauses.sqlite")
 
 
+#: The family-index table and its index as earlier store versions created
+#: them, next to the tables the current store shares with them.
+OLD_NAMED_CLAUSES_SCHEMA = """
+CREATE TABLE clauses (
+    fingerprint TEXT    NOT NULL,
+    clause      TEXT    NOT NULL,
+    checksum    TEXT    NOT NULL,
+    lbd         INTEGER NOT NULL,
+    size        INTEGER NOT NULL,
+    created     REAL    NOT NULL,
+    last_used   REAL    NOT NULL,
+    hits        INTEGER NOT NULL DEFAULT 0,
+    PRIMARY KEY (fingerprint, clause)
+);
+CREATE INDEX clauses_eviction ON clauses (lbd DESC, last_used ASC);
+CREATE TABLE named_clauses (
+    family      TEXT    NOT NULL,
+    fingerprint TEXT    NOT NULL,
+    clause      TEXT    NOT NULL,
+    checksum    TEXT    NOT NULL,
+    lbd         INTEGER NOT NULL,
+    updated     REAL    NOT NULL,
+    PRIMARY KEY (family, fingerprint, clause)
+);
+CREATE INDEX named_by_family ON named_clauses (family, lbd ASC);
+CREATE TABLE checkpoints (
+    key      TEXT PRIMARY KEY,
+    payload  TEXT NOT NULL,
+    checksum TEXT NOT NULL,
+    updated  REAL NOT NULL
+);
+"""
+
+
 class TestStoreWarmStart:
     def test_round_trip_skips_relearning(self, tmp_path):
         task = CorrectionTask(code="steane")
@@ -57,19 +91,43 @@ class TestStoreWarmStart:
         store = warm_engine.resources.clause_store
         assert store.hits == 1
 
-    def test_family_transfer_absorbs_verified_clauses(self, tmp_path):
+    def test_sibling_entries_are_a_cold_start(self, tmp_path):
+        # surface-5's fingerprint differs from surface-3's, so the donor's
+        # rows are never offered to it: the run misses the store and
+        # searches exactly as a store-less engine does.
         donor = _store_engine(tmp_path)
         donor.run(CorrectionTask(code="surface-3"))
         donor.resources.save_warm()
+        assert ClauseStore(str(tmp_path)).clause_count() > 0
 
+        task = CorrectionTask(code="surface-5")
+        fresh = Engine().run(task)
         sibling = _store_engine(tmp_path)
-        result = sibling.run(CorrectionTask(code="surface-5"))
-        assert result.verified
+        result = sibling.run(task)
+        store = sibling.resources.clause_store
+        assert result.verified is fresh.verified is True
+        assert result.conflicts == fresh.conflicts
+        assert store.hits == 0 and store.misses >= 1
         stats = sibling.resources.stats()
-        # The sibling's exact fingerprint differs, so anything that arrived
-        # came through the family index — and was re-proved on the way in.
-        assert stats["store_probes"] > 0
-        assert stats["store_absorbed"] > 0
+        assert stats["warm_absorbed"] == 0
+        assert "store_probes" not in stats and "store_absorbed" not in stats
+
+    def test_save_warm_writes_checksummed_exact_fingerprint_rows(self, tmp_path):
+        engine = _store_engine(tmp_path)
+        for code in ("steane", "surface-3"):
+            engine.run(CorrectionTask(code=code))
+        engine.resources.save_warm()
+        with sqlite3.connect(_db_path(tmp_path)) as conn:
+            tables = {
+                row[0]
+                for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+            }
+            rows = conn.execute("SELECT fingerprint, clause, checksum FROM clauses").fetchall()
+        assert tables == {"clauses", "checkpoints"}
+        assert rows
+        assert all(checksum == _row_checksum(fp, text) for fp, text, checksum in rows)
+        # One fingerprint per verified code, nothing shared between them.
+        assert len({fp for fp, _, _ in rows}) == 2
 
     def test_store_and_json_cache_layouts_coexist(self, tmp_path):
         # The store directory holds the sqlite database only, never
@@ -79,6 +137,38 @@ class TestStoreWarmStart:
         engine.resources.save_warm()
         assert (tmp_path / "clauses.sqlite").exists()
         assert not list(tmp_path.glob("*.json"))
+
+    def test_store_with_old_named_clauses_table_still_warm_starts(self, tmp_path):
+        # Stores written before the family index was removed carry a
+        # populated ``named_clauses`` table.  Opening one must not error,
+        # exact-fingerprint entries must still warm-start, and the old
+        # table is left alone rather than dropped.
+        with sqlite3.connect(_db_path(tmp_path)) as conn:
+            conn.executescript(OLD_NAMED_CLAUSES_SCHEMA)
+            text = json.dumps([["ex_0", True], ["ez_1", False]], separators=(",", ":"))
+            for family in ("surface", "perfect"):
+                conn.execute(
+                    "INSERT INTO named_clauses VALUES (?, ?, ?, ?, ?, ?)",
+                    (family, "old-fp", text, _row_checksum(family, "old-fp", text), 2, 0.0),
+                )
+
+        task = CorrectionTask(code="surface-3")
+        cold_engine = _store_engine(tmp_path)
+        cold = cold_engine.run(task)
+        cold_engine.resources.save_warm()
+        assert cold.conflicts > 0
+
+        warm_engine = _store_engine(tmp_path)
+        warm = warm_engine.run(task)
+        assert warm.conflicts == 0
+        assert warm.verified is cold.verified is True
+        store = warm_engine.resources.clause_store
+        assert store.hits == 1
+        assert "storage_errors" not in store.stats()
+        assert not (tmp_path / "clauses.sqlite.corrupt").exists()
+        with sqlite3.connect(_db_path(tmp_path)) as conn:
+            (named,) = conn.execute("SELECT COUNT(*) FROM named_clauses").fetchone()
+        assert named == 2
 
 
 class TestStoreNeverChangesVerdicts:
@@ -118,47 +208,10 @@ class TestStoreNeverChangesVerdicts:
                 "FROM clauses WHERE fingerprint = ?",
                 (donor_fp,),
             )
-            # Mutation 3: poison every family with a *checksum-valid* bogus
-            # projection; these reach the entailment re-proof and must die
-            # there instead.
-            families = [
-                row[0]
-                for row in conn.execute(
-                    "SELECT DISTINCT family FROM named_clauses"
-                ).fetchall()
-            ]
-            for family in families:
-                text = json.dumps([["e0", True]], separators=(",", ":"))
-                conn.execute(
-                    "INSERT OR REPLACE INTO named_clauses VALUES (?, ?, ?, ?, ?, ?)",
-                    (family, "poison-fp", text, _row_checksum(family, "poison-fp", text), 1, 0.0),
-                )
 
         poisoned = _store_engine(tmp_path)
         replay = [_verdict(result) for result in poisoned.run_many(tasks)]
         assert replay == cold
-
-    def test_bogus_family_candidates_absorb_nothing(self, tmp_path):
-        cold = Engine().run(CorrectionTask(code="steane"))
-
-        store = ClauseStore(str(tmp_path))
-        family = "steane"  # single-member family: every candidate is foreign
-        for index in range(8):
-            # Unit claims like "error indicator eN is set" are satisfiable
-            # to refute — none of them is entailed by the encoding.
-            store.store_meta(
-                "poison-fp",
-                [],
-                family=family,
-                named=[(((f"e{index}", True),), 1)],
-            )
-        store.close()
-
-        engine = _store_engine(tmp_path)
-        result = engine.run(CorrectionTask(code="steane"))
-        stats = engine.resources.stats()
-        assert _verdict(result) == _verdict(cold)
-        assert stats.get("store_absorbed", 0) == 0
 
 
 class TestDistanceResume:
@@ -323,9 +376,8 @@ class TestReuseSchedule:
         ]
         ordered = sorted(tasks, key=_reuse_sort_key)
         codes = [task.code for task in ordered]
-        # Families group together; within one, smaller ranks run first
-        # (they seed the store for their bigger siblings), and a code's
-        # cheap kinds precede its distance walk.
+        # Families group together; within one, smaller ranks run first,
+        # and a code's cheap kinds precede its distance walk.
         assert codes.index("hgp-repetition") < codes.index("hgp-hamming")
         assert codes.index("surface-3") < codes.index("surface-5")
         surface5 = [index for index, task in enumerate(ordered) if task.code == "surface-5"]
@@ -383,9 +435,9 @@ class TestEventFields:
         base = dict(job_id="job-1", conflicts=1, decisions=1, propagations=1,
                     num_variables=9, num_clauses=9)
         quiet = SolverStats(**base).to_dict()
-        assert "store_absorbed" not in quiet and "learnt_evicted" not in quiet
-        loud = SolverStats(**base, store_absorbed=3, learnt_evicted=7).to_dict()
-        assert loud["store_absorbed"] == 3 and loud["learnt_evicted"] == 7
+        assert "binary_subsumed" not in quiet and "learnt_evicted" not in quiet
+        loud = SolverStats(**base, binary_subsumed=3, learnt_evicted=7).to_dict()
+        assert loud["binary_subsumed"] == 3 and loud["learnt_evicted"] == 7
 
     def test_resumed_from_omitted_when_none(self):
         base = dict(job_id="job-1", bound=3, window=(1, 7), sat=False,

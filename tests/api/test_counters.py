@@ -22,8 +22,7 @@ from repro.smt.solver import SEARCH_COUNTERS, SATSolver
 from repro.verifier.encodings import accurate_correction_formula
 
 #: SolverStats fields that are not solver counters.
-NOT_SOLVER = {"job_id", "seq", "num_variables", "num_clauses",
-              "family_absorbed", "store_absorbed", "lane"}
+NOT_SOLVER = {"job_id", "seq", "num_variables", "num_clauses", "lane"}
 SOLVER_FIELDS = {f.name for f in fields(SolverStats)} - NOT_SOLVER
 
 
@@ -58,8 +57,6 @@ def test_solver_stats_event_equals_the_summed_solve_deltas(backend, monkeypatch)
     monkeypatch.setattr(SATSolver, "solve", counting_solve)
     engine = Engine()
     try:
-        # steane has no registry family, so no absorption probe solves
-        # anything outside the job's own checks.
         for task in (CorrectionTask(code="steane"), DistanceTask(code="steane")):
             summed.clear()
             counters = event_counters(engine.submit(task, backend=backend))

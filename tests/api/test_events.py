@@ -117,6 +117,18 @@ class TestValidation:
         payload["surprise"] = 1
         assert any("unexpected field" in error for error in validate_event(payload))
 
+    @pytest.mark.parametrize("name", ["family_absorbed", "store_absorbed"])
+    def test_removed_absorption_counters_are_flagged(self, name):
+        # Dropped without a version bump (optional-when-zero, producer gone):
+        # the dataclass no longer takes them and the validator flags an old
+        # stream that still carries one.
+        with pytest.raises(TypeError):
+            SolverStats(job_id="job-1", **{name: 1})
+        payload = _sample(SolverStats).to_dict()
+        assert validate_event(payload) == []
+        payload[name] = 3
+        assert any("unexpected field" in error for error in validate_event(payload))
+
     def test_rejects_missing_identity(self):
         payload = _sample(JobSubmitted).to_dict()
         payload["job_id"] = ""

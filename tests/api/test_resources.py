@@ -309,6 +309,70 @@ class TestSharedSessionAgainstFreshFormulas:
         assert shared_detection.verified == check_formula(compiled_detection.formula).is_unsat
 
 
+class TestSharedEngineAcrossCodes:
+    def test_surface_sequence_matches_fresh_engines(self):
+        """Shared session vs fresh: one engine decides surface-3, then
+        surface-5 (one over-claimed correction among them), then both
+        distance walks, carrying every context along.
+        Each answer must equal a fresh engine's, and the answers are pinned
+        so they stay fixed across changes to cross-task state."""
+        tasks = [
+            CorrectionTask(code="surface-3"),
+            DetectionTask(code="surface-3"),
+            CorrectionTask(code="surface-5"),
+            CorrectionTask(code="surface-5", max_errors=1),
+            # over-claimed: weight-3 correction on a d=5 code must fail
+            CorrectionTask(code="surface-5", max_errors=3),
+            DetectionTask(code="surface-5"),
+            DistanceTask(code="surface-3"),
+            DistanceTask(code="surface-5"),
+        ]
+
+        def answer(result):
+            return (result.subject, result.verified, result.details.get("distance"))
+
+        shared = Engine(backend="serial")
+        shared_answers = [answer(shared.run(task)) for task in tasks]
+        fresh_answers = [answer(Engine(backend="serial").run(task)) for task in tasks]
+        assert shared_answers == fresh_answers
+        assert [(verified, distance) for _, verified, distance in shared_answers] == [
+            (True, None), (True, None), (True, None), (True, None), (False, None),
+            (True, None), (True, 3), (True, 5),
+        ]
+
+
+class TestFamilyWarmStartRemoved:
+    def test_family_warm_start_option_is_gone(self):
+        with pytest.raises(TypeError):
+            Engine(family_warm_start=False)
+        with pytest.raises(TypeError):
+            ResourceManager(family_warm_start=False)
+
+    def test_tracer_names_exist_and_are_inert(self):
+        # The layered benchmark's tracer wraps these by name and raises if
+        # they are missing; they must do nothing.
+        manager = ResourceManager()
+        for name in ("absorb_from_family", "absorb_from_store"):
+            assert name in ResourceManager.__dict__
+            assert getattr(manager, name)("surface-5", None, ()) == 0
+        assert manager.stats()["contexts"] == 0
+
+    def test_nothing_in_src_calls_the_tracer_names(self):
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        callers = [
+            f"{path.relative_to(root)}: {line.strip()}"
+            for path in sorted(root.rglob("*.py"))
+            for line in path.read_text().splitlines()
+            for name in ("absorb_from_family", "absorb_from_store", "family_candidates")
+            if f"{name}(" in line and not line.lstrip().startswith("def ")
+        ]
+        assert callers == []
+
+
 class TestGuardGarbageCollection:
     def test_task_guard_lru_retires_stale_guards(self):
         from repro.api.resources import CodeContext

@@ -1,11 +1,7 @@
-"""The sharded dispatcher: lane routing, family templates, clause absorption.
+"""The sharded dispatcher: lane routing and family templates.
 
 Lane affinity is the concurrency-safety invariant under test: every task on
-one code (or one code *family* — family members absorb each other's learnt
-clauses, so they must share a thread) routes to the same lane, forever.  On
-top of routing, the family warm-start path is held to the usual equivalence
-bar: absorption may only ever add clauses the target session already
-entails, so verdicts match a fresh engine's byte for byte.
+one code (or one code *family*) routes to the same lane, forever.
 """
 
 import threading
@@ -15,7 +11,7 @@ import pytest
 from repro.api import CorrectionTask, DetectionTask, DistanceTask, Engine
 from repro.api.jobs import JobStatus, ShardedJobExecutor
 from repro.api.resources import ResourceManager
-from repro.codes.registry import CODE_REGISTRY, family_of, family_siblings
+from repro.codes.registry import CODE_REGISTRY, family_of
 
 
 class TestFamilyRegistry:
@@ -24,12 +20,6 @@ class TestFamilyRegistry:
         assert family_of("surface-5") == "surface"
         assert family_of("steane") is None
         assert family_of("not-a-code") is None
-
-    def test_siblings_are_smaller_and_ordered(self):
-        assert family_siblings("surface-5") == ["surface-3"]
-        assert family_siblings("surface-3") == []  # nothing smaller
-        assert family_siblings("six-qubit") == ["five-qubit"]
-        assert family_siblings("steane") == []
 
     def test_ranks_order_every_family(self):
         families: dict[str, list[int]] = {}
@@ -83,64 +73,51 @@ class TestShardRouting:
         assert manager.shard_for_task(CorrectionTask(code="shor")) == 0
 
 
-class TestFamilyAbsorption:
-    def test_surface_5_absorbs_from_surface_3(self):
+class TestNoCrossCodeState:
+    """Family members share a lane for routing only: no learnt clause and
+    no counter crosses from one code's context to another's, so a code's
+    search is the same whether or not its sibling ran first."""
+
+    def _after_surface_3(self):
         engine = Engine(backend="serial")
         engine.run(CorrectionTask(code="surface-3", max_errors=1))
-        result = engine.run(CorrectionTask(code="surface-5", max_errors=1))
-        assert result.verified is True
-        assert result.details.get("family_absorbed", 0) > 0
-        stats = engine.resources.stats()
-        assert stats["family_absorbed"] > 0
-        assert stats["family_probes"] >= stats["family_absorbed"]
+        engine.run(DetectionTask(code="surface-3"))
+        return engine
 
-    def test_absorption_preserves_verdicts(self):
-        """The equivalence bar: a warm-started family member returns exactly
-        the verdict a fresh engine returns, for verified and falsified
-        queries alike."""
-        warm = Engine(backend="serial")
-        warm.run(CorrectionTask(code="surface-3", max_errors=1))
-        warm.run(DetectionTask(code="surface-3"))
+    def test_sibling_search_matches_a_fresh_engine(self):
+        task = CorrectionTask(code="surface-5", max_errors=1)
+        fresh = Engine(backend="serial").run(task)
+        shared = self._after_surface_3().run(task)
+        assert shared.verified is fresh.verified is True
+        assert (shared.conflicts, shared.decisions) == (fresh.conflicts, fresh.decisions)
+
+    def test_shared_engine_preserves_verdicts(self):
+        """A family member run after its sibling returns exactly the verdict
+        a fresh engine returns, for verified and falsified queries alike."""
+        shared = self._after_surface_3()
         for task in (
             CorrectionTask(code="surface-5", max_errors=1),
             CorrectionTask(code="surface-5", max_errors=2),
-            # over-claimed: weight-3 correction on a d=5 code must FAIL,
-            # absorbed clauses or not
+            # over-claimed: weight-3 correction on a d=5 code must fail
             CorrectionTask(code="surface-5", max_errors=3),
             DetectionTask(code="surface-5"),
         ):
             fresh_verdict = Engine(backend="serial").run(task).verified
-            assert warm.run(task).verified == fresh_verdict, task
+            assert shared.run(task).verified == fresh_verdict, task
 
-    def test_distance_walk_probes_siblings_and_agrees(self):
-        """The walk offers sibling clauses under its detection-base guard.
-        Entailment there is NOT guaranteed (the base admits any weight, so a
-        sibling's weight-bounded correction clauses usually fail the probe) —
-        what is guaranteed is that probing never corrupts the walk."""
-        warm = Engine(backend="serial")
-        warm.run(CorrectionTask(code="surface-3", max_errors=1))
-        result = warm.run(DistanceTask(code="surface-5"))
-        assert result.details["distance"] == 5
-        assert warm.resources.stats().get("family_probes", 0) > 0
+    def test_distance_walk_after_sibling_matches_a_fresh_walk(self):
+        task = DistanceTask(code="surface-5")
+        fresh = Engine(backend="serial").run(task)
+        shared = self._after_surface_3().run(task)
+        assert shared.details["distance"] == fresh.details["distance"] == 5
+        assert shared.conflicts == fresh.conflicts
 
-    def test_no_family_no_absorption(self):
-        engine = Engine(backend="serial")
-        engine.run(CorrectionTask(code="five-qubit", max_errors=1))
-        result = engine.run(CorrectionTask(code="steane", max_errors=1))
-        assert "family_absorbed" not in result.details
-        assert "family_absorbed" not in engine.resources.stats()
-
-    def test_absorption_is_idempotent_across_runs(self):
-        engine = Engine(backend="serial")
-        engine.run(CorrectionTask(code="surface-3", max_errors=1))
-        first = engine.run(CorrectionTask(code="surface-5", max_errors=1))
-        absorbed = first.details.get("family_absorbed", 0)
-        assert absorbed > 0
-        # The sibling high-water mark means a re-run (no new sibling clauses)
-        # offers nothing new — no duplicate absorption, verdict unchanged.
-        again = engine.run(CorrectionTask(code="surface-5", max_errors=1))
-        assert again.verified is True
-        assert again.details.get("family_absorbed", 0) == 0
+    def test_no_cross_code_counters_are_reported(self):
+        engine = self._after_surface_3()
+        result = engine.run(CorrectionTask(code="surface-5", max_errors=1))
+        removed = {"family_absorbed", "family_probes", "store_probes", "store_absorbed"}
+        assert not removed & set(result.details)
+        assert not removed & set(engine.resources.stats())
 
 
 class TestShardedExecutor:
@@ -202,6 +179,21 @@ class TestShardedExecutor:
             )
         finally:
             engine.close()
+
+    def test_lane_rows_report_exact_fingerprint_warm_starts(self, tmp_path):
+        for _ in range(2):
+            engine = Engine(backend="serial", lanes=4, clause_store=str(tmp_path))
+            try:
+                job = engine.submit(CorrectionTask(code="steane"))
+                assert job.result(timeout=120).verified is True
+                stats = engine.resources.stats()
+                engine.resources.save_warm()
+            finally:
+                engine.close()
+        row = next(entry for entry in stats["lanes"] if "steane" in entry["shard_keys"])
+        assert row["store_hits"] == 1
+        assert row["warm_absorbed"] > 0
+        assert "store_absorbed" not in row and "absorbed_clauses" not in row
 
     def test_shutdown_cancels_queued_jobs(self):
         engine = self._engine()
