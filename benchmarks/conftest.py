@@ -20,10 +20,3 @@ def engine():
     from repro.api import Engine
 
     return Engine()
-
-
-@pytest.fixture(scope="session")
-def verifier():
-    from repro.verifier import VeriQEC
-
-    return VeriQEC()

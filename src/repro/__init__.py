@@ -14,10 +14,10 @@ The package layers, bottom to top:
 * ``repro.api`` -- the task-based verification engine: frozen task objects,
   pluggable serial/parallel backends, an LRU compile cache, batch execution
   (``Engine.run_many``) and the ``python -m repro`` CLI;
-* ``repro.verifier`` -- the legacy ``VeriQEC`` facade, kept as a thin shim
-  over the engine for backward compatibility.
+* ``repro.verifier`` -- the refutation encodings, error constraints and
+  correctness-formula generators the engine compiles tasks with.
 
-New code should target ``repro.api``::
+Every verification runs through ``repro.api``::
 
     from repro.api import CorrectionTask, Engine
 
@@ -37,7 +37,6 @@ from repro.api import (
     SerialBackend,
     registry_sweep_tasks,
 )
-from repro.verifier.veriqec import VeriQEC
 
 __version__ = "1.1.0"
 
@@ -53,6 +52,5 @@ __all__ = [
     "SerialBackend",
     "ParallelBackend",
     "registry_sweep_tasks",
-    "VeriQEC",
     "__version__",
 ]

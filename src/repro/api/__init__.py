@@ -39,7 +39,7 @@ from repro.api.events import (
     SubtaskStarted,
     TaskCompiled,
 )
-from repro.api.jobs import Job, JobCancelledError, JobExecutor, JobStatus
+from repro.api.jobs import Job, JobCancelledError, JobStatus
 from repro.api.resources import (
     CodeContext,
     ContextView,
@@ -72,7 +72,6 @@ __all__ = [
     "AsyncJob",
     "Job",
     "JobCancelledError",
-    "JobExecutor",
     "JobStatus",
     "SCHEMA_VERSION",
     "Event",

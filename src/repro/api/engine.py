@@ -1,7 +1,7 @@
 """The verification engine: compile tasks once, decide them on any backend.
 
-``Engine`` is the single entry point behind the legacy ``VeriQEC`` facade,
-the ``verify_triple`` pipeline and the ``python -m repro`` CLI:
+``Engine`` is the single entry point for every verification task; the
+``python -m repro`` CLI, the job executor and the service all drive it:
 
 * :meth:`Engine.compile_task` lowers a task to its refutation formula (one
   place for every encoding decision), memoised in an LRU cache keyed on the
@@ -892,13 +892,6 @@ class Engine:
             decisions=sum(t.get("decisions", 0) for t in trials),
             details=details,
         )
-
-    def find_distance(
-        self, code, max_trial: int | None = None, backend: Backend | str | None = None
-    ) -> int:
-        """Convenience wrapper returning the discovered distance as an int."""
-        result = self.run(DistanceTask(code=code, max_trial=max_trial), backend=backend)
-        return result.details["distance"]
 
     # ------------------------------------------------------------------
     def run_many(

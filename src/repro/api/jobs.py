@@ -12,9 +12,7 @@ lifecycle:
   to exactly one lane via the engine's
   :class:`~repro.api.resources.ResourceManager`, so two jobs that could
   touch the same :class:`~repro.smt.interface.SolveSession` always run on
-  the same thread while jobs on unrelated codes run concurrently.
-  :class:`JobExecutor` is the legacy single-lane dispatcher, equivalent to
-  a one-lane sharded executor;
+  the same thread while jobs on unrelated codes run concurrently;
 * every observable step is emitted as a typed event
   (:mod:`repro.api.events`): replayable, so a subscriber attached after the
   fact still sees the whole stream, ending in exactly one terminal event;
@@ -57,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Job",
     "JobCancelledError",
-    "JobExecutor",
     "JobStatus",
     "ShardedJobExecutor",
 ]
@@ -122,8 +119,7 @@ class Job:
         self.priority = priority
         self.deadline = deadline
         self.backend = backend
-        #: worker lane the sharded executor routed this job to (None until
-        #: submitted, and forever for the legacy single-lane dispatcher).
+        #: worker lane the executor routed this job to (None until submitted).
         self.lane: int | None = None
         self.status = JobStatus.PENDING
         self.submitted_at = time.monotonic()
@@ -367,131 +363,6 @@ class Job:
         return f"Job({self.id!r}, {self.task!r}, status={self.status.value})"
 
 
-class JobExecutor:
-    """Priority-ordered, single-dispatcher job runner owned by an engine.
-
-    One daemon thread pops the highest-priority job and drives it through
-    ``engine._execute`` with the job's :class:`SolveControl` and event
-    emitter.  Serial execution is a feature: the engine's shared sessions
-    and pools are not thread-safe, and multiplexing happens at the handle
-    level (many pending jobs, streamed concurrently) rather than by racing
-    solvers.
-    """
-
-    def __init__(self, engine: "Engine", autostart: bool = True):
-        self.engine = engine
-        self.autostart = autostart
-        self._heap: list[tuple[int, int, Job]] = []
-        self._counter = itertools.count()
-        self._condition = threading.Condition()
-        self._thread: threading.Thread | None = None
-        self._shutdown = False
-        self._current: Job | None = None
-
-    # ------------------------------------------------------------------
-    def submit(self, job: Job) -> Job:
-        with self._condition:
-            # The shutdown check precedes the JobSubmitted emission: a
-            # submit that loses the race with shutdown() must raise without
-            # having started an event stream that can never reach its
-            # terminal event.
-            if self._shutdown:
-                raise RuntimeError("executor is shut down")
-            job.emit(
-                JobSubmitted(
-                    task_kind=getattr(type(job.task), "kind", type(job.task).__name__),
-                    subject=getattr(
-                        job.task, "code_name", getattr(job.task, "subject", "")
-                    ),
-                    priority=job.priority,
-                    deadline=job.deadline,
-                )
-            )
-            heapq.heappush(self._heap, (-job.priority, next(self._counter), job))
-            self._condition.notify()
-        if self.autostart:
-            self.start()
-        return job
-
-    def start(self) -> None:
-        with self._condition:
-            if self._thread is None or not self._thread.is_alive():
-                self._thread = threading.Thread(
-                    target=self._loop, name="repro-dispatch", daemon=True
-                )
-                self._thread.start()
-
-    def pending(self) -> int:
-        with self._condition:
-            return len(self._heap)
-
-    # ------------------------------------------------------------------
-    def _loop(self) -> None:
-        while True:
-            with self._condition:
-                while not self._heap and not self._shutdown:
-                    self._condition.wait()
-                if self._shutdown and not self._heap:
-                    return
-                _, _, job = heapq.heappop(self._heap)
-                self._current = job
-            try:
-                self._run_job(job)
-            # repro: allow[REPRO-EXC] - failure published via JobFailed
-            except Exception as error:  # noqa: BLE001 - dispatcher must survive
-                # _run_job already maps execution errors to JobFailed; this
-                # guards the transition plumbing itself so one broken job
-                # can never kill the dispatcher and strand the queue.
-                job._finish_failed(error)
-            finally:
-                self._current = None
-
-    def _run_job(self, job: Job) -> None:
-        control = job.control()
-        reason = control.interrupted()
-        if reason is not None:
-            # Cancelled (or expired) while still queued: never run it.
-            job._finish_cancelled(reason)
-            return
-        job._mark_running()
-        try:
-            result = self.engine._execute(
-                job.task,
-                self.engine.coerce(job.backend),
-                control=control,
-                emit=job.emit,
-            )
-        except SolverInterrupted as interrupt:
-            # Release the cancelled task's guarded formula so the shared
-            # context does not accumulate clauses for a job that will never
-            # be re-selected; the session itself stays live and reusable.
-            self.engine.release_task(job.task)
-            job._finish_cancelled(interrupt.reason)
-        # repro: allow[REPRO-EXC] - failure published via JobFailed
-        except Exception as error:  # noqa: BLE001 - job boundary
-            job._finish_failed(error)
-        else:
-            job._finish_completed(result)
-
-    # ------------------------------------------------------------------
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting jobs, cancel everything queued, optionally join.
-
-        The in-flight job (if any) runs to completion — interrupting it is
-        the caller's business via :meth:`Job.cancel` before shutting down.
-        """
-        with self._condition:
-            self._shutdown = True
-            drained = [job for _, _, job in self._heap]
-            self._heap.clear()
-            self._condition.notify_all()
-        for job in drained:
-            job._finish_cancelled("shutdown")
-        if wait and self._thread is not None and self._thread.is_alive():
-            if threading.current_thread() is not self._thread:
-                self._thread.join()
-
-
 class _Lane:
     """One worker lane: a priority heap, its condition, and its thread."""
 
@@ -517,8 +388,7 @@ class ShardedJobExecutor:
     locks), so no session or context needs its own locking.
 
     Lane threads are named ``repro-lane-<shard>`` and started lazily on the
-    first job routed to them; a one-lane executor behaves exactly like the
-    legacy serial :class:`JobExecutor`.
+    first job routed to them; ``lanes=1`` gives one serial dispatcher.
     """
 
     def __init__(self, engine: "Engine", lanes: int = 4, autostart: bool = True):

@@ -1,10 +1,8 @@
 """The unified, JSON-serializable verification result.
 
-``Result`` subsumes the legacy :class:`~repro.verifier.report.VerificationReport`:
-it carries the same verdict/counterexample/solver statistics plus the
-engine-level fields (backend, compile time, cache hit).  ``to_report`` /
-``from_report`` convert between the two so the backward-compatible shims can
-keep their historical return type.
+``Result`` is what every task returns: the verdict, the counterexample, the
+solver statistics and the engine-level fields (backend, compile time, cache
+hit).
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from repro.verifier.report import VerificationReport
+from repro.api.tasks import ProgramTask
 
 __all__ = ["Result"]
 
@@ -71,13 +69,19 @@ class Result:
         return merged or None
 
     def counterexample_qubits(self) -> list[int]:
-        """Indices of qubits carrying an error in the counterexample."""
+        """0-based indices of the qubits carrying an error in the counterexample.
+
+        The direct encodings name error bits from qubit 0 (``ex_0``/``ez_0``/
+        ``e_0``, :mod:`repro.verifier.encodings`); the program-logic route
+        follows the paper's ``e_1``…``e_n`` (:mod:`repro.verifier.programs`).
+        """
         if not self.counterexample:
             return []
+        base = 1 if self.task.startswith(ProgramTask.kind) else 0
         qubits = set()
         for name, value in self.counterexample.items():
             if value and (name.startswith("ex_") or name.startswith("ez_") or name.startswith("e_")):
-                qubits.add(int(name.rsplit("_", 1)[1]))
+                qubits.add(int(name.rsplit("_", 1)[1]) - base)
         return sorted(qubits)
 
     # ------------------------------------------------------------------
@@ -95,33 +99,3 @@ class Result:
     @classmethod
     def from_json(cls, payload: str) -> "Result":
         return cls.from_dict(json.loads(payload))
-
-    # ------------------------------------------------------------------
-    def to_report(self) -> VerificationReport:
-        """Down-convert to the legacy report type used by the shims."""
-        return VerificationReport(
-            task=self.task,
-            code_name=self.subject,
-            verified=self.verified,
-            counterexample=dict(self.counterexample) if self.counterexample else None,
-            elapsed_seconds=self.elapsed_seconds,
-            num_variables=self.num_variables,
-            num_clauses=self.num_clauses,
-            conflicts=self.conflicts,
-            details=dict(self.details),
-        )
-
-    @classmethod
-    def from_report(cls, report: VerificationReport, backend: str = "serial") -> "Result":
-        return cls(
-            task=report.task,
-            subject=report.code_name,
-            verified=report.verified,
-            counterexample=dict(report.counterexample) if report.counterexample else None,
-            elapsed_seconds=report.elapsed_seconds,
-            backend=backend,
-            num_variables=report.num_variables,
-            num_clauses=report.num_clauses,
-            conflicts=report.conflicts,
-            details=dict(report.details),
-        )

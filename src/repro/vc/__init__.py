@@ -1,6 +1,5 @@
 """Verification-condition generation and reduction (Section 5)."""
 
-from repro.vc.pipeline import verify_triple
 from repro.vc.reduction import ReductionError, reduce_to_classical
 from repro.vc.semantic import semantic_entailment
 from repro.vc.symbolic import DerivedAtom, SymbolicPrecondition, symbolic_wp
@@ -12,5 +11,4 @@ __all__ = [
     "reduce_to_classical",
     "ReductionError",
     "semantic_entailment",
-    "verify_triple",
 ]

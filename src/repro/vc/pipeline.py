@@ -1,12 +1,11 @@
-"""End-to-end verification of a Hoare triple (the program-logic route).
+"""Compile a Hoare triple to a classical validity formula (the program-logic route).
 
 ``compile_triple`` mirrors the first two of the three components of the tool
 described in Section 6: the correctness-formula (here: the triple built by
 :mod:`repro.verifier.programs`) and the VC generator (the compact symbolic wp
 of :mod:`repro.vc.symbolic` plus the reduction of :mod:`repro.vc.reduction`).
-The third component — the SMT checker — lives behind the engine's backends;
-``verify_triple`` is kept as a thin backward-compatible shim that routes a
-triple through :class:`repro.api.Engine`.
+The third component — the SMT checker — lives behind the engine's backends:
+run a triple with ``Engine().run(ProgramTask(triple=..., decoder_condition=...))``.
 """
 
 from __future__ import annotations
@@ -16,9 +15,8 @@ from repro.hoare.triple import HoareTriple
 from repro.logic.assertion import AndAssertion, Assertion, PauliAssertion
 from repro.vc.reduction import SpecAtom, reduce_to_classical
 from repro.vc.symbolic import symbolic_wp
-from repro.verifier.report import VerificationReport
 
-__all__ = ["compile_triple", "verify_triple", "spec_atoms_from_assertion"]
+__all__ = ["compile_triple", "spec_atoms_from_assertion"]
 
 
 def spec_atoms_from_assertion(assertion: Assertion) -> list[SpecAtom]:
@@ -55,7 +53,7 @@ def compile_triple(
     compact symbolic wp and the entailment against the precondition atoms is
     reduced to a classical formula.  Returns ``(formula, details)`` where the
     formula is valid iff the triple holds and ``details`` records the wp
-    statistics the legacy report exposed.
+    statistics (bound outcomes, atom count) that land in ``Result.details``.
     """
     spec = spec_atoms_from_assertion(triple.precondition)
     postcondition_atoms = [
@@ -74,23 +72,6 @@ def compile_triple(
         "num_atoms": len(precondition.atoms),
     }
     return formula, details
-
-
-def verify_triple(
-    triple: HoareTriple,
-    decoder_condition: BoolExpr | None = None,
-) -> VerificationReport:
-    """Verify ``{A ∧ P_c} S {B}`` and report the result.
-
-    Backward-compatible shim over the task API: builds a
-    :class:`~repro.api.ProgramTask`, runs it on a fresh engine and converts
-    the :class:`~repro.api.Result` back to the legacy report type.
-    """
-    from repro.api.engine import Engine
-    from repro.api.tasks import ProgramTask
-
-    task = ProgramTask(triple=triple, decoder_condition=decoder_condition)
-    return Engine().run(task).to_report()
 
 
 def _pauli_parts(assertion: Assertion) -> list[PauliAssertion]:

@@ -1,4 +1,5 @@
-"""Veri-QEC: the automated QEC verifier (Sections 6 and 7)."""
+"""Veri-QEC's task encodings, error constraints and correctness-formula
+generators (Sections 6 and 7); :mod:`repro.api` decides them."""
 
 from repro.verifier.constraints import discreteness_constraint, locality_constraint
 from repro.verifier.encodings import (
@@ -6,12 +7,8 @@ from repro.verifier.encodings import (
     accurate_correction_formula,
     precise_detection_formula,
 )
-from repro.verifier.report import VerificationReport
-from repro.verifier.veriqec import VeriQEC
 
 __all__ = [
-    "VeriQEC",
-    "VerificationReport",
     "ErrorModel",
     "accurate_correction_formula",
     "precise_detection_formula",

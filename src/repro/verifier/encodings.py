@@ -6,7 +6,7 @@ the property for **all** error configurations at once (which is exactly what
 distinguishes verification from Stim-style sampling) and a satisfying
 assignment is a concrete counterexample.
 
-Variable naming convention (shared with :mod:`repro.verifier.report`):
+Variable naming convention (read by :meth:`repro.api.Result.counterexample_qubits`):
 
 * ``ex_i`` / ``ez_i`` — X / Z component of the injected error on qubit ``i``
   (a Y error sets both),

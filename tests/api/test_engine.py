@@ -131,9 +131,6 @@ class TestRun:
         assert result.details["num_workers"] == 2
         assert result.details["witness"]
 
-    def test_find_distance_convenience(self):
-        assert Engine().find_distance(steane_code(), max_trial=5) == 3
-
     def test_constrained_task_records_labels(self):
         result = Engine().run(
             ConstrainedTask(code="surface-3", locality=True, discreteness=True,

@@ -21,11 +21,11 @@ from repro.api import (
     Engine,
     Job,
     JobCancelledError,
-    JobExecutor,
     JobStatus,
     ParallelBackend,
 )
 from repro.api.events import EVENT_TYPES, deterministic_view
+from repro.api.jobs import ShardedJobExecutor
 from repro.smt.solver import SolveControl, SolverInterrupted
 
 
@@ -134,7 +134,7 @@ class TestLifecycle:
 class TestPriorities:
     def test_higher_priority_runs_first(self):
         engine = Engine()
-        executor = JobExecutor(engine, autostart=False)
+        executor = ShardedJobExecutor(engine, lanes=1, autostart=False)
         order = []
         jobs = []
         for name, priority in [("low", 0), ("high", 5), ("mid", 1)]:
@@ -150,7 +150,7 @@ class TestPriorities:
 
     def test_equal_priority_is_fifo(self):
         engine = Engine()
-        executor = JobExecutor(engine, autostart=False)
+        executor = ShardedJobExecutor(engine, lanes=1, autostart=False)
         order = []
         jobs = []
         for index in range(3):
@@ -168,7 +168,7 @@ class TestPriorities:
 class TestCancellation:
     def test_cancel_before_run_never_executes(self):
         engine = Engine()
-        executor = JobExecutor(engine, autostart=False)
+        executor = ShardedJobExecutor(engine, lanes=1, autostart=False)
         job = executor.submit(Job("job-x", CorrectionTask(code="steane")))
         job.cancel()
         executor.start()
@@ -257,7 +257,7 @@ class TestCancellation:
 
     def test_shutdown_cancels_queued_jobs(self):
         engine = Engine()
-        executor = JobExecutor(engine, autostart=False)
+        executor = ShardedJobExecutor(engine, lanes=1, autostart=False)
         jobs = [executor.submit(Job(f"job-{i}", CorrectionTask(code="steane")))
                 for i in range(2)]
         executor.shutdown()
@@ -268,7 +268,7 @@ class TestCancellation:
 
     def test_submit_after_shutdown_raises_without_starting_a_stream(self):
         engine = Engine()
-        executor = JobExecutor(engine, autostart=False)
+        executor = ShardedJobExecutor(engine, lanes=1, autostart=False)
         executor.shutdown()
         job = Job("job-late", CorrectionTask(code="steane"))
         with pytest.raises(RuntimeError):
@@ -419,7 +419,7 @@ class TestRequestCancel:
 
     def test_shutdown_reason_propagates_to_terminal_event(self):
         engine = Engine()
-        executor = JobExecutor(engine, autostart=False)
+        executor = ShardedJobExecutor(engine, lanes=1, autostart=False)
         job = executor.submit(Job("job-rc3", CorrectionTask(code="steane")))
         assert job.request_cancel(reason="shutdown") is True
         executor.start()

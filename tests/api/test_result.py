@@ -1,9 +1,8 @@
-"""The unified Result: JSON round-trip and legacy report conversion."""
+"""The unified Result: JSON round-trip and counterexample decoding."""
 
 import json
 
 from repro.api import CorrectionTask, Engine, Result
-from repro.verifier.report import VerificationReport
 
 
 def test_json_round_trip_verified():
@@ -43,13 +42,15 @@ def test_from_dict_ignores_unknown_keys():
     assert restored.verified and restored.subject == "s"
 
 
-def test_report_round_trip():
-    result = Engine().run(CorrectionTask(code="steane"))
-    report = result.to_report()
-    assert isinstance(report, VerificationReport)
-    assert report.verified == result.verified
-    assert report.code_name == result.subject
-    assert report.details["max_errors"] == 1
-    assert "VERIFIED" in report.summary()
-    back = Result.from_report(report)
-    assert back.verified and back.subject == "steane"
+def test_counterexample_qubits_are_zero_based_on_both_routes():
+    direct = Result(
+        task="accurate-correction", subject="five-qubit", verified=False,
+        counterexample={"ex_0": True, "ez_4": True, "e_2": False, "s_1": True},
+    )
+    assert direct.counterexample_qubits() == [0, 4]
+    # The program route follows the paper's e_1..e_n naming.
+    program = Result(
+        task="program-logic:five-qubit-Z-correction", subject="five-qubit-Z-correction",
+        verified=False, counterexample={"e_5": True, "e_1": False, "s_2": True},
+    )
+    assert program.counterexample_qubits() == [4]

@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.api import Engine, ProgramTask
 from repro.classical.parity import ParityExpr
 from repro.codes import steane_code
 from repro.hoare.triple import HoareTriple
 from repro.lang.ast import Unitary, sequence
 from repro.logic.assertion import conjunction, pauli_atom
-from repro.vc.pipeline import verify_triple
 from repro.verifier.programs import (
     decoder_call_and_correction,
     min_weight_decoder_condition,
@@ -38,31 +38,35 @@ def fixed_error_scenario(error_gate: str, qubit: int, flip_postcondition: bool =
     return triple, decoder
 
 
+def run_triple(triple, decoder):
+    return Engine().run(ProgramTask(triple=triple, decoder_condition=decoder))
+
+
 @pytest.mark.parametrize("qubit", [0, 4, 6])
 def test_single_t_error_is_corrected(qubit):
     triple, decoder = fixed_error_scenario("T", qubit)
-    assert verify_triple(triple, decoder_condition=decoder).verified
+    assert run_triple(triple, decoder).verified
 
 
 @pytest.mark.parametrize("qubit", [0, 3, 6])
 def test_single_h_error_is_corrected(qubit):
     triple, decoder = fixed_error_scenario("H", qubit)
-    assert verify_triple(triple, decoder_condition=decoder).verified
+    assert run_triple(triple, decoder).verified
 
 
 def test_wrong_phase_with_t_error_fails():
     triple, decoder = fixed_error_scenario("T", 4, flip_postcondition=True)
-    assert not verify_triple(triple, decoder_condition=decoder).verified
+    assert not run_triple(triple, decoder).verified
 
 
 def test_wrong_phase_with_h_error_fails():
     triple, decoder = fixed_error_scenario("H", 6, flip_postcondition=True)
-    assert not verify_triple(triple, decoder_condition=decoder).verified
+    assert not run_triple(triple, decoder).verified
 
 
 def test_heuristic_reports_atom_count():
     triple, decoder = fixed_error_scenario("T", 4)
-    report = verify_triple(triple, decoder_condition=decoder)
-    assert report.verified
+    result = run_triple(triple, decoder)
+    assert result.verified
     # 7 postcondition atoms + 6 measurement atoms enter the reduction.
-    assert report.details["num_atoms"] == 13
+    assert result.details["num_atoms"] == 13

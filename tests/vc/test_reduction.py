@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Engine, ProgramTask
 from repro.classical.expr import BoolConst, BoolVar, IntConst, IntLe, sum_of
 from repro.classical.parity import ParityExpr
 from repro.codes import steane_code
@@ -10,7 +11,7 @@ from repro.lang.ast import ConditionalPauli, Measure, Unitary, sequence
 from repro.logic.assertion import conjunction, pauli_atom
 from repro.pauli.pauli import PauliOperator
 from repro.smt.interface import check_valid
-from repro.vc.pipeline import spec_atoms_from_assertion, verify_triple
+from repro.vc.pipeline import spec_atoms_from_assertion
 from repro.vc.reduction import ReductionError, SpecAtom, reduce_to_classical
 from repro.vc.semantic import semantic_entailment
 from repro.vc.symbolic import symbolic_wp
@@ -90,17 +91,21 @@ class TestAgainstSemanticOracle:
         assert syntactic == semantic is True
 
 
+def run_triple(triple, decoder_condition):
+    return Engine().run(ProgramTask(triple=triple, decoder_condition=decoder_condition))
+
+
 class TestTripleLevel:
     def test_steane_correction_valid(self):
         scenario = correction_triple(steane_code(), error="X", max_errors=1)
-        report = verify_triple(scenario.triple, decoder_condition=scenario.decoder_condition)
-        assert report.verified
+        result = run_triple(scenario.triple, scenario.decoder_condition)
+        assert result.verified
 
     def test_steane_overclaimed_bound_fails(self):
         scenario = correction_triple(steane_code(), error="Y", max_errors=2)
-        report = verify_triple(scenario.triple, decoder_condition=scenario.decoder_condition)
-        assert not report.verified
-        assert report.counterexample is not None
+        result = run_triple(scenario.triple, scenario.decoder_condition)
+        assert not result.verified
+        assert result.counterexample is not None
 
     def test_wrong_postcondition_phase_fails(self):
         code = steane_code()
@@ -116,8 +121,8 @@ class TestTripleLevel:
             classical_constraint=scenario.triple.classical_constraint,
             name="wrong-phase",
         )
-        report = verify_triple(triple, decoder_condition=scenario.decoder_condition)
-        assert not report.verified
+        result = run_triple(triple, scenario.decoder_condition)
+        assert not result.verified
 
     def test_spec_extraction_rejects_disjunctions(self):
         from repro.logic.assertion import OrAssertion
@@ -128,5 +133,5 @@ class TestTripleLevel:
 
     def test_decoder_condition_required_for_correction(self):
         scenario = correction_triple(steane_code(), error="X", max_errors=1)
-        report = verify_triple(scenario.triple, decoder_condition=None)
-        assert not report.verified
+        result = run_triple(scenario.triple, None)
+        assert not result.verified

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.api import ConstrainedTask, CorrectionTask, Engine
 from repro.classical.expr import evaluate
 from repro.codes import rotated_surface_code, steane_code
-from repro.verifier import VeriQEC
 from repro.verifier.constraints import discreteness_constraint, locality_constraint
 from repro.verifier.encodings import ErrorModel
 
@@ -40,27 +40,28 @@ def test_discreteness_constraint_limits_each_segment():
 
 
 def test_constrained_verification_still_verifies():
-    verifier = VeriQEC()
     code = rotated_surface_code(3)
-    report = verifier.verify_with_constraints(
-        code, locality=True, discreteness=True, error_model="Y", seed=3
+    result = Engine().run(
+        ConstrainedTask(code=code, locality=True, discreteness=True, error_model="Y", seed=3)
     )
-    assert report.verified
-    assert set(report.details["constraints"]) == {"locality", "discreteness"}
+    assert result.verified
+    assert set(result.details["constraints"]) == {"locality", "discreteness"}
 
 
 def test_constraints_enlarge_verifiable_error_weight():
     """With locality restricting errors to a known-good subset, a weight bound
     beyond (d-1)/2 can still be verified — the point of partial verification."""
-    verifier = VeriQEC()
+    engine = Engine()
     code = rotated_surface_code(3)
-    unconstrained = verifier.verify_correction(code, max_errors=2, error_model="Z")
+    unconstrained = engine.run(CorrectionTask(code=code, max_errors=2, error_model="Z"))
     assert not unconstrained.verified
-    constrained = verifier.verify_with_constraints(
-        code,
-        locality=True,
-        allowed_qubits=[0],
-        max_errors=2,
-        error_model="Z",
+    constrained = engine.run(
+        ConstrainedTask(
+            code=code,
+            locality=True,
+            allowed_qubits=(0,),
+            max_errors=2,
+            error_model="Z",
+        )
     )
     assert constrained.verified

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.api import Engine, ProgramTask
 from repro.codes import shor_code, steane_code
 from repro.lang.ast import AssignDecoder, ConditionalPauli, Measure, Seq, Unitary
-from repro.vc.pipeline import verify_triple
 from repro.verifier.programs import (
     correction_program,
     correction_triple,
@@ -12,6 +12,12 @@ from repro.verifier.programs import (
     logical_cnot_with_propagation,
     min_weight_decoder_condition,
 )
+
+
+def run_scenario(scenario):
+    return Engine().run(
+        ProgramTask(triple=scenario.triple, decoder_condition=scenario.decoder_condition)
+    )
 
 
 def statement_types(program):
@@ -47,33 +53,33 @@ class TestScenarios:
     @pytest.mark.parametrize("error", ["X", "Z", "Y"])
     def test_steane_single_error_correction(self, error):
         scenario = correction_triple(steane_code(), error=error, max_errors=1)
-        assert verify_triple(scenario.triple, scenario.decoder_condition).verified
+        assert run_scenario(scenario).verified
 
     def test_steane_with_logical_h_and_propagation(self):
         scenario = correction_triple(
             steane_code(), error="Y", logical_gate="H", propagation=True, max_errors=1
         )
-        assert verify_triple(scenario.triple, scenario.decoder_condition).verified
+        assert run_scenario(scenario).verified
         assert "propagated" in scenario.description
 
     def test_shor_code_single_error_correction(self):
         scenario = correction_triple(shor_code(), error="X", max_errors=1)
-        assert verify_triple(scenario.triple, scenario.decoder_condition).verified
+        assert run_scenario(scenario).verified
 
     def test_ghz_preparation_scenario(self):
         scenario = ghz_preparation(steane_code(), blocks=3)
-        assert verify_triple(scenario.triple).verified
+        assert run_scenario(scenario).verified
 
     def test_ghz_two_blocks_is_bell_preparation(self):
         scenario = ghz_preparation(steane_code(), blocks=2)
-        assert verify_triple(scenario.triple).verified
+        assert run_scenario(scenario).verified
 
     def test_logical_cnot_with_propagated_errors(self):
         scenario = logical_cnot_with_propagation(steane_code(), error="X", max_errors=1)
-        report = verify_triple(scenario.triple, scenario.decoder_condition)
-        assert report.verified
-        assert report.details["num_atoms"] == 12 + 2 + 12
+        result = run_scenario(scenario)
+        assert result.verified
+        assert result.details["num_atoms"] == 12 + 2 + 12
 
     def test_logical_cnot_overclaimed_errors_fails(self):
         scenario = logical_cnot_with_propagation(steane_code(), error="X", max_errors=3)
-        assert not verify_triple(scenario.triple, scenario.decoder_condition).verified
+        assert not run_scenario(scenario).verified
