@@ -1,8 +1,8 @@
 """Solver hot-path benchmark: the permanent perf trajectory for the SAT core.
 
 Runs a fixed registry workload — accurate correction, precise detection and
-binary-search distance discovery on steane / surface-3 / surface-5, serial
-and pooled — through the public :class:`repro.api.Engine`, and writes a
+binary-search distance discovery on steane / surface-3 / surface-5 — through
+the public :class:`repro.api.Engine`, and writes a
 ``BENCH_solver.json`` report with wall-clock, conflict / decision /
 propagation counts, decisions-per-second and per-solve decision-cost
 percentiles.  Future PRs append to this trajectory instead of inventing a
@@ -88,9 +88,9 @@ def build_workloads(codes: tuple[str, ...], pooled: bool) -> list[dict]:
             "backend": None,
         })
     if pooled:
-        # One pooled distance walk exercises the persistent worker pools
-        # (per-worker live sessions, guard broadcast) under the new watcher
-        # and heap structures.
+        # One distance walk under ParallelBackend (full mode only).  Distance
+        # walks never split, so this row times a second walk on the code's
+        # shared context; the name is kept for the report's trajectory.
         code = codes[-1]
         workloads.append({
             "name": f"distance-pooled:{code}",

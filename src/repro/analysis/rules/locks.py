@@ -1,6 +1,6 @@
 """REPRO-LOCK — registered shared structures mutated outside their lock.
 
-The engine's shared registries (compile cache, pool/context registries,
+The engine's shared registries (compile cache, context registries,
 admission counters) are each guarded by a named lock; every mutation must
 happen lexically inside ``with self.<lock>``.  The registry below names
 the (class, attributes, lock) triples the project has declared shared —
@@ -27,14 +27,11 @@ GUARDED_CLASSES: dict[str, list[tuple[frozenset[str], str]]] = {
         (frozenset({"_cache", "_hits", "_misses", "_uncacheable"}), "_cache_lock"),
         (frozenset({"_job_counter", "_executor"}), "_submit_lock"),
     ],
-    "PoolManager": [
-        (frozenset({"_sessions", "_busy"}), "_lock"),
-    ],
     "ResourceManager": [
         (
             frozenset({
                 "_contexts", "_task_sessions", "_shard_assignments",
-                "_keys_per_lane", "_lane_lru", "_retired",
+                "_keys_per_lane", "_lane_lru", "_retired", "_split_warm_absorbed",
             }),
             "_lock",
         ),

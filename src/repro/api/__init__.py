@@ -43,7 +43,6 @@ from repro.api.jobs import Job, JobCancelledError, JobStatus
 from repro.api.resources import (
     CodeContext,
     ContextView,
-    PoolManager,
     ResourceManager,
 )
 from repro.api.result import Result
@@ -85,7 +84,6 @@ __all__ = [
     "JobFailed",
     "CodeContext",
     "ContextView",
-    "PoolManager",
     "ResourceManager",
     "Result",
     "Task",

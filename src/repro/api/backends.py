@@ -6,7 +6,8 @@ the property is verified.  Two implementations ship with the engine:
 * :class:`SerialBackend`   — one SAT query on a :class:`~repro.smt.interface.SolveSession`;
 * :class:`ParallelBackend` — enumeration-based task splitting across a worker
   pool through :class:`repro.smt.parallel.IncrementalSplitSession`
-  (Appendix D.4), each worker holding a persistent incremental session.
+  (Appendix D.4): one pool per check, each worker holding one incremental
+  session across its subtasks, warm-started from the engine's clause store.
 
 Both accept an optional ``session`` — a live :class:`SolveSession` that
 already holds the compiled formula — so the engine can reuse one solver (and
@@ -45,8 +46,8 @@ class Backend(Protocol):
     :meth:`check`.  A ``wants_resources`` attribute/property additionally
     opts the backend into the engine's
     :class:`~repro.api.resources.ResourceManager` (passed as a ``resources``
-    keyword), which is how the parallel backend obtains persistent worker
-    pools.  The engine treats missing attributes as ``False``, so custom
+    keyword), which is how the parallel backend reaches the clause store.
+    The engine treats missing attributes as ``False``, so custom
     backends that ignore sessions and resources need not declare them.
     """
 
@@ -119,8 +120,8 @@ class ParallelBackend:
 
     @property
     def wants_resources(self) -> bool:
-        """Whether :meth:`check` uses the engine's resource layer (persistent
-        worker pools keyed by base formula) when one is provided."""
+        """Whether :meth:`check` uses the engine's resource layer (the clause
+        store that warm-starts the split workers) when one is provided."""
         return True
 
     def check(
@@ -132,19 +133,7 @@ class ParallelBackend:
     ) -> SMTCheck:
         heuristic_weight = self.heuristic_weight or compiled.split_weight
         threshold = self.threshold if self.threshold is not None else compiled.split_threshold
-        if resources is not None and self.num_workers > 1:
-            # Engine-owned persistent pool: worker sessions (and their learnt
-            # clauses) survive this check and serve the next run of any task
-            # compiling to the same formula.
-            split = resources.pools.split_session(
-                compiled.formula,
-                split_variables=tuple(compiled.split_variables),
-                heuristic_weight=heuristic_weight,
-                threshold=threshold,
-                num_workers=self.num_workers,
-                max_subtasks=self.max_subtasks,
-            )
-            return split.check(control=control)
+        store = resources.clause_store if resources is not None else None
         with IncrementalSplitSession(
             compiled.formula,
             split_variables=list(compiled.split_variables),
@@ -153,8 +142,17 @@ class ParallelBackend:
             num_workers=self.num_workers,
             max_subtasks=self.max_subtasks,
             session=session if self.num_workers <= 1 else None,
+            warm_dir=store.directory if store is not None else None,
         ) as split:
-            return split.check(control=control)
+            check = split.check(control=control)
+            if check.conflicts:
+                # Persist before the pool closes: the next process (a fresh
+                # CLI engine) starts its split workers warm from these
+                # clauses.  A conflict-free check learnt nothing to add.
+                split.save_warm()
+        if resources is not None:
+            resources.record_split_warm(split.warm_absorbed)
+        return check
 
 
 def coerce_backend(backend: "Backend | str | None", num_workers: int = 2) -> "Backend":

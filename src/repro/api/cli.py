@@ -80,9 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     distance = sub.add_parser("distance", help="discover a code's distance")
     distance.add_argument("--code", required=True, help="registry key (see list-codes)")
     distance.add_argument("--max-trial", type=int, default=None, help="largest trial distance")
-    distance.add_argument(
-        "--workers", type=int, default=1, help="worker count (>1 selects the parallel backend)"
-    )
     _add_store_arguments(distance)
     distance.add_argument(
         "--strategy",
@@ -395,8 +392,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_distance(args: argparse.Namespace) -> int:
     _require_code(args.code)
-    backend = ParallelBackend(num_workers=args.workers) if args.workers > 1 else SerialBackend()
-    engine = _make_engine(backend, args)
+    engine = _make_engine(SerialBackend(), args)
     strategy = None if args.strategy == "auto" else args.strategy
     task = DistanceTask(code=args.code, max_trial=args.max_trial, strategy=strategy)
     if args.stream or args.deadline is not None:
@@ -467,10 +463,9 @@ def _sweep_jobs(engine: Engine, tasks, args: argparse.Namespace) -> int:
 
     ``--jobs`` (the run_many process pool) does not apply here — jobs
     serialize on the engine's dispatcher, which is what lets them share the
-    per-code sessions and persistent pools.  A job's deadline clock starts
-    at submission, so each task is submitted only after the previous one
-    finished: ``--deadline`` bounds each job's own runtime, not its place
-    in the queue.
+    per-code sessions.  A job's deadline clock starts at submission, so each
+    task is submitted only after the previous one finished: ``--deadline``
+    bounds each job's own runtime, not its place in the queue.
     """
     total = 0
     cancelled = 0
@@ -511,8 +506,6 @@ def _resource_table(stats: dict) -> str:
     lines = ["resource      count   detail"]
     lines.append(f"{'contexts':12s} {stats.get('contexts', 0):6d}   "
                  f"hits {stats.get('context_hits', 0)}, misses {stats.get('context_misses', 0)}")
-    lines.append(f"{'pools':12s} {stats.get('pools', 0):6d}   "
-                 f"hits {stats.get('pool_hits', 0)}, misses {stats.get('pool_misses', 0)}")
     lines.append(f"{'learnt':12s} {stats.get('learnt_kept', 0):6d}   "
                  f"kept {stats.get('learnt_kept', 0)}, deleted {stats.get('learnt_deleted', 0)}")
     if "warm_hits" in stats:

@@ -128,13 +128,12 @@ class Engine:
         backend: Backend | str | None = None,
         cache_size: int = 128,
         session_cache_size: int = 32,
-        max_pools: int = 4,
         lanes: int = 4,
         clause_store: str | None = None,
         fault_plan=None,
     ):
-        # Arm fault injection before any resource (store, executor, pools)
-        # is built, so their faults.hook() calls see the installed plan.
+        # Arm fault injection before any resource (store, executor) is
+        # built, so their faults.hook() calls see the installed plan.
         # ``fault_plan`` accepts a FaultPlan, a dict spec, inline JSON or a
         # file path — same formats as the REPRO_FAULT_PLAN environment hook.
         if fault_plan is not None:
@@ -146,16 +145,12 @@ class Engine:
         self._cache: OrderedDict[Task, CompiledTask] = OrderedDict()
         # Engine-owned solver resources: one shared live session per *code*
         # (correction, detection and distance queries on a code share learnt
-        # clauses through task-selector guards) and persistent worker pools
-        # keyed by base formula, kept alive across run/run_many calls.
-        self.resources = ResourceManager(
-            max_contexts=session_cache_size,
-            max_pools=max_pools,
-        )
+        # clauses through task-selector guards).
+        self.resources = ResourceManager(max_contexts=session_cache_size)
         self.resources.configure_shards(self.lanes)
         # The persistent clause store (``repro.store``): durable learnt
         # clauses and distance-walk checkpoints shared across every lane,
-        # pool worker and process using the directory.
+        # split worker and process using the directory.
         if clause_store is not None:
             self.resources.enable_clause_store(clause_store)
         self._hits = 0
@@ -203,8 +198,8 @@ class Engine:
         self.resources.clear_contexts()
 
     def close(self) -> None:
-        """Release live solver resources (worker pools; learnt clauses are
-        saved to the ``ClauseStore``), cancelling any still-queued jobs first."""
+        """Release live solver resources (learnt clauses are saved to the
+        ``ClauseStore``), cancelling any still-queued jobs first."""
         with self._submit_lock:
             executor, self._executor = self._executor, None
         if executor is not None:
@@ -594,23 +589,25 @@ class Engine:
         """Distance discovery: adaptive search on ONE shared solving session.
 
         The trial-independent detection base (non-trivial, syndrome-free,
-        logically acting error) is encoded exactly once — on the code's
-        shared :class:`~repro.api.resources.CodeContext` for serial runs, or
-        on a persistent worker pool from the :class:`PoolManager` for
-        parallel runs.  Instead of walking the trial distance linearly, the
-        walk brackets the minimum undetectable-error weight: each probe
-        activates selector-guarded bounds ``lo <= weight <= mid`` (the lower
-        bound is sound because every weight below ``lo`` has already been
-        refuted), a SAT probe clamps the upper end to the witness's actual
-        weight, an UNSAT probe raises the lower end past ``mid``.  That
-        issues O(log d) solver calls where the linear walk issued O(d),
-        while learnt clauses flow between probes on the same live solver.
-        The probe schedule is adaptive (:meth:`_distance_strategy`): plain
-        bisection, or a galloping lower-bound start (1, 2, 4, ...) that
-        switches to bisection at the first satisfiable probe.
+        logically acting error) is encoded exactly once, on the code's shared
+        :class:`~repro.api.resources.CodeContext`, whichever of the built-in
+        backends is chosen: the walk's probes are small incremental solves,
+        so splitting them across worker processes would cost more in pool
+        startup and re-encoding than it saves.  Instead of walking the trial
+        distance linearly, the walk brackets the minimum undetectable-error
+        weight: each probe activates selector-guarded bounds
+        ``lo <= weight <= mid`` (the lower bound is sound because every
+        weight below ``lo`` has already been refuted), a SAT probe clamps the
+        upper end to the witness's actual weight, an UNSAT probe raises the
+        lower end past ``mid``.  That issues O(log d) solver calls where the
+        linear walk issued O(d), while learnt clauses flow between probes on
+        the same live solver.  The probe schedule is adaptive
+        (:meth:`_distance_strategy`): plain bisection, or a galloping
+        lower-bound start (1, 2, 4, ...) that switches to bisection at the
+        first satisfiable probe.
         """
         code = task.build()
-        limit = task.max_trial or code.num_qubits + 1
+        limit = task.max_trial if task.max_trial is not None else code.num_qubits + 1
         if not isinstance(backend, (SerialBackend, ParallelBackend)):
             # A custom backend decides formulas its own way; honour the
             # Backend protocol by probing one monolithic DetectionTask per
@@ -619,44 +616,15 @@ class Engine:
         start = time.perf_counter()
         compile_start = time.perf_counter()
         error_model = ErrorModel("any")
-        num_workers = getattr(backend, "num_workers", 1)
-        used_resources = True
-        context = None
-        # On the shared context session the extracted witness also assigns
-        # variables of other guarded task formulas; restrict it to the base
-        # encoding's own variables.  The pool/fallback sessions hold only the
-        # base, so no restriction is needed there.
-        base_variables: frozenset[str] | None = None
-        if num_workers > 1:
-            base, weight = precise_detection_base(code, error_model)
-            split_variables, split_weight, split_threshold = _split_hints(code, error_model)
-            session = self.resources.pools.split_session(
-                base,
-                split_variables=split_variables,
-                heuristic_weight=backend.heuristic_weight or split_weight,
-                threshold=backend.threshold if backend.threshold is not None else split_threshold,
-                num_workers=num_workers,
-                max_subtasks=backend.max_subtasks,
-            )
-            base_selectors: tuple[str, ...] = ()
-        else:
-            if task.deterministic:
-                context = self.resources.context_for(task.code)
-            if context is not None:
-                weight, base_guard, base_variables = context.detection_base(
-                    error_model.kind,
-                    lambda: precise_detection_base(code, error_model),
-                )
-                context.maybe_warm_load()
-                session = context.session
-                base_selectors = (base_guard,)
-            else:
-                base, weight = precise_detection_base(code, error_model)
-                session = SolveSession(base)
-                base_selectors = ()
-                used_resources = False
-
+        context = self.resources.context_for(task.code)
         if context is not None:
+            weight, base_guard, base_variables = context.detection_base(
+                error_model.kind,
+                lambda: precise_detection_base(code, error_model),
+            )
+            context.maybe_warm_load()
+            session = context.session
+            base_selectors: tuple[str, ...] = (base_guard,)
 
             def upper(bound: int) -> str:
                 return context.weight_upper_guard(error_model.kind, weight, bound)
@@ -665,6 +633,12 @@ class Engine:
                 return context.weight_lower_guard(error_model.kind, weight, bound)
 
         else:
+            # No context to key (an unhashable code): a throwaway session
+            # holding only the base, so witnesses need no restriction.
+            base, weight = precise_detection_base(code, error_model)
+            session = SolveSession(base)
+            base_selectors = ()
+            base_variables = None
 
             def upper(bound: int) -> str:
                 return session.add_weight_guard(f"w:le:{bound}", weight, bound)
@@ -696,7 +670,7 @@ class Engine:
         checkpoint_key = None
         resumed_from = None
         prior_probes = 0
-        if store is not None and context is not None and task.deterministic:
+        if store is not None and context is not None:
             checkpoint_key = self._distance_checkpoint_key(task, code, limit, error_model.kind)
             state = _validate_checkpoint(store.checkpoint_load(checkpoint_key), limit)
             if state is not None:
@@ -713,92 +687,83 @@ class Engine:
                     # but restarts its own probe schedule inside it.
                     galloping = False
                 resumed_from = {"lo": lo, "hi": hi, "probes": prior_probes}
-        # A pool session must not be evicted (closed) by another lane's
-        # split_session() while this walk drives it.
-        pool_session = session if num_workers > 1 else None
-        if pool_session is not None:
-            self.resources.pools.mark_busy(pool_session)
-        try:
-            while lo <= hi:
-                self._check_control(control)
-                if galloping:
-                    mid = min(gallop_bound, hi)
-                    gallop_bound *= 2
-                else:
-                    mid = (lo + hi) // 2
-                selectors = list(base_selectors)
-                if lo > 1:
-                    selectors.append(lower(lo))
-                selectors.append(upper(mid))
-                if emit is not None:
-                    emit(SubtaskStarted(
-                        index=len(trials),
-                        description=f"probe {lo} <= weight <= {mid}",
-                    ))
-                trial_start = time.perf_counter()
-                last = session.check(select=tuple(selectors), control=control)
-                counters.update(last.counters)
-                trial_elapsed = time.perf_counter() - trial_start
-                trials.append(
-                    {"trial_distance": mid + 1, "bound": mid, "window": [lo, hi],
-                     "verified": last.is_unsat,
-                     "elapsed_seconds": trial_elapsed,
-                     "conflicts": last.conflicts, "decisions": last.decisions}
-                )
-                found = None
-                if last.is_sat:
-                    # The witness pins the distance to its own weight; everything
-                    # strictly below stays open for the next probe.  A satisfiable
-                    # probe also ends any galloping phase: the answer is bracketed
-                    # and bisection finishes the narrowed window.
-                    model = last.model or {}
-                    if base_variables is not None:
-                        model = {name: value for name, value in model.items()
-                                 if name in base_variables}
-                    found = max(1, model_error_weight(model, error_model))
-                    distance = found
-                    witness = model
-                    hi = found - 1
-                    galloping = False
-                else:
-                    lo = mid + 1
-                if checkpoint_key is not None:
-                    payload = {
-                        "version": 1,
-                        "strategy": strategy,
-                        "limit": limit,
-                        "lo": lo,
-                        "hi": hi,
-                        "distance": distance,
-                        "probes": prior_probes + len(trials),
-                        "galloping": galloping,
-                        "gallop_bound": gallop_bound,
-                    }
-                    if witness:
-                        payload["witness"] = witness
-                    store.checkpoint_save(checkpoint_key, payload)
-                    # Flush learnt clauses at the probe boundary too, so a
-                    # kill between probes loses neither the bracket nor the
-                    # clauses that made its probes cheap.
-                    context.save_warm()
-                if emit is not None:
-                    emit(DistanceProbe(
-                        bound=mid, window=[trials[-1]["window"][0], trials[-1]["window"][1]],
-                        sat=last.is_sat, witness_weight=found,
-                        conflicts=last.conflicts, decisions=last.decisions,
-                        elapsed_seconds=trial_elapsed,
-                        resumed_from=resumed_from if len(trials) == 1 else None,
-                    ))
+        while lo <= hi:
+            self._check_control(control)
+            if galloping:
+                mid = min(gallop_bound, hi)
+                gallop_bound *= 2
+            else:
+                mid = (lo + hi) // 2
+            selectors = list(base_selectors)
+            if lo > 1:
+                selectors.append(lower(lo))
+            selectors.append(upper(mid))
+            if emit is not None:
+                emit(SubtaskStarted(
+                    index=len(trials),
+                    description=f"probe {lo} <= weight <= {mid}",
+                ))
+            trial_start = time.perf_counter()
+            last = session.check(select=tuple(selectors), control=control)
+            counters.update(last.counters)
+            trial_elapsed = time.perf_counter() - trial_start
+            trials.append(
+                {"trial_distance": mid + 1, "bound": mid, "window": [lo, hi],
+                 "verified": last.is_unsat,
+                 "elapsed_seconds": trial_elapsed,
+                 "conflicts": last.conflicts, "decisions": last.decisions}
+            )
+            found = None
+            if last.is_sat:
+                # The witness pins the distance to its own weight; everything
+                # strictly below stays open for the next probe.  A satisfiable
+                # probe also ends any galloping phase: the answer is bracketed
+                # and bisection finishes the narrowed window.
+                model = last.model or {}
+                if base_variables is not None:
+                    model = {name: value for name, value in model.items()
+                             if name in base_variables}
+                found = max(1, model_error_weight(model, error_model))
+                distance = found
+                witness = model
+                hi = found - 1
+                galloping = False
+            else:
+                lo = mid + 1
             if checkpoint_key is not None:
-                # A finished walk leaves no checkpoint: resume is a benefit
-                # reserved for interrupted walks, and a rerun of a completed
-                # task must report the same structure as a cold run.
-                store.checkpoint_delete(checkpoint_key)
-            elapsed = time.perf_counter() - start
-            stats = session.stats()
-        finally:
-            if pool_session is not None:
-                self.resources.pools.mark_idle(pool_session)
+                payload = {
+                    "version": 1,
+                    "strategy": strategy,
+                    "limit": limit,
+                    "lo": lo,
+                    "hi": hi,
+                    "distance": distance,
+                    "probes": prior_probes + len(trials),
+                    "galloping": galloping,
+                    "gallop_bound": gallop_bound,
+                }
+                if witness:
+                    payload["witness"] = witness
+                store.checkpoint_save(checkpoint_key, payload)
+                # Flush learnt clauses at the probe boundary too, so a
+                # kill between probes loses neither the bracket nor the
+                # clauses that made its probes cheap.
+                context.save_warm()
+            if emit is not None:
+                emit(DistanceProbe(
+                    bound=mid, window=[trials[-1]["window"][0], trials[-1]["window"][1]],
+                    sat=last.is_sat, witness_weight=found,
+                    conflicts=last.conflicts, decisions=last.decisions,
+                    elapsed_seconds=trial_elapsed,
+                    resumed_from=resumed_from if len(trials) == 1 else None,
+                ))
+        if checkpoint_key is not None:
+            # A finished walk leaves no checkpoint: resume is a benefit
+            # reserved for interrupted walks, and a rerun of a completed
+            # task must report the same structure as a cold run.
+            store.checkpoint_delete(checkpoint_key)
+        elapsed = time.perf_counter() - start
+        stats = session.stats()
         if emit is not None:
             emit(SolverStats.from_counters(
                 counters,
@@ -814,10 +779,8 @@ class Engine:
         }
         if resumed_from is not None:
             details["resumed_from"] = resumed_from
-        if used_resources:
+        if context is not None:
             details["resources"] = self.resources.stats()
-        if num_workers > 1:
-            details["num_workers"] = num_workers
         if witness:
             # The witness is informative (a minimum-weight undetectable
             # error), but `counterexample` is reserved for unverified results.

@@ -1,8 +1,7 @@
-"""Engine-owned solver resources: shared per-code sessions, persistent pools.
+"""Engine-owned solver resources: one shared session per code, the clause store.
 
 Before this layer existed, session ownership was scattered: each task kind
-built its own solver, the parallel backend spun up (and tore down) a worker
-pool per task, and the engine's session cache was keyed per-task, so
+built its own solver and the engine's session cache was keyed per-task, so
 correction and detection on the same code re-learnt everything from scratch.
 This module centralizes those resources *per code*:
 
@@ -17,22 +16,18 @@ This module centralizes those resources *per code*:
 * :class:`ContextView` — a task's window onto its context: ``check`` solves
   the shared session under the task's selector, which is the session surface
   the backends already expect.
-* :class:`PoolManager` — persistent worker pools keyed by base formula, kept
-  alive across ``Engine.run`` / ``run_many`` calls (registry sweeps stop
-  paying pool startup and re-encoding per task) and torn down when the
-  owning engine is garbage-collected, on eviction, or at interpreter exit.
 * :class:`ResourceManager` — the engine-facing facade tying the above
   together, with hit/miss counters surfaced in ``Result.session_stats()``.
   Its optional ``clause_store`` (:class:`~repro.store.ClauseStore`, the
-  CLI's ``--clause-store``) is the one warm-start cache: contexts and pools
-  restore and persist learnt clauses keyed by a fingerprint of the exact
-  CNF, so stale state can never be absorbed.
+  CLI's ``--clause-store``) is the one warm-start cache: contexts and the
+  parallel backend's one-shot split workers restore and persist learnt
+  clauses keyed by a fingerprint of the exact CNF, so stale state can never
+  be absorbed.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 import zlib
 from collections import Counter, OrderedDict
 
@@ -40,7 +35,6 @@ from repro import sanitize
 from repro.classical.expr import free_variables
 from repro.codes.registry import family_of
 from repro.smt.interface import SMTCheck, SolveSession
-from repro.smt.parallel import IncrementalSplitSession
 from repro.smt.solver import SEARCH_COUNTERS, nonzero
 from repro.store import ClauseStore
 
@@ -48,7 +42,6 @@ __all__ = [
     "CodeContext",
     "ContextView",
     "LaneStats",
-    "PoolManager",
     "ResourceManager",
 ]
 
@@ -56,14 +49,14 @@ __all__ = [
 class ContextView:
     """One task's session-shaped window onto a shared :class:`CodeContext`.
 
-    The view carries the task's selector literals; ``check`` merges them into
+    The view carries the task's selector literals; ``check`` selects them on
     every solve, so backends built against the plain
-    :class:`~repro.smt.interface.SolveSession` surface (``check``,
-    ``add_guard``, ``add_weight_guard``, ``stats``) drive the shared session
-    without knowing it is shared.  Extracted models are restricted to the
-    task formula's own variables: the shared session also names the
-    variables of every *other* guarded task formula, which are unconstrained
-    during this task's check and must not leak into its counterexamples.
+    :class:`~repro.smt.interface.SolveSession` surface (``check``, ``stats``)
+    drive the shared session without knowing it is shared.  Extracted models
+    are restricted to the task formula's own variables: the shared session
+    also names the variables of every *other* guarded task formula, which
+    are unconstrained during this task's check and must not leak into its
+    counterexamples.
     """
 
     def __init__(
@@ -76,33 +69,15 @@ class ContextView:
         self.selectors = tuple(selectors)
         self.variables = variables
 
-    def check(
-        self,
-        assumptions: dict[str, bool] | None = None,
-        select: tuple[str, ...] | list[str] = (),
-        control=None,
-    ) -> SMTCheck:
+    def check(self, assumptions: dict[str, bool] | None = None, control=None) -> SMTCheck:
         self.context.maybe_warm_load()
-        check = self.context.session.check(
-            assumptions, select=self.selectors + tuple(select), control=control
-        )
+        check = self.context.session.check(assumptions, select=self.selectors, control=control)
         if check.model is not None and self.variables is not None:
             check.model = {
                 name: value for name, value in check.model.items()
                 if name in self.variables
             }
         return check
-
-    # Guard forwarding keeps the view usable wherever a SolveSession is
-    # expected (e.g. the sequential path of IncrementalSplitSession).
-    def add_guard(self, name: str, formula) -> str:
-        return self.context.session.add_guard(name, formula)
-
-    def add_weight_guard(self, name: str, weight, bound: int) -> str:
-        return self.context.session.add_weight_guard(name, weight, bound)
-
-    def add_weight_lower_guard(self, name: str, weight, bound: int) -> str:
-        return self.context.session.add_weight_lower_guard(name, weight, bound)
 
     def stats(self) -> dict:
         return self.context.session.stats()
@@ -256,113 +231,6 @@ class CodeContext:
         )
 
 
-def _close_split_sessions(sessions: "OrderedDict") -> None:
-    for session in list(sessions.values()):
-        try:
-            session.close()
-        except Exception:  # repro: allow[REPRO-EXC] - finalizer teardown
-            pass
-    sessions.clear()
-
-
-class PoolManager:
-    """Persistent :class:`IncrementalSplitSession` pools keyed by base formula.
-
-    A split session (and therefore its worker pool, each worker holding a
-    live solver for the base encoding) survives across ``Engine.run`` calls:
-    re-running a task with the same formula and split configuration is a pool
-    *hit* that skips pool startup and per-worker re-encoding entirely.  The
-    manager is LRU-bounded (evicted sessions are closed), closes everything
-    when the owning engine is garbage-collected (``weakref.finalize``), and
-    the pools themselves are additionally registered for atexit termination
-    by :mod:`repro.smt.parallel` — so a KeyboardInterrupt mid-check cannot
-    leak semaphores or worker processes.
-    """
-
-    def __init__(self, max_pools: int = 4, clause_store: ClauseStore | None = None):
-        self.max_pools = max_pools
-        self.clause_store = clause_store
-        self.hits = 0
-        self.misses = 0
-        self._sessions: OrderedDict[tuple, IncrementalSplitSession] = OrderedDict()
-        self._lock = threading.RLock()
-        # Sessions currently driving a walk on some lane: never evict these
-        # (closing a pool under a live walk would strand its workers).
-        self._busy: dict[int, int] = {}
-        # The finalizer must not reference self (that would keep the manager
-        # alive forever); closing over the sessions dict alone is enough.
-        self._finalizer = weakref.finalize(self, _close_split_sessions, self._sessions)
-
-    def split_session(
-        self,
-        formula,
-        split_variables: tuple[str, ...] = (),
-        heuristic_weight: int = 2,
-        threshold: int | None = None,
-        num_workers: int = 2,
-        max_subtasks: int = 1024,
-    ) -> IncrementalSplitSession:
-        key = (formula, tuple(split_variables), heuristic_weight, threshold,
-               num_workers, max_subtasks)
-        with self._lock:
-            session = self._sessions.get(key)
-            if session is not None:
-                self.hits += 1
-                self._sessions.move_to_end(key)
-                return session
-            self.misses += 1
-        session = IncrementalSplitSession(
-            formula,
-            split_variables=list(split_variables),
-            heuristic_weight=heuristic_weight,
-            threshold=threshold,
-            num_workers=num_workers,
-            max_subtasks=max_subtasks,
-            warm_dir=self.clause_store.directory if self.clause_store is not None else None,
-        )
-        evicted_sessions: list[IncrementalSplitSession] = []
-        with self._lock:
-            self._sessions[key] = session
-            spare = [
-                k for k in self._sessions
-                if id(self._sessions[k]) not in self._busy
-            ]
-            while len(self._sessions) > self.max_pools and spare:
-                stale = spare.pop(0)
-                evicted_sessions.append(self._sessions.pop(stale))
-        for evicted in evicted_sessions:
-            evicted.save_warm()
-            evicted.close()
-        return session
-
-    def mark_busy(self, session: IncrementalSplitSession) -> None:
-        """Pin ``session`` against eviction while a walk drives it."""
-        with self._lock:
-            self._busy[id(session)] = self._busy.get(id(session), 0) + 1
-
-    def mark_idle(self, session: IncrementalSplitSession) -> None:
-        with self._lock:
-            left = self._busy.get(id(session), 0) - 1
-            if left > 0:
-                self._busy[id(session)] = left
-            else:
-                self._busy.pop(id(session), None)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._sessions)
-
-    def warm_absorbed(self) -> int:
-        return sum(session.warm_absorbed for session in self._sessions.values())
-
-    def save_warm(self) -> int:
-        """Serialize every live split session's learnt clauses; returns count."""
-        return sum(session.save_warm() for session in self._sessions.values())
-
-    def close_all(self) -> None:
-        _close_split_sessions(self._sessions)
-
-
 class LaneStats:
     """Counters for one dispatcher lane (mutated by the sharded executor;
     read by ``ResourceManager.stats``)."""
@@ -377,7 +245,7 @@ class LaneStats:
 
 
 class ResourceManager:
-    """The engine's solver-resource facade: contexts, pools, clause store.
+    """The engine's solver-resource facade: contexts and the clause store.
 
     With the sharded dispatcher the manager is also the *routing authority*:
     :meth:`shard_for_task` maps every task to the one worker lane allowed to
@@ -394,13 +262,8 @@ class ResourceManager:
     serialize against that lane through the engine's per-lane locks).
     """
 
-    def __init__(
-        self,
-        max_contexts: int = 32,
-        max_pools: int = 4,
-    ):
+    def __init__(self, max_contexts: int = 32):
         self.max_contexts = max_contexts
-        self.pools = PoolManager(max_pools=max_pools)
         #: the persistent warm-start cache, attached by :meth:`enable_clause_store`
         self.clause_store: ClauseStore | None = None
         self._contexts: OrderedDict[object, CodeContext] = OrderedDict()
@@ -414,6 +277,9 @@ class ResourceManager:
         #: contexts discarded unsaved after a lane crash (see
         #: :meth:`quarantine_task`); surfaced in stats when nonzero.
         self.quarantined = 0
+        #: learnt clauses the parallel backend's split workers absorbed from
+        #: the clause store (see :meth:`record_split_warm`).
+        self._split_warm_absorbed = 0
         self.num_shards = 1
         self.configure_shards(1)
 
@@ -615,19 +481,22 @@ class ResourceManager:
         store = directory if isinstance(directory, ClauseStore) else ClauseStore(str(directory))
         with self._lock:
             self.clause_store = store
-            self.pools.clause_store = store
             for context in self._contexts.values():
                 if context.clause_store is None:
                     context.clause_store = store
             return store
+
+    def record_split_warm(self, absorbed: int) -> None:
+        """Count clauses a one-shot split session's workers absorbed from the
+        store (the split sessions themselves do not outlive their check)."""
+        with self._lock:
+            self._split_warm_absorbed += absorbed
 
     def save_warm(self) -> None:
         with self._lock:
             contexts = list(self._contexts.values())
         for context in contexts:
             context.save_warm()
-        if self.clause_store is not None:
-            self.pools.save_warm()
 
     # ------------------------------------------------------------------
     def num_contexts(self) -> int:
@@ -644,7 +513,6 @@ class ResourceManager:
         with self._lock:
             self._contexts.clear()
             self._task_sessions.clear()
-        self.pools.close_all()
 
     def stats(self) -> dict:
         """Resource counters surfaced through ``Result.session_stats()``."""
@@ -663,6 +531,7 @@ class ResourceManager:
             contexts = list(self._contexts.values())
             num_contexts = len(self._contexts)
             assignments = dict(self._shard_assignments)
+            split_warm_absorbed = self._split_warm_absorbed
         for context in contexts:
             session_stats = context.session.stats()
             learnt_kept += session_stats["learnt_kept"]
@@ -680,9 +549,6 @@ class ResourceManager:
             "contexts": num_contexts,
             "context_hits": context_hits,
             "context_misses": context_misses,
-            "pools": len(self.pools),
-            "pool_hits": self.pools.hits,
-            "pool_misses": self.pools.misses,
             "learnt_kept": learnt_kept,
             "learnt_deleted": learnt_deleted,
         }
@@ -703,7 +569,7 @@ class ResourceManager:
         if store is not None:
             stats["warm_hits"] = store.hits
             stats["warm_misses"] = store.misses
-            stats["warm_absorbed"] = transfer["warm_absorbed"] + self.pools.warm_absorbed()
+            stats["warm_absorbed"] = transfer["warm_absorbed"] + split_warm_absorbed
             if store.evictions:
                 stats["store_evictions"] = store.evictions
             stats["store"] = store.stats()

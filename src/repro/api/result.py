@@ -52,7 +52,7 @@ class Result:
     def session_stats(self) -> dict | None:
         """Cumulative per-session solver statistics, when a persistent
         session decided this task (see ``details["session"]``), merged with
-        the engine's resource counters (context/pool hits and misses,
+        the engine's resource counters (context hits and misses,
         learnt clauses kept/deleted) when the resource layer was involved
         (``details["resources"]``)."""
         stats = self.details.get("session")

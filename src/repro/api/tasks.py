@@ -131,7 +131,9 @@ class DistanceTask(CodeTask):
     minimum-weight undetectable error appears.
 
     A meta-task: the engine runs a sequence of :class:`DetectionTask` queries
-    rather than compiling a single formula.  ``strategy`` selects the probe
+    rather than compiling a single formula.  ``max_trial`` is the largest
+    trial distance probed (an integer of at least 2; ``None`` means one past
+    the qubit count).  ``strategy`` selects the probe
     schedule: ``"binary"`` (plain bisection of the weight window),
     ``"galloping"`` (exponential 1, 2, 4, ... lower-bound start, then
     bisection), or ``None``/``"auto"`` to let the engine's probe-cost
@@ -147,6 +149,12 @@ class DistanceTask(CodeTask):
 
     def __post_init__(self) -> None:
         CodeTask.__post_init__(self)
+        if self.max_trial is not None and (
+            not isinstance(self.max_trial, int)
+            or isinstance(self.max_trial, bool)
+            or self.max_trial < 2
+        ):
+            raise ValueError(f"max_trial must be an integer of at least 2, got {self.max_trial!r}")
         if self.strategy not in self._STRATEGIES:
             raise ValueError(
                 f"unknown distance strategy {self.strategy!r}; "

@@ -13,13 +13,11 @@ driver cancels outstanding work as soon as one subtask reports a
 counterexample.
 
 Each worker process holds ONE live :class:`~repro.smt.interface.SolveSession`
-for the shared base encoding: every subtask is an incremental
-``solve(assumptions)`` call on that session, so learnt clauses and heuristic
-state accumulate across subtasks instead of being rebuilt per query.
-:class:`IncrementalSplitSession` is the one driver: used for a single check
-(``ParallelBackend`` without engine resources) or kept alive for repeated
-guarded checks (the engine's trial-distance walk), with selector-guarded
-weight bounds broadcast lazily to the workers.
+for the formula: every subtask is an incremental ``solve(assumptions)`` call
+on that session, so learnt clauses and heuristic state accumulate across the
+subtasks of the check.  :class:`IncrementalSplitSession` lives for one
+check: ``ParallelBackend`` builds it, solves once, saves the workers' learnt
+clauses to the clause store (when one is attached) and closes the pool.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import weakref
 from collections import Counter
 
 from repro import faults
-from repro.classical.expr import BoolExpr, IntExpr
+from repro.classical.expr import BoolExpr
 from repro.smt.interface import SMTCheck, SolveSession
 from repro.smt.solver import SEARCH_COUNTERS, SolveControl, SolverInterrupted, nonzero
 from repro.store import load_clauses, merge_clauses
@@ -75,11 +73,12 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
-# Every live worker pool is tracked here (weakly, so normal close() paths do
-# not need to deregister) and terminated at interpreter exit.  This is what
-# keeps a KeyboardInterrupt mid-check from leaking the pool's semaphores and
-# worker processes: the exception may unwind past any try/finally, but the
-# atexit hook still runs on interpreter shutdown.
+# Every live worker pool is tracked here until ``_terminate_pool`` takes it
+# down (weakly, so a dropped pool is not pinned) and terminated at
+# interpreter exit.  This is what keeps a KeyboardInterrupt mid-check from
+# leaking the pool's semaphores and worker processes: the exception may
+# unwind past any try/finally, but the atexit hook still runs on interpreter
+# shutdown.
 _LIVE_POOLS: "weakref.WeakSet" = weakref.WeakSet()
 
 
@@ -97,6 +96,8 @@ def _terminate_pool(pool, timeout: float = 5.0) -> None:
     delay — the daemon thread and the atexit hook below still reap whatever
     is left at interpreter shutdown.
     """
+
+    _LIVE_POOLS.discard(pool)
 
     def terminate_and_join() -> None:
         try:
@@ -123,21 +124,16 @@ class _PoolDiedError(Exception):
 
 
 class IncrementalSplitSession:
-    """Persistent enumeration session over one base formula.
+    """One enumeration-split check over one formula.
 
     With ``num_workers <= 1`` the subtasks run sequentially on a single
-    in-process :class:`SolveSession`; otherwise a process pool is created
-    whose workers each hold a live session for the base encoding.  Either
-    way, :meth:`check` may be called repeatedly — with selector-guarded
-    weight bounds added between calls — and the solvers retain their learnt
-    clauses throughout.  Guards are broadcast to pool workers lazily (each
-    payload carries the guard specs; a worker applies the ones it has not
-    seen), so no explicit synchronisation round is needed.
-
-    After a ``sat`` verdict from the pool path the outstanding subtasks are
-    cancelled and the pool is discarded; a later :meth:`check` transparently
-    starts a fresh pool (the usual driver stops at the first counterexample
-    anyway, so this path is rare).
+    in-process :class:`SolveSession` (``session`` when given); otherwise a
+    process pool is created whose workers each hold a live session for the
+    formula.  With ``warm_dir`` the workers (or the owned in-process session)
+    absorb the clause store's learnt clauses for the formula's exact CNF
+    fingerprint before solving, and :meth:`save_warm` merges what they learnt
+    back.  After a ``sat`` verdict the outstanding subtasks are cancelled and
+    the pool is discarded.
     """
 
     def __init__(
@@ -158,8 +154,6 @@ class IncrementalSplitSession:
         self.assumption_sets = generate_split_assumptions(
             list(split_variables), heuristic_weight, threshold, max_subtasks=max_subtasks
         )
-        self._guards: list[tuple[str, str, object, object]] = []
-        self._guard_names: set[str] = set()
         self._pool = None
         self._cancel_event = None
         self._fault = faults.hook("pool")
@@ -186,37 +180,6 @@ class IncrementalSplitSession:
         self.elapsed_seconds = 0.0
 
     # ------------------------------------------------------------------
-    # Guards are idempotent by name so long-lived sessions (the engine's pool
-    # manager keeps them across runs) can re-request a bound without growing
-    # the broadcast list.
-    def add_guard(self, name: str, formula: BoolExpr) -> str:
-        if name in self._guard_names:
-            return name
-        self._guard_names.add(name)
-        self._guards.append(("formula", name, formula, None))
-        if self._local is not None:
-            self._local.add_guard(name, formula)
-        return name
-
-    def add_weight_guard(self, name: str, weight: IntExpr, bound: int) -> str:
-        if name in self._guard_names:
-            return name
-        self._guard_names.add(name)
-        self._guards.append(("weight", name, weight, bound))
-        if self._local is not None:
-            self._local.add_weight_guard(name, weight, bound)
-        return name
-
-    def add_weight_lower_guard(self, name: str, weight: IntExpr, bound: int) -> str:
-        if name in self._guard_names:
-            return name
-        self._guard_names.add(name)
-        self._guards.append(("weight_ge", name, weight, bound))
-        if self._local is not None:
-            self._local.add_weight_lower_guard(name, weight, bound)
-        return name
-
-    # ------------------------------------------------------------------
     def _ensure_pool(self):
         if self._pool is None:
             context = _pool_context()
@@ -230,12 +193,8 @@ class IncrementalSplitSession:
             _LIVE_POOLS.add(self._pool)
         return self._pool
 
-    def check(
-        self,
-        select: tuple[str, ...] | list[str] = (),
-        control: SolveControl | None = None,
-    ) -> SMTCheck:
-        """Decide the (guard-selected) formula across all enumeration subtasks.
+    def check(self, control: SolveControl | None = None) -> SMTCheck:
+        """Decide the formula across all enumeration subtasks.
 
         ``control`` bounds the whole check: on the sequential path it is
         handed to every subtask solve; on the pool path the deadline ships
@@ -243,15 +202,15 @@ class IncrementalSplitSession:
         shared event the workers poll mid-solve, so a cancel lands within one
         solve-budget slice on every worker.  An interrupted check raises
         :class:`~repro.smt.solver.SolverInterrupted`; the pool and its live
-        worker sessions survive and serve the next check.
+        worker sessions survive until :meth:`close`.
         """
         start = time.perf_counter()
         self.num_checks += 1
         try:
             if self._local is not None:
-                result = self._check_sequential(select, control)
+                result = self._check_sequential(control)
             else:
-                result = self._check_pool(select, control)
+                result = self._check_pool(control)
         finally:
             self.elapsed_seconds += time.perf_counter() - start
         result.elapsed_seconds = time.perf_counter() - start
@@ -272,22 +231,22 @@ class IncrementalSplitSession:
         check.metadata["num_workers"] = self.num_workers
         return check
 
-    def _check_sequential(self, select, control=None) -> SMTCheck:
+    def _check_sequential(self, control=None) -> SMTCheck:
         session = self._local
         counters: Counter = Counter()
         last: SMTCheck | None = None
         for assumptions in self.assumption_sets:
-            last = session.check(assumptions, select=select, control=control)
+            last = session.check(assumptions, control=control)
             counters.update(last.counters)
             if last.is_sat:
                 break
         result = SMTCheck(status=last.status, model=last.model)
         return self._finish(result, last.num_variables, last.num_clauses, counters)
 
-    def _check_pool(self, select, control=None) -> SMTCheck:
+    def _check_pool(self, control=None) -> SMTCheck:
         warm_absorbed = self.warm_absorbed
         try:
-            return self._check_pool_once(select, control)
+            return self._check_pool_once(control)
         except _PoolDiedError:
             self.warm_absorbed = warm_absorbed
             # Rare fork hazard: every worker exited without posting results
@@ -297,14 +256,14 @@ class IncrementalSplitSession:
             # consumed, so rebuild the pool once and re-dispatch.
             self.close()
             try:
-                return self._check_pool_once(select, control)
+                return self._check_pool_once(control)
             except _PoolDiedError:
                 self.close()
                 raise RuntimeError(
                     "worker pool died twice without returning results"
                 ) from None
 
-    def _check_pool_once(self, select, control=None) -> SMTCheck:
+    def _check_pool_once(self, control=None) -> SMTCheck:
         pool = self._ensure_pool()
         if self._fault is not None and self._fault.fire("kill") is not None:
             # Parent-side injection: SIGKILL every live worker so the pool
@@ -317,10 +276,8 @@ class IncrementalSplitSession:
                 if worker.is_alive():
                     os.kill(worker.pid, signal.SIGKILL)
         self._cancel_event.clear()
-        # Chunk the subtasks so the guard specs (which embed whole weight
-        # expressions) are pickled once per chunk, not once per subtask; a
-        # worker stops inside its chunk at the first counterexample.
-        guards = tuple(self._guards)
+        # Chunk the subtasks so a worker takes several per round trip; it
+        # stops inside its chunk at the first counterexample.
         # The deadline and conflict budget ship inside the payloads so each
         # worker enforces them on its own live solver (the budget is
         # per-solve-call, exactly as on the serial path).
@@ -328,8 +285,7 @@ class IncrementalSplitSession:
         budget = control.conflict_budget if control is not None else None
         chunk_count = max(1, min(len(self.assumption_sets), self.num_workers * 4))
         payloads = [
-            (self.assumption_sets[index::chunk_count], tuple(select), guards,
-             deadline, budget)
+            (self.assumption_sets[index::chunk_count], deadline, budget)
             for index in range(chunk_count)
         ]
         # The parent blocks on worker results, so a cancellation raised in
@@ -378,7 +334,7 @@ class IncrementalSplitSession:
                 if status == "sat":
                     sat_model = model
                     # Cancel outstanding subtasks; the worker sessions die with
-                    # the pool, so drop it and let a later check start fresh.
+                    # the pool.
                     _terminate_pool(pool)
                     self._pool = None
                     break
@@ -401,7 +357,7 @@ class IncrementalSplitSession:
             if reason is not None:
                 # Outstanding chunks have drained (workers return promptly
                 # once the event is set), so the pool and its live sessions
-                # stay reusable for the next check.
+                # are intact for save_warm().
                 self._cancel_event.clear()
                 self._finish(SMTCheck(status="unsat"), num_variables, num_clauses, counters)
                 raise SolverInterrupted(reason)
@@ -437,18 +393,19 @@ class IncrementalSplitSession:
         returns clauses stored.
 
         On the pool path the save tasks fan out across the pool and each
-        worker that picks one up merges its base-encoding learnt clauses
-        into the shared store entry (all workers share one CNF fingerprint,
-        so the entries union safely).  Pool scheduling gives no per-worker
+        worker that picks one up merges its learnt clauses into the shared
+        store entry (all workers share one CNF fingerprint, so the entries
+        union safely).  Pool scheduling gives no per-worker
         affinity, so this is best-effort: a busy worker's clauses may be
         skipped this round — acceptable for a cache that only ever
-        accelerates.  The sequential path stores from the local session.  A
-        no-op without a store directory, and after a sat-terminated pool
-        (the worker sessions died with it).
+        accelerates.  The sequential path stores from the session it owns
+        (a provided ``session`` persists itself).  A no-op without a store
+        directory, and after a sat-terminated pool (the worker sessions died
+        with it).
         """
         if self.warm_dir is None:
             return 0
-        if self._local is not None and isinstance(self._local, SolveSession):
+        if self._local is not None:
             if not self._local_base_vars:
                 return 0
             learnt = self._local.learnt_clauses(max_var=self._local_base_vars)
@@ -479,7 +436,6 @@ class IncrementalSplitSession:
 # formula (and constructing the solver) is the expensive part; every subtask
 # afterwards is an incremental solve under assumptions on the live solver.
 _WORKER_SESSION: SolveSession | None = None
-_WORKER_GUARDS: set[str] = set()
 _WORKER_CANCEL = None
 _WORKER_WARM_DIR: str | None = None
 _WORKER_FINGERPRINT: str = ""
@@ -489,11 +445,10 @@ _WORKER_WARM_REPORTED: bool = False
 
 
 def _worker_init(formula: BoolExpr, warm_dir: str | None = None, cancel_event=None) -> None:
-    global _WORKER_SESSION, _WORKER_GUARDS, _WORKER_CANCEL, _WORKER_WARM_DIR
+    global _WORKER_SESSION, _WORKER_CANCEL, _WORKER_WARM_DIR
     global _WORKER_FINGERPRINT, _WORKER_BASE_VARS, _WORKER_WARM_ABSORBED
     global _WORKER_WARM_REPORTED
     _WORKER_SESSION = SolveSession(formula)
-    _WORKER_GUARDS = set()
     _WORKER_CANCEL = cancel_event
     _WORKER_WARM_DIR = warm_dir
     _WORKER_FINGERPRINT = ""
@@ -501,9 +456,9 @@ def _worker_init(formula: BoolExpr, warm_dir: str | None = None, cancel_event=No
     _WORKER_WARM_ABSORBED = 0
     _WORKER_WARM_REPORTED = False
     if warm_dir is not None:
-        # The fingerprint/variable watermark are taken against the bare base
-        # encoding (before any guards arrive), mirroring CodeContext's
-        # "first check" snapshot — the point identical runs can agree on.
+        # The fingerprint/variable watermark are taken before the first
+        # solve, mirroring CodeContext's "first check" snapshot — the point
+        # identical runs can agree on.
         _WORKER_BASE_VARS = _WORKER_SESSION.encoder.cnf.num_vars
         _WORKER_FINGERPRINT = _WORKER_SESSION.fingerprint()
         learnt = load_clauses(warm_dir, _WORKER_FINGERPRINT)
@@ -512,7 +467,7 @@ def _worker_init(formula: BoolExpr, warm_dir: str | None = None, cancel_event=No
 
 
 def _save_warm_in_worker(_index: int) -> tuple[int, int]:
-    """Merge this worker's base-encoding learnt clauses into the clause store.
+    """Merge this worker's learnt clauses into the clause store.
 
     Returns ``(pid, count)`` so the parent can de-duplicate when pool
     scheduling hands several save tasks to the same worker.
@@ -528,24 +483,12 @@ def _save_warm_in_worker(_index: int) -> tuple[int, int]:
 def _solve_chunk_in_worker(payload) -> tuple[str, dict | str | None, dict]:
     """Solve a chunk of enumeration subtasks on this worker's live session.
 
-    Guard specs the worker has not yet seen are applied first (payloads carry
-    the full cumulative list so a worker that sat out earlier checks catches
-    up).  The chunk stops at its first satisfiable subtask, or — when the
+    The chunk stops at its first satisfiable subtask, or — when the
     shared cancel event fires or the payload deadline passes — returns an
     ``("interrupted", reason, stats)`` triple with the session intact.
     """
     global _WORKER_WARM_REPORTED
-    assumption_sets, select, guards, deadline, budget = payload
-    for kind, name, operand, bound in guards:
-        if name in _WORKER_GUARDS:
-            continue
-        if kind == "weight":
-            _WORKER_SESSION.add_weight_guard(name, operand, bound)
-        elif kind == "weight_ge":
-            _WORKER_SESSION.add_weight_lower_guard(name, operand, bound)
-        else:
-            _WORKER_SESSION.add_guard(name, operand)
-        _WORKER_GUARDS.add(name)
+    assumption_sets, deadline, budget = payload
     stats = {"counters": Counter(), "num_variables": 0, "num_clauses": 0}
     if not _WORKER_WARM_REPORTED and _WORKER_WARM_ABSORBED:
         # Each worker reports its absorbed count exactly once, on its first
@@ -562,7 +505,7 @@ def _solve_chunk_in_worker(payload) -> tuple[str, dict | str | None, dict]:
     status, model = "unsat", None
     for assumptions in assumption_sets:
         try:
-            check = _WORKER_SESSION.check(assumptions, select=select, control=control)
+            check = _WORKER_SESSION.check(assumptions, control=control)
         except SolverInterrupted as exc:
             return "interrupted", exc.reason, stats
         stats["counters"].update(check.counters)

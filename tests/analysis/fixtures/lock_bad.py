@@ -28,11 +28,11 @@ class Engine:
         return f"job-{self._job_counter}"
 
 
-class PoolManager:
+class ResourceManager:
     def __init__(self):
         self._lock = threading.RLock()
-        self._sessions = {}
-        self._busy = {}
+        self._contexts = {}
+        self._task_sessions = {}
 
     def evict(self, key):
-        self._sessions.pop(key, None)  # BAD: mutating method call, no lock
+        self._contexts.pop(key, None)  # BAD: mutating method call, no lock

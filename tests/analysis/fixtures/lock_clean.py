@@ -29,12 +29,12 @@ class Engine:
             return f"job-{self._job_counter}"
 
 
-class PoolManager:
+class ResourceManager:
     def __init__(self):
         self._lock = threading.RLock()
-        self._sessions = {}
-        self._busy = {}
+        self._contexts = {}
+        self._task_sessions = {}
 
     def evict(self, key):
         with self._lock:
-            self._sessions.pop(key, None)
+            self._contexts.pop(key, None)

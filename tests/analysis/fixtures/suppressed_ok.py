@@ -3,12 +3,12 @@
 import threading
 
 
-class PoolManager:
+class ResourceManager:
     def __init__(self):
         self._lock = threading.RLock()
-        self._sessions = {}
-        self._busy = {}
+        self._contexts = {}
+        self._task_sessions = {}
 
     def reset_before_sharing(self):
         # Sound: called from __init__-time setup before any thread sees us.
-        self._sessions.clear()  # repro: allow[REPRO-LOCK] pre-publication setup
+        self._contexts.clear()  # repro: allow[REPRO-LOCK] pre-publication setup

@@ -17,6 +17,7 @@ from repro.api import (
     CorrectionTask,
     DistanceTask,
     Engine,
+    ParallelBackend,
     registry_sweep_tasks,
 )
 from repro.api.engine import _reuse_sort_key, _validate_checkpoint
@@ -218,7 +219,7 @@ class TestDistanceResume:
     def _probe_count(self, result):
         return len(result.details["trials"])
 
-    def _interrupted_store(self, tmp_path, task, cancel_after=2, attempts=8):
+    def _interrupted_store(self, tmp_path, task, cancel_after=2, attempts=8, backend=None):
         """A store directory holding exactly one mid-walk checkpoint.
 
         Cancellation is cooperative, so a fast walk can finish (and delete
@@ -228,7 +229,7 @@ class TestDistanceResume:
         for attempt in range(attempts):
             directory = tmp_path / f"attempt-{attempt}"
             engine = _store_engine(directory)
-            job = engine.submit(task)
+            job = engine.submit(task, backend=backend)
             seen = 0
             cut = max(1, cancel_after - attempt)
             for event in job.events():
@@ -266,6 +267,22 @@ class TestDistanceResume:
         assert checkpoints == 0
         again = resumed_engine.run(task)
         assert "resumed_from" not in (again.details or {})
+
+    def test_parallel_walk_checkpoints_and_resumes_like_serial(self, tmp_path):
+        task = DistanceTask(code="surface-5")
+        backend = ParallelBackend(num_workers=2)
+        cold = Engine().run(task)
+        directory = self._interrupted_store(tmp_path, task, backend=backend)
+
+        resumed_engine = _store_engine(directory)
+        resumed = resumed_engine.run(task, backend=backend)
+        assert resumed.backend == "parallel"
+        assert resumed.details["distance"] == cold.details["distance"]
+        assert self._probe_count(resumed) < self._probe_count(cold)
+        assert resumed.details["resumed_from"]["probes"] >= 1
+        with sqlite3.connect(_db_path(directory)) as conn:
+            (checkpoints,) = conn.execute("SELECT COUNT(*) FROM checkpoints").fetchone()
+        assert checkpoints == 0
 
     def test_resumed_stream_spells_out_the_resume(self, tmp_path):
         task = DistanceTask(code="surface-5")

@@ -96,20 +96,19 @@ class TestDistance:
         assert payload["details"]["base_encodings"] == 1
         assert payload["decisions"] >= 0 and payload["propagations"] > 0
 
-    def test_distance_parallel_workers(self, capsys):
-        assert main(
-            ["distance", "--code", "steane", "--max-trial", "5", "--workers", "2", "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["details"]["distance"] == 3
-        assert payload["backend"] == "parallel"
-        assert payload["details"]["num_workers"] == 2
+    def test_distance_workers_flag_is_gone(self):
+        # The walk always runs on the code's shared context, so a worker
+        # count has nothing to split.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["distance", "--code", "steane", "--max-trial", "5", "--workers", "2"])
+        assert excinfo.value.code == 2
 
-    def test_distance_workers_text_names_backend(self, capsys):
-        assert main(
-            ["distance", "--code", "steane", "--max-trial", "5", "--workers", "2"]
-        ) == 0
-        assert "backend=parallel" in capsys.readouterr().out
+    def test_distance_text_names_backend(self, capsys):
+        assert main(["distance", "--code", "steane", "--max-trial", "5"]) == 0
+        assert "backend=serial" in capsys.readouterr().out
+
+    def test_max_trial_below_two_is_a_usage_error(self):
+        assert main(["distance", "--code", "steane", "--max-trial", "1"]) == 2
 
 
 class TestSweep:

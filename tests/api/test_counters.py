@@ -108,9 +108,10 @@ class TestSplitSessionClauseDatabaseCounters:
         code = steane_code()
         formula = accurate_correction_formula(code, max_errors=2)
         session = SolveSession(formula)
+        session.add_guard("stale", accurate_correction_formula(code, max_errors=1))
+        session.check(select=("stale",))
         split = IncrementalSplitSession(formula, session=session)
-        split.add_guard("stale", accurate_correction_formula(code, max_errors=1))
-        split.check(select=("stale",))
+        split.check()
         erased = session.retire_guard("stale")
         assert erased >= 1
         assert split.stats()["erased_clauses"] == erased

@@ -1,4 +1,4 @@
-"""The engine-owned resource layer: shared per-code contexts, persistent
+"""The engine-owned resource layer: shared per-code contexts, one-shot split
 pools, clause-store warm starts, and binary-search distance discovery.
 
 The load-bearing property is cross-task equivalence: a task decided on a
@@ -17,7 +17,6 @@ from repro.api import (
     Engine,
     ParallelBackend,
     SerialBackend,
-    registry_sweep_tasks,
 )
 from repro.api.resources import ResourceManager
 from repro.codes.registry import CODE_REGISTRY, build_code
@@ -177,70 +176,54 @@ class TestBinarySearchDistance:
         assert not any(name.startswith(("ex_", "ez_")) for name in bug.counterexample)
         assert any(name.startswith("e_") for name in bug.counterexample)
 
-    def test_parallel_distance_uses_persistent_pool(self):
+    def test_parallel_distance_walks_the_shared_context(self):
         engine = Engine()
         first = engine.run(DistanceTask(code="steane", max_trial=5),
                            backend=ParallelBackend(num_workers=2))
         assert first.details["distance"] == 3
-        assert first.details["resources"]["pool_misses"] == 1
+        assert first.backend == "parallel"
+        assert first.details["resources"]["contexts"] == 1
+        assert "num_workers" not in first.details
         second = engine.run(DistanceTask(code="steane", max_trial=5),
                             backend=ParallelBackend(num_workers=2))
         assert second.details["distance"] == 3
-        assert second.details["resources"]["pool_misses"] == 1
-        assert second.details["resources"]["pool_hits"] >= 1
+        assert second.details["resources"]["context_hits"] >= 1
         engine.close()
 
+    @pytest.mark.parametrize("key", sorted(CODE_REGISTRY))
+    def test_parallel_walk_equals_serial_walk(self, key):
+        """Whatever the backend, the walk runs on the code's context: the
+        distance, the strategy and the probe schedule are the serial ones."""
+        serial = Engine().run(DistanceTask(code=key), backend=SerialBackend())
+        parallel = Engine().run(DistanceTask(code=key), backend=ParallelBackend(num_workers=2))
+        for result in (serial, parallel):
+            result.details["probes"] = [
+                (trial["bound"], trial["window"], trial["verified"])
+                for trial in result.details["trials"]
+            ]
+        for field in ("distance", "strategy", "probes"):
+            assert parallel.details[field] == serial.details[field], (key, field)
 
-class TestPoolReuse:
-    def test_repeated_parallel_task_hits_the_pool(self):
+
+class TestOneShotSplitPools:
+    def test_parallel_check_leaves_no_live_pool(self):
+        from repro.smt.parallel import _LIVE_POOLS
+
+        before = list(_LIVE_POOLS)
         engine = Engine(backend=ParallelBackend(num_workers=2))
         task = CorrectionTask(code="steane", error_model="Y")
-        first = engine.run(task)
-        second = engine.run(task)
-        assert first.verified and second.verified
-        stats = second.session_stats()
-        assert stats["pools"] == 1
-        assert stats["pool_misses"] == 1
-        assert stats["pool_hits"] == 1
+        for run in (task, task, CorrectionTask(code="steane", max_errors=2)):
+            result = engine.run(run)
+            assert result.details["num_workers"] == 2
+            assert [pool for pool in _LIVE_POOLS if pool not in before] == []
+        assert not result.verified
         engine.close()
 
-    def test_sweep_creates_one_pool_per_distinct_formula(self):
-        keys = ["steane", "five-qubit", "detection-422"]
+    def test_resource_stats_carry_no_pool_keys(self):
         engine = Engine(backend=ParallelBackend(num_workers=2))
-        results = engine.run_many(registry_sweep_tasks(keys))
-        assert all(result.verified for result in results)
-        stats = results[-1].session_stats()
-        assert stats["pool_misses"] == len(keys)
-        assert stats["pool_hits"] == 0
-        # A second sweep over the same codes is all pool hits.
-        again = engine.run_many(registry_sweep_tasks(keys))
-        stats = again[-1].session_stats()
-        assert stats["pool_misses"] == len(keys)
-        assert stats["pool_hits"] == len(keys)
+        stats = engine.run(CorrectionTask(code="steane", error_model="Y")).session_stats()
+        assert not [key for key in stats if key.startswith("pool")]
         engine.close()
-
-    def test_pool_manager_lru_closes_evicted_sessions(self):
-        manager = ResourceManager(max_pools=1)
-        from repro.verifier.encodings import ErrorModel, precise_detection_formula
-
-        first = manager.pools.split_session(
-            precise_detection_formula(build_code("steane"), 3, ErrorModel("any")),
-            num_workers=1,
-        )
-        second = manager.pools.split_session(
-            precise_detection_formula(build_code("five-qubit"), 3, ErrorModel("any")),
-            num_workers=1,
-        )
-        assert len(manager.pools) == 1
-        assert first is not second
-        manager.close()
-
-    def test_engine_close_shuts_pools_down(self):
-        engine = Engine(backend=ParallelBackend(num_workers=2))
-        engine.run(CorrectionTask(code="steane", error_model="Y"))
-        assert engine.resources.stats()["pools"] == 1
-        engine.close()
-        assert engine.resources.stats()["pools"] == 0
 
 
 class TestWarmCache:
@@ -423,12 +406,12 @@ class TestPoolWorkerWarmCache:
         directory = str(tmp_path / "store")
         backend = ParallelBackend(num_workers=2)
         # A verified correction task: every pool check is unsat, so the pool
-        # (and its workers' learnt clauses) is still alive at save_warm.
+        # (and its workers' learnt clauses) is still alive when the backend
+        # saves to the store before closing it.
         task = CorrectionTask(code="surface-3")
 
         first_engine = Engine(backend=backend, clause_store=directory)
         first = first_engine.run(task)
-        first_engine.resources.save_warm()
         base = SolveSession(first_engine.compile_task(task).formula).fingerprint()
         first_engine.close()
         assert first.verified

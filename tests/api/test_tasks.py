@@ -64,6 +64,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             DetectionTask(code="steane", trial_distance=1)
 
+    @pytest.mark.parametrize("max_trial", [-3, 0, 1, True, 2.5, "5"])
+    def test_max_trial_below_two_or_not_an_int_rejected(self, max_trial):
+        with pytest.raises(ValueError, match="max_trial"):
+            DistanceTask(code="steane", max_trial=max_trial)
+
+    def test_max_trial_two_and_default_accepted(self):
+        assert DistanceTask(code="steane", max_trial=2).max_trial == 2
+        assert DistanceTask(code="steane").max_trial is None
+
     def test_program_task_requires_triple(self):
         with pytest.raises(ValueError):
             ProgramTask()

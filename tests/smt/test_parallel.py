@@ -3,6 +3,7 @@
 import threading
 
 from repro.classical.expr import And, BoolVar, IntConst, IntLe, Not, Or, sum_of
+from repro.smt.interface import SolveSession
 from repro.smt.parallel import (
     IncrementalSplitSession,
     _pool_context,
@@ -103,38 +104,26 @@ class TestStatisticsAggregation:
 
 
 class TestIncrementalSplitSession:
-    def test_repeated_guarded_checks_one_encoding(self):
-        e = [BoolVar(f"e{i}") for i in range(4)]
-        # Base: at least two indicators set (via e0 & e1 pinned on).
-        base = And((e[0], e[1]))
-        weight = sum_of(e)
-        with IncrementalSplitSession(base, split_variables=["e2", "e3"]) as session:
-            tight = session.add_weight_guard("le1", weight, 1)
-            assert session.check(select=(tight,)).is_unsat
-            loose = session.add_weight_guard("le2", weight, 2)
-            assert session.check(select=(loose,)).is_sat
-            assert session.stats()["checks"] == 2
-
-    def test_pool_guarded_checks_match_sequential(self):
+    def test_one_shot_splits_match_guarded_session(self):
+        """Each weight bound, decided by a one-shot split of ``base AND
+        weight <= bound`` (sequential and pooled), agrees with the
+        selector-guarded answer of one SolveSession over the base."""
         e = [BoolVar(f"e{i}") for i in range(5)]
         base = And((e[0], e[1]))
         weight = sum_of(e)
-        sequential = IncrementalSplitSession(base, split_variables=["e2", "e3", "e4"])
-        pooled = IncrementalSplitSession(
-            base, split_variables=["e2", "e3", "e4"], num_workers=2
-        )
-        try:
-            for bound in (1, 2, 3):
-                name = f"le{bound}"
-                sequential.add_weight_guard(name, weight, bound)
-                pooled.add_weight_guard(name, weight, bound)
-                assert (
-                    sequential.check(select=(name,)).status
-                    == pooled.check(select=(name,)).status
+        guarded = SolveSession(base)
+        expected = {}
+        for bound in (1, 2, 3):
+            selector = guarded.add_weight_guard(f"le{bound}", weight, bound)
+            expected[bound] = guarded.check(select=(selector,)).status
+            formula = And((base, IntLe(weight, IntConst(bound))))
+            for workers in (1, 2):
+                result = check_once(
+                    formula, split_variables=["e2", "e3", "e4"], num_workers=workers
                 )
-        finally:
-            sequential.close()
-            pooled.close()
+                assert result.status == expected[bound], (bound, workers)
+        assert expected == {1: "unsat", 2: "sat", 3: "sat"}
+        assert guarded.stats()["checks"] == 3
 
 
 class TestPoolTeardown:
