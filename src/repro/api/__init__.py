@@ -9,12 +9,13 @@ Reify a request as a task, hand it to an :class:`Engine`, get a unified
     assert result.verified
 
 Batches run through :meth:`Engine.run_many`, optionally across a process
-pool; backends are pluggable (:class:`SerialBackend`, :class:`ParallelBackend`);
+pool; a task is decided by one of two backends, :class:`SerialBackend` (one
+SAT query) or :class:`ParallelBackend` (the paper's enumeration split);
 ``python -m repro`` exposes the same engine on the command line.
 
 The job-oriented surface layers on top: :meth:`Engine.submit` returns a
-:class:`Job` handle (stream typed events, await the result, cancel, bound by
-a deadline), :class:`AsyncEngine` mirrors it for asyncio, and
+:class:`Job` handle (stream typed events, wait for the result, cancel,
+bound by a deadline), :mod:`repro.service` serves those jobs over HTTP, and
 :mod:`repro.api.events` defines the versioned event schema the streams
 speak::
 
@@ -24,7 +25,6 @@ speak::
     result = job.result()
 """
 
-from repro.api.aio import AsyncEngine, AsyncJob
 from repro.api.backends import Backend, ParallelBackend, SerialBackend, coerce_backend
 from repro.api.engine import CompiledTask, Engine, registry_sweep_tasks
 from repro.api.events import (
@@ -67,8 +67,6 @@ __all__ = [
     "CompiledTask",
     "Engine",
     "registry_sweep_tasks",
-    "AsyncEngine",
-    "AsyncJob",
     "Job",
     "JobCancelledError",
     "JobStatus",

@@ -1,7 +1,8 @@
-"""Pluggable solver backends for the verification engine.
+"""The two solver backends of the verification engine.
 
 A backend decides one compiled task (a refutation formula): ``unsat`` means
-the property is verified.  Two implementations ship with the engine:
+the property is verified.  The paper decides a VC in one of two ways, and
+so does the engine:
 
 * :class:`SerialBackend`   — one SAT query on a :class:`~repro.smt.interface.SolveSession`;
 * :class:`ParallelBackend` — enumeration-based task splitting across a worker
@@ -9,17 +10,21 @@ the property is verified.  Two implementations ship with the engine:
   (Appendix D.4): one pool per check, each worker holding one incremental
   session across its subtasks, warm-started from the engine's clause store.
 
-Both accept an optional ``session`` — a live :class:`SolveSession` that
-already holds the compiled formula — so the engine can reuse one solver (and
-its learnt clauses) across repeated runs of the same task; see
-:meth:`repro.api.engine.Engine.run`.  Backends are plain frozen dataclasses
-so they can be pickled into the batch executor's worker processes.
+:data:`Backend` is their union; nothing else plugs in.  Both take the same
+``check(compiled, *, session, resources, control)`` call: ``session`` is a
+live session already holding the compiled formula (the engine builds one,
+shared per code, when the backend's ``wants_session`` is true), so learnt
+clauses carry over to the next run of the same task; ``resources`` is the
+engine's :class:`~repro.api.resources.ResourceManager` (the clause store);
+``control`` bounds the solve (deadline, cancellation).  Backends are plain
+frozen dataclasses so they can be pickled into the batch executor's worker
+processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.smt.interface import SMTCheck, SolveSession
 from repro.smt.parallel import IncrementalSplitSession
@@ -27,42 +32,9 @@ from repro.smt.solver import SolveControl
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.engine import CompiledTask
+    from repro.api.resources import ResourceManager
 
-__all__ = ["Backend", "SerialBackend", "ParallelBackend", "coerce_backend", "make_session"]
-
-
-def make_session(compiled: "CompiledTask") -> SolveSession:
-    """A fresh incremental session holding ``compiled``'s formula."""
-    return SolveSession(compiled.formula)
-
-
-@runtime_checkable
-class Backend(Protocol):
-    """Anything that can decide a compiled verification task.
-
-    Backends may additionally expose a ``wants_session`` attribute/property;
-    when truthy the engine builds a persistent session view for the task
-    (shared per code through the engine's resource layer) and passes it to
-    :meth:`check`.  A ``wants_resources`` attribute/property additionally
-    opts the backend into the engine's
-    :class:`~repro.api.resources.ResourceManager` (passed as a ``resources``
-    keyword), which is how the parallel backend reaches the clause store.
-    The engine treats missing attributes as ``False``, so custom
-    backends that ignore sessions and resources need not declare them.
-    """
-
-    name: str
-
-    def check(self, compiled: "CompiledTask", session: SolveSession | None = None) -> SMTCheck:
-        """Decide satisfiability of ``compiled.formula`` (unsat = verified).
-
-        ``session``, when given, is a live session already holding the
-        compiled formula (possibly guarded behind a task selector); the
-        backend should solve on it so learnt clauses carry over to the next
-        run of the same task — and, when the session is a shared per-code
-        view, to every other task kind on the same code.
-        """
-        ...
+__all__ = ["Backend", "SerialBackend", "ParallelBackend", "coerce_backend"]
 
 
 @dataclass(frozen=True)
@@ -70,24 +42,18 @@ class SerialBackend:
     """Single-query backend over the in-tree incremental CDCL solver."""
 
     name: ClassVar[str] = "serial"
-    # The engine only forwards a job's SolveControl (deadline / cancellation)
-    # to backends that declare they honor it; third-party backends without
-    # the attribute fall back to engine-level between-probe checks.
-    supports_control: ClassVar[bool] = True
-
-    @property
-    def wants_session(self) -> bool:
-        """Whether :meth:`check` will solve on a provided persistent session
-        (the engine only builds/caches sessions for backends that will)."""
-        return True
+    #: :meth:`check` solves on the engine's persistent session.
+    wants_session: ClassVar[bool] = True
 
     def check(
         self,
         compiled: "CompiledTask",
+        *,
         session: SolveSession | None = None,
+        resources: "ResourceManager | None" = None,
         control: SolveControl | None = None,
     ) -> SMTCheck:
-        live = session if session is not None else make_session(compiled)
+        live = session if session is not None else SolveSession(compiled.formula)
         return live.check(control=control)
 
 
@@ -110,7 +76,6 @@ class ParallelBackend:
     max_subtasks: int = 256
 
     name: ClassVar[str] = "parallel"
-    supports_control: ClassVar[bool] = True
 
     @property
     def wants_session(self) -> bool:
@@ -118,17 +83,12 @@ class ParallelBackend:
         # consumed on the sequential (num_workers <= 1) path.
         return self.num_workers <= 1
 
-    @property
-    def wants_resources(self) -> bool:
-        """Whether :meth:`check` uses the engine's resource layer (the clause
-        store that warm-starts the split workers) when one is provided."""
-        return True
-
     def check(
         self,
         compiled: "CompiledTask",
+        *,
         session: SolveSession | None = None,
-        resources=None,
+        resources: "ResourceManager | None" = None,
         control: SolveControl | None = None,
     ) -> SMTCheck:
         heuristic_weight = self.heuristic_weight or compiled.split_weight
@@ -155,7 +115,11 @@ class ParallelBackend:
         return check
 
 
-def coerce_backend(backend: "Backend | str | None", num_workers: int = 2) -> "Backend":
+#: Every backend the engine accepts.
+Backend = SerialBackend | ParallelBackend
+
+
+def coerce_backend(backend: Backend | str | None, num_workers: int = 2) -> Backend:
     """Resolve a backend argument: an instance, a name, or ``None`` (serial)."""
     if backend is None:
         return SerialBackend()
@@ -165,4 +129,9 @@ def coerce_backend(backend: "Backend | str | None", num_workers: int = 2) -> "Ba
         if backend == "parallel":
             return ParallelBackend(num_workers=num_workers)
         raise ValueError(f"unknown backend {backend!r}; expected 'serial' or 'parallel'")
+    if not isinstance(backend, Backend):
+        raise TypeError(
+            f"expected SerialBackend, ParallelBackend, 'serial' or 'parallel', "
+            f"got {type(backend).__name__}"
+        )
     return backend

@@ -170,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--lanes", type=int, default=4,
-        help="dispatcher worker lanes; each code (or code family) is pinned "
-        "to one lane, so jobs on different codes solve concurrently "
+        help="dispatcher worker lanes; each code is pinned to one lane, "
+        "so jobs on different codes solve concurrently "
         "(1 = the serial dispatcher)",
     )
     serve.add_argument(

@@ -1,4 +1,4 @@
-"""The verification engine: compile tasks once, decide them on any backend.
+"""The verification engine: compile tasks once, decide them on either backend.
 
 ``Engine`` is the single entry point for every verification task; the
 ``python -m repro`` CLI, the job executor and the service all drive it:
@@ -6,8 +6,9 @@
 * :meth:`Engine.compile_task` lowers a task to its refutation formula (one
   place for every encoding decision), memoised in an LRU cache keyed on the
   task value;
-* :meth:`Engine.run` decides one task on a pluggable backend and returns the
-  unified :class:`~repro.api.result.Result`;
+* :meth:`Engine.run` decides one task on a :class:`~repro.api.backends.SerialBackend`
+  or :class:`~repro.api.backends.ParallelBackend` and returns the unified
+  :class:`~repro.api.result.Result`;
 * :meth:`Engine.run_many` executes a batch of tasks — optionally across a
   process pool — with per-task timing, which is how whole registry sweeps
   (Table 3 / Table 4 style) are driven.
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 from repro import faults, sanitize
-from repro.api.backends import Backend, ParallelBackend, SerialBackend, coerce_backend
+from repro.api.backends import Backend, ParallelBackend, coerce_backend
 from repro.api.events import DistanceProbe, SolverStats, SubtaskStarted, TaskCompiled
 from repro.api.jobs import Job, ShardedJobExecutor
 from repro.api.resources import ResourceManager
@@ -42,7 +43,6 @@ from repro.api.tasks import (
 from repro.classical.expr import BoolExpr, BoolVar, Not
 from repro.codes.base import StabilizerCode
 from repro.codes.registry import CODE_REGISTRY, family_of
-from repro.smt.interface import SolveSession
 from repro.smt.solver import SolveControl, SolverInterrupted
 from repro.verifier.constraints import discreteness_constraint, locality_constraint
 from repro.verifier.encodings import (
@@ -490,22 +490,12 @@ class Engine:
                 task_kind=compiled.kind, subject=compiled.subject,
                 cached=cached, compile_seconds=compiled.compile_seconds,
             ))
-        session = None
-        if getattr(chosen, "wants_session", False):
-            session = self.resources.session_for(task, compiled)
-        kwargs = {}
-        if control is not None and getattr(chosen, "supports_control", False):
-            kwargs["control"] = control
-        else:
-            self._check_control(control)
+        session = self.resources.session_for(task, compiled) if chosen.wants_session else None
         if emit is not None:
             emit(SubtaskStarted(index=0, description=f"solve:{compiled.kind}"))
-        if getattr(chosen, "wants_resources", False):
-            check = chosen.check(
-                compiled, session=session, resources=self.resources, **kwargs
-            )
-        else:
-            check = chosen.check(compiled, session=session, **kwargs)
+        check = chosen.check(
+            compiled, session=session, resources=self.resources, control=control
+        )
         elapsed = time.perf_counter() - start
         if emit is not None:
             emit(SolverStats.from_counters(
@@ -514,7 +504,7 @@ class Engine:
             ))
         details = dict(compiled.details)
         details.update(check.metadata)
-        if session is not None or getattr(chosen, "wants_resources", False):
+        if session is not None or isinstance(chosen, ParallelBackend):
             details["resources"] = self.resources.stats()
         return Result(
             task=compiled.kind,
@@ -590,8 +580,8 @@ class Engine:
 
         The trial-independent detection base (non-trivial, syndrome-free,
         logically acting error) is encoded exactly once, on the code's shared
-        :class:`~repro.api.resources.CodeContext`, whichever of the built-in
-        backends is chosen: the walk's probes are small incremental solves,
+        :class:`~repro.api.resources.CodeContext`, whichever backend is
+        chosen: the walk's probes are small incremental solves,
         so splitting them across worker processes would cost more in pool
         startup and re-encoding than it saves.  Instead of walking the trial
         distance linearly, the walk brackets the minimum undetectable-error
@@ -608,43 +598,16 @@ class Engine:
         """
         code = task.build()
         limit = task.max_trial if task.max_trial is not None else code.num_qubits + 1
-        if not isinstance(backend, (SerialBackend, ParallelBackend)):
-            # A custom backend decides formulas its own way; honour the
-            # Backend protocol by probing one monolithic DetectionTask per
-            # trial through backend.check() instead of our session walk.
-            return self._run_distance_probes(task, backend, code, limit, control, emit)
         start = time.perf_counter()
         compile_start = time.perf_counter()
         error_model = ErrorModel("any")
         context = self.resources.context_for(task.code)
-        if context is not None:
-            weight, base_guard, base_variables = context.detection_base(
-                error_model.kind,
-                lambda: precise_detection_base(code, error_model),
-            )
-            context.maybe_warm_load()
-            session = context.session
-            base_selectors: tuple[str, ...] = (base_guard,)
-
-            def upper(bound: int) -> str:
-                return context.weight_upper_guard(error_model.kind, weight, bound)
-
-            def lower(bound: int) -> str:
-                return context.weight_lower_guard(error_model.kind, weight, bound)
-
-        else:
-            # No context to key (an unhashable code): a throwaway session
-            # holding only the base, so witnesses need no restriction.
-            base, weight = precise_detection_base(code, error_model)
-            session = SolveSession(base)
-            base_selectors = ()
-            base_variables = None
-
-            def upper(bound: int) -> str:
-                return session.add_weight_guard(f"w:le:{bound}", weight, bound)
-
-            def lower(bound: int) -> str:
-                return session.add_weight_lower_guard(f"w:ge:{bound}", weight, bound)
+        weight, base_guard, base_variables = context.detection_base(
+            error_model.kind,
+            lambda: precise_detection_base(code, error_model),
+        )
+        context.maybe_warm_load()
+        session = context.session
 
         compile_seconds = time.perf_counter() - compile_start
         strategy = self._distance_strategy(task, code, limit)
@@ -670,7 +633,7 @@ class Engine:
         checkpoint_key = None
         resumed_from = None
         prior_probes = 0
-        if store is not None and context is not None:
+        if store is not None:
             checkpoint_key = self._distance_checkpoint_key(task, code, limit, error_model.kind)
             state = _validate_checkpoint(store.checkpoint_load(checkpoint_key), limit)
             if state is not None:
@@ -694,10 +657,10 @@ class Engine:
                 gallop_bound *= 2
             else:
                 mid = (lo + hi) // 2
-            selectors = list(base_selectors)
+            selectors = [base_guard]
             if lo > 1:
-                selectors.append(lower(lo))
-            selectors.append(upper(mid))
+                selectors.append(context.weight_lower_guard(error_model.kind, weight, lo))
+            selectors.append(context.weight_upper_guard(error_model.kind, weight, mid))
             if emit is not None:
                 emit(SubtaskStarted(
                     index=len(trials),
@@ -719,10 +682,8 @@ class Engine:
                 # strictly below stays open for the next probe.  A satisfiable
                 # probe also ends any galloping phase: the answer is bracketed
                 # and bisection finishes the narrowed window.
-                model = last.model or {}
-                if base_variables is not None:
-                    model = {name: value for name, value in model.items()
-                             if name in base_variables}
+                model = {name: value for name, value in (last.model or {}).items()
+                         if name in base_variables}
                 found = max(1, model_error_weight(model, error_model))
                 distance = found
                 witness = model
@@ -779,8 +740,7 @@ class Engine:
         }
         if resumed_from is not None:
             details["resumed_from"] = resumed_from
-        if context is not None:
-            details["resources"] = self.resources.stats()
+        details["resources"] = self.resources.stats()
         if witness:
             # The witness is informative (a minimum-weight undetectable
             # error), but `counterexample` is reserved for unverified results.
@@ -797,62 +757,6 @@ class Engine:
             conflicts=counters["conflicts"],
             decisions=counters["decisions"],
             propagations=counters["propagations"],
-            details=details,
-        )
-
-    def _run_distance_probes(
-        self,
-        task: DistanceTask,
-        backend: Backend,
-        code,
-        limit: int,
-        control: SolveControl | None = None,
-        emit: Emit | None = None,
-    ) -> Result:
-        """Legacy trial walk for third-party backends: one monolithic
-        detection probe per trial, each decided by ``backend.check``.
-
-        A job's control is honoured at probe boundaries (and inside the
-        solve when the backend declares ``supports_control``)."""
-        start = time.perf_counter()
-        trials: list[dict] = []
-        distance = limit
-        last: Result | None = None
-        for trial in range(2, limit + 1):
-            self._check_control(control)
-            if emit is not None:
-                emit(SubtaskStarted(
-                    index=len(trials), description=f"detection probe, trial {trial}"
-                ))
-            probe = DetectionTask(code=task.code, trial_distance=trial)
-            last = self._execute(probe, backend, control=control)
-            trials.append(
-                {"trial_distance": trial, "verified": last.verified,
-                 "elapsed_seconds": last.elapsed_seconds, "conflicts": last.conflicts,
-                 "decisions": last.decisions}
-            )
-            if emit is not None:
-                emit(DistanceProbe(
-                    bound=trial - 1, window=[1, limit - 1], sat=not last.verified,
-                    witness_weight=None, conflicts=last.conflicts,
-                    decisions=last.decisions, elapsed_seconds=last.elapsed_seconds,
-                ))
-            if not last.verified:
-                distance = trial - 1
-                break
-        details = {"distance": distance, "trials": trials}
-        if last is not None and last.counterexample:
-            details["witness"] = last.counterexample
-        return Result(
-            task=task.kind,
-            subject=code.name,
-            verified=True,
-            elapsed_seconds=time.perf_counter() - start,
-            backend=backend.name,
-            num_variables=last.num_variables if last is not None else 0,
-            num_clauses=last.num_clauses if last is not None else 0,
-            conflicts=sum(t.get("conflicts", 0) for t in trials),
-            decisions=sum(t.get("decisions", 0) for t in trials),
             details=details,
         )
 

@@ -8,9 +8,8 @@ lifecycle:
 * the engine-owned :class:`ShardedJobExecutor` routes each job to a worker
   *lane* (one dispatcher thread + priority queue per lane, highest
   :attr:`Job.priority` first, FIFO among equals).  Lane assignment is the
-  concurrency-safety invariant: every code (and every code *family*) maps
-  to exactly one lane via the engine's
-  :class:`~repro.api.resources.ResourceManager`, so two jobs that could
+  concurrency-safety invariant: every code maps to exactly one lane via the
+  engine's :class:`~repro.api.resources.ResourceManager`, so two jobs that could
   touch the same :class:`~repro.smt.interface.SolveSession` always run on
   the same thread while jobs on unrelated codes run concurrently;
 * every observable step is emitted as a typed event
@@ -22,8 +21,9 @@ lifecycle:
   reusable, and the engine retires the cancelled task's guarded formula from
   the shared :class:`~repro.api.resources.CodeContext` instead of leaking it.
 
-``Job.result()`` blocks (``Job.events()`` streams); the asyncio façade lives
-in :mod:`repro.api.aio`.
+``Job.result()`` blocks (``Job.events()`` streams); the HTTP service in
+:mod:`repro.service.routes` bridges the same handles onto its event loop
+through :meth:`Job.snapshot` and :meth:`Job.subscribe`.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ class Job:
     """A handle on one submitted task: await, stream, or cancel it.
 
     Thread-safe: the executor mutates status and emits events from its
-    dispatcher thread while any number of caller threads (or event loops,
-    through :mod:`repro.api.aio`) observe.  Event subscribers get the full
+    dispatcher thread while any number of caller threads (or the service's
+    event loop) observe.  Event subscribers get the full
     replay first, then live events, and the stream always ends with exactly
     one terminal event.
     """
@@ -380,8 +380,7 @@ class ShardedJobExecutor:
 
     Routing is delegated to the engine's
     :class:`~repro.api.resources.ResourceManager`: the shard key is the
-    task's code *family* when it has one (family members share a thread) and
-    the code itself otherwise, with code-less tasks pinned to lane 0.  Lane
+    task's code, with code-less tasks pinned to lane 0.  Lane
     affinity is the whole concurrency story: a ``SolveSession`` is only ever
     touched from the one lane its code maps to (blocking ``Engine.run``
     calls serialize against that same lane through the engine's per-lane

@@ -33,7 +33,6 @@ from collections import Counter, OrderedDict
 
 from repro import sanitize
 from repro.classical.expr import free_variables
-from repro.codes.registry import family_of
 from repro.smt.interface import SMTCheck, SolveSession
 from repro.smt.solver import SEARCH_COUNTERS, nonzero
 from repro.store import ClauseStore
@@ -249,11 +248,11 @@ class ResourceManager:
 
     With the sharded dispatcher the manager is also the *routing authority*:
     :meth:`shard_for_task` maps every task to the one worker lane allowed to
-    touch its code's session.  The shard key is the code's registry *family*
-    when it has one (family members share a lane) and the code itself
-    otherwise; assignment is sticky — a key, once mapped, keeps its lane for
-    the manager's lifetime — with crc32 hashing onto free lanes and
-    least-recently-used lane reuse once every lane carries keys.
+    touch its code's session.  The shard key is the code itself (its
+    registry key, or an ad-hoc code's name); assignment is sticky — a key,
+    once mapped, keeps its lane for the manager's lifetime — with crc32
+    hashing onto free lanes and least-recently-used lane reuse once every
+    lane carries keys.
 
     The internal lock only guards the manager's own dict bookkeeping
     (context/session registries, shard assignments).  Sessions themselves
@@ -284,7 +283,7 @@ class ResourceManager:
         self.configure_shards(1)
 
     # ------------------------------------------------------------------
-    # Sharding: code/family → lane
+    # Sharding: code → lane
     # ------------------------------------------------------------------
     def configure_shards(self, num_shards: int) -> None:
         """(Re)size the lane table; called by the engine before any job runs."""
@@ -309,9 +308,9 @@ class ResourceManager:
         return None
 
     def shard_key(self, code) -> str:
-        """The affinity key for a code: its registry family, else itself."""
+        """The affinity key for a code: its registry key, else its name."""
         if isinstance(code, str):
-            return family_of(code) or code
+            return code
         name = getattr(code, "name", "")
         return name if name else type(code).__name__
 
@@ -345,13 +344,13 @@ class ResourceManager:
         return self.shard_for(self.shard_key(code))
 
     # ------------------------------------------------------------------
-    def context_for(self, key) -> CodeContext | None:
-        """The live context for a code key (LRU, created on first use)."""
+    def context_for(self, key) -> CodeContext:
+        """The live context for a code key (LRU, created on first use).
+
+        ``key`` is a task's code: a registry key or a built
+        :class:`~repro.codes.base.StabilizerCode`, which hashes by identity."""
         with self._lock:
-            try:
-                context = self._contexts.get(key)
-            except TypeError:  # unhashable key
-                return None
+            context = self._contexts.get(key)
             if context is None:
                 context = CodeContext(key, clause_store=self.clause_store)
                 self._contexts[key] = context
@@ -401,8 +400,6 @@ class ResourceManager:
         if code_key is None:
             return self._task_session_for(task, compiled)
         context = self.context_for(code_key)
-        if context is None:
-            return None
         try:
             return context.task_view(task, compiled.formula)
         except TypeError:  # unhashable task payload

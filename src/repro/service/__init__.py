@@ -1,8 +1,10 @@
 """The networked verification service: the job API on the wire.
 
 :mod:`repro.service` layers a stdlib-only asyncio HTTP/1.1 server on top of
-:class:`~repro.api.aio.AsyncEngine`, turning the in-process
-submit/stream/cancel job surface into a multi-tenant network service::
+the :class:`~repro.api.engine.Engine` job API (:meth:`Engine.submit
+<repro.api.engine.Engine.submit>` and :class:`~repro.api.jobs.Job`), turning
+the in-process submit/stream/cancel job surface into a multi-tenant network
+service::
 
     python -m repro serve --port 8080
 

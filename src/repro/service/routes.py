@@ -167,12 +167,14 @@ class Router:
             raise HttpError(
                 400, f"unknown lane {lane!r}; expected one of {sorted(PRIORITY_LANES)}"
             )
+        # bool is an int subclass, and json.loads accepts NaN and Infinity.
         priority = payload.get("priority", PRIORITY_LANES[lane])
-        if not isinstance(priority, int):
+        if not isinstance(priority, int) or isinstance(priority, bool):
             raise HttpError(400, "priority must be an integer")
         deadline = payload.get("deadline")
         if deadline is not None and (
-            not isinstance(deadline, (int, float)) or deadline <= 0
+            not isinstance(deadline, (int, float)) or isinstance(deadline, bool)
+            or not math.isfinite(deadline) or deadline <= 0
         ):
             raise HttpError(400, "deadline must be a positive number of seconds")
 

@@ -15,6 +15,8 @@ from repro.api import (
     registry_sweep_tasks,
 )
 from repro.codes import steane_code
+from repro.smt.interface import SolveSession
+from repro.smt.solver import SolveControl
 from repro.verifier.programs import correction_triple
 
 
@@ -237,26 +239,48 @@ class TestBackends:
         )
         assert not result.verified
 
-    def test_distance_probes_through_custom_backends(self):
-        # The incremental session walk is an in-tree optimisation; a
-        # third-party Backend must still decide every trial itself.
-        from repro.smt.interface import check_formula
+    def test_only_in_tree_backends_are_accepted(self):
+        class CustomBackend:
+            name = "custom"
+            wants_session = True
 
-        class CountingBackend:
-            name = "counting"
+            def check(self, compiled, *, session=None, resources=None, control=None):
+                raise AssertionError("a custom backend must never be called")
 
-            def __init__(self):
-                self.calls = 0
+        for backend in (CustomBackend(), object()):
+            with pytest.raises(TypeError):
+                Engine(backend=backend)
+            engine = Engine()
+            with pytest.raises(TypeError):
+                engine.run(DistanceTask(code="steane", max_trial=5), backend=backend)
+            with pytest.raises(TypeError):
+                engine.run(CorrectionTask(code="steane"), backend=backend)
+            with pytest.raises(TypeError):
+                engine.submit(CorrectionTask(code="steane"), backend=backend).result(timeout=60)
+            engine.close()
 
-            def check(self, compiled, session=None):
-                self.calls += 1
-                return check_formula(compiled.formula)
-
-        backend = CountingBackend()
-        result = Engine().run(DistanceTask(code="steane", max_trial=5), backend=backend)
-        assert result.details["distance"] == 3
-        assert backend.calls == 3
-        assert result.backend == "counting"
+    @pytest.mark.parametrize(
+        "backend", [SerialBackend(), ParallelBackend(num_workers=1)], ids=["serial", "parallel"]
+    )
+    def test_backends_take_one_check_call(self, backend):
+        # Both in-tree backends are called the same way: a live session
+        # holding the formula, the engine's resources and a solve control.
+        engine = Engine()
+        for task, status in (
+            (CorrectionTask(code="steane"), "unsat"),
+            (CorrectionTask(code="steane", max_errors=2, error_model="Y"), "sat"),
+        ):
+            compiled = engine.compile_task(task)
+            session = SolveSession(compiled.formula)
+            assert backend.wants_session
+            check = backend.check(
+                compiled, session=session, resources=engine.resources, control=SolveControl()
+            )
+            assert check.status == status
+            # The formula stays on the session: a second call reuses it.
+            again = backend.check(compiled, session=session, resources=engine.resources)
+            assert again.status == status
+        engine.close()
 
     def test_backend_names_coerce(self):
         assert Engine(backend="parallel").backend.name == "parallel"

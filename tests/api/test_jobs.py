@@ -7,13 +7,11 @@ ends in exactly one terminal event, and event streams are deterministic
 across fresh engines once wall-clock fields are stripped.
 """
 
-import asyncio
 import time
 
 import pytest
 
 from repro.api import (
-    AsyncEngine,
     CorrectionTask,
     DetectionTask,
     DistanceProbe,
@@ -335,60 +333,57 @@ class TestDeterminism:
         assert first == second
 
 
-class TestAsyncFacade:
-    def test_arun_matches_blocking_run(self):
-        async def main():
-            async with AsyncEngine() as engine:
-                return await engine.arun(CorrectionTask(code="steane"))
+class TestConsumers:
+    """Job-level behaviour every stream consumer relies on (the service's
+    event-loop bridge included): live streams and results agree, and a
+    consumer that hangs up early wedges nothing."""
 
-        result = asyncio.run(main())
+    def test_live_stream_and_result_share_one_job(self):
+        import threading
+
+        engine = Engine()
+        job = engine.submit(CorrectionTask(code="five-qubit"))
+        seen = []
+        reader = threading.Thread(target=lambda: seen.extend(job.events()))
+        reader.start()
+        result = job.result(timeout=60)
+        reader.join(60)
+        assert not reader.is_alive()
+        assert [event.seq for event in seen] == list(range(len(seen)))
+        assert type(seen[-1]).__name__ == "JobCompleted"
         assert result.verified
-        assert result.verified == Engine().run(CorrectionTask(code="steane")).verified
+        engine.close()
 
-    def test_async_event_stream_and_multiplexing(self):
-        async def main():
-            async with AsyncEngine() as engine:
-                jobs = [
-                    engine.submit(DetectionTask(code="five-qubit")),
-                    engine.submit(CorrectionTask(code="steane")),
-                ]
-                streams = []
-                for job in jobs:
-                    names = []
-                    async for event in job.events():
-                        names.append(type(event).__name__)
-                    streams.append(names)
-                results = await asyncio.gather(*(job.result() for job in jobs))
-                return streams, results
-
-        streams, results = asyncio.run(main())
-        for names in streams:
+    def test_concurrent_jobs_multiplex_one_engine(self):
+        engine = Engine()
+        jobs = [
+            engine.submit(DetectionTask(code="five-qubit")),
+            engine.submit(CorrectionTask(code="steane")),
+        ]
+        for job in jobs:
+            names = _event_names(job)
             assert names[0] == "JobSubmitted"
             assert names[-1] == "JobCompleted"
-        assert all(result.verified for result in results)
-
-    def test_async_cancellation(self):
-        async def main():
-            async with AsyncEngine() as engine:
-                job = engine.submit(DistanceTask(code="surface-5", max_trial=6))
-                job.cancel()
-                with pytest.raises(JobCancelledError):
-                    await job.result()
-                return job.status
-
-        assert asyncio.run(main()) is JobStatus.CANCELLED
-
-    def test_arun_many_preserves_order(self):
-        async def main():
-            async with AsyncEngine() as engine:
-                return await engine.arun_many(
-                    [CorrectionTask(code="steane"), DetectionTask(code="five-qubit")]
-                )
-
-        results = asyncio.run(main())
+            assert names.count("JobCompleted") == 1
+        results = [job.result(timeout=60) for job in jobs]
         assert [result.task for result in results] == [
-            "accurate-correction", "precise-detection",
+            "precise-detection", "accurate-correction",
         ]
+        assert all(result.verified for result in results)
+        engine.close()
+
+    def test_abandoned_stream_does_not_wedge_the_job(self):
+        engine = Engine()
+        job = engine.submit(DistanceTask(code="surface-3"))
+        stream = job.events()
+        assert type(next(stream)).__name__ == "JobSubmitted"
+        stream.close()  # hang up after one event
+        assert job.result(timeout=300).verified
+        # A late subscriber still gets the full, terminal-capped replay.
+        names = _event_names(job)
+        assert names[0] == "JobSubmitted"
+        assert names[-1] == "JobCompleted"
+        engine.close()
 
 
 class TestRequestCancel:

@@ -1,7 +1,7 @@
-"""The sharded dispatcher: lane routing and family templates.
+"""The sharded dispatcher: lane routing, and the registry's family tags.
 
 Lane affinity is the concurrency-safety invariant under test: every task on
-one code (or one code *family*) routes to the same lane, forever.
+one code routes to the same lane, forever.
 """
 
 import threading
@@ -37,15 +37,18 @@ class TestShardRouting:
         lanes = {manager.shard_for_task(CorrectionTask(code="steane")) for _ in range(10)}
         assert len(lanes) == 1
 
-    def test_family_members_share_a_lane(self):
+    def test_shard_key_is_the_code_not_its_family(self):
         manager = ResourceManager()
         manager.configure_shards(4)
-        surface_3 = manager.shard_for_task(DistanceTask(code="surface-3"))
+        assert manager.shard_key("surface-3") == "surface-3"
+        assert manager.shard_key("five-qubit") == "five-qubit"
+        # Every task kind on one code shares that code's lane ...
         surface_5 = manager.shard_for_task(CorrectionTask(code="surface-5"))
-        assert surface_3 == surface_5
-        five = manager.shard_for_task(CorrectionTask(code="five-qubit"))
-        six = manager.shard_for_task(CorrectionTask(code="six-qubit"))
-        assert five == six
+        assert manager.shard_for_task(DistanceTask(code="surface-5")) == surface_5
+        assert manager.shard_for_task(DetectionTask(code="surface-5")) == surface_5
+        # ... while family members are routed independently: with free
+        # lanes left, a second code never lands on an occupied one.
+        assert manager.shard_for_task(DistanceTask(code="surface-3")) != surface_5
 
     def test_codeless_tasks_pin_to_lane_zero(self):
         manager = ResourceManager()
@@ -74,9 +77,9 @@ class TestShardRouting:
 
 
 class TestNoCrossCodeState:
-    """Family members share a lane for routing only: no learnt clause and
-    no counter crosses from one code's context to another's, so a code's
-    search is the same whether or not its sibling ran first."""
+    """No learnt clause and no counter crosses from one code's context to
+    another's, so a code's search is the same whether or not its family
+    sibling ran first."""
 
     def _after_surface_3(self):
         engine = Engine(backend="serial")
@@ -175,7 +178,7 @@ class TestShardedExecutor:
             assert all(entry["queue_depth"] == 0 for entry in lanes)
             claimed = [key for entry in lanes for key in entry["shard_keys"]]
             assert sorted(claimed) == sorted(
-                {"steane", "shor", "surface", "perfect"}
+                {"steane", "shor", "surface-3", "five-qubit"}
             )
         finally:
             engine.close()

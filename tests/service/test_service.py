@@ -203,6 +203,10 @@ class TestValidation:
             {"task": {"kind": "correction"}},  # no code
             {"task": {"kind": "correction", "code": "steane"}, "deadline": -1},
             {"task": {"kind": "correction", "code": "steane"}, "priority": "high"},
+            {"task": {"kind": "correction", "code": "steane"}, "priority": True},
+            {"task": {"kind": "correction", "code": "steane"}, "deadline": True},
+            {"task": {"kind": "correction", "code": "steane"}, "deadline": float("nan")},
+            {"task": {"kind": "correction", "code": "steane"}, "deadline": float("inf")},
             {"task": {"kind": "distance", "code": "steane", "max_trial": -3}},
             {"task": {"kind": "distance", "code": "steane", "max_trial": 0}},
             {"task": {"kind": "distance", "code": "steane", "max_trial": 1}},
