@@ -1,7 +1,7 @@
 """``repro.analysis`` — project-specific static analysis for the repro codebase.
 
 The verification engine's correctness rests on conventions no generic
-linter knows about: lane-affine solver sessions, lock-guarded shared
+linter knows about: claim-protected solver sessions, lock-guarded shared
 registries, a non-blocking asyncio front door, and a multi-layer stats
 chain whose key sets must stay in sync.  This package mechanizes those
 conventions as AST-level rules (stdlib :mod:`ast` only, no third-party

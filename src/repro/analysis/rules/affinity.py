@@ -1,12 +1,11 @@
-"""REPRO-SESSION — solver sessions touched outside lane-mediated modules.
+"""REPRO-SESSION — solver sessions touched outside claim-mediated modules.
 
-Concurrency safety in this codebase is lane affinity, not locking: a
-``SolveSession`` (or the ``CodeContext`` that owns one) may only be
-driven through the resource/engine/job layer, which routes every task to
-its shard's lane and serializes on the lane lock.  Any other module
-calling session methods directly — importing the classes, constructing
-them, or reaching through a ``.session`` attribute — bypasses that
-routing and can race a live solve.
+Concurrency safety in this codebase is the per-code claim, not locking a
+session: a ``SolveSession`` (or the ``CodeContext`` that owns one) may only
+be driven through the resource/engine/job layer, where every execution
+holds its task's claimed code.  Any other module calling session methods
+directly — importing the classes, constructing them, or reaching through a
+``.session`` attribute — bypasses the claim and can race a live solve.
 
 The allowlist names the modules that ARE the mediation layer (plus the
 ``smt`` package that defines the types and the package ``__init__``
@@ -40,7 +39,7 @@ ALLOWED_PATHS = (
 class SessionAffinityRule(Rule):
     rule_id = "REPRO-SESSION"
     description = (
-        "direct SolveSession/CodeContext use outside the lane-mediated modules"
+        "direct SolveSession/CodeContext use outside the claim-mediated modules"
     )
 
     def check_file(self, source: SourceFile) -> Iterator[Finding]:
@@ -55,7 +54,8 @@ class SessionAffinityRule(Rule):
                             self.rule_id,
                             node,
                             f"imports '{alias.name}': solver sessions are "
-                            "lane-affine; go through Engine.run/submit",
+                            "driven under a claimed code; go through "
+                            "Engine.run/submit",
                         )
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 if node.func.id in SESSION_TYPES:
@@ -73,6 +73,6 @@ class SessionAffinityRule(Rule):
                     yield source.finding(
                         self.rule_id,
                         node,
-                        f"reaches through '.session.{node.attr}'; only the "
-                        "lane that owns the context may drive its session",
+                        f"reaches through '.session.{node.attr}'; only an "
+                        "execution holding the claimed code may drive its session",
                     )

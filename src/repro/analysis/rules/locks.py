@@ -1,7 +1,8 @@
 """REPRO-LOCK — registered shared structures mutated outside their lock.
 
-The engine's shared registries (compile cache, context registries,
-admission counters) are each guarded by a named lock; every mutation must
+The engine's shared registries (compile cache, code claims and the job
+queue, context registries, admission counters) are each guarded by a named
+lock; every mutation must
 happen lexically inside ``with self.<lock>``.  The registry below names
 the (class, attributes, lock) triples the project has declared shared —
 this is the machine-readable form of the comments in ``Engine.__init__``
@@ -26,12 +27,15 @@ GUARDED_CLASSES: dict[str, list[tuple[frozenset[str], str]]] = {
     "Engine": [
         (frozenset({"_cache", "_hits", "_misses", "_uncacheable"}), "_cache_lock"),
         (frozenset({"_job_counter", "_executor"}), "_submit_lock"),
+        (frozenset({"_claimed"}), "_claims"),
+    ],
+    "ShardedJobExecutor": [
+        (frozenset({"_queue", "_shutdown"}), "_claims"),
     ],
     "ResourceManager": [
         (
             frozenset({
-                "_contexts", "_task_sessions", "_shard_assignments",
-                "_keys_per_lane", "_lane_lru", "_retired", "_split_warm_absorbed",
+                "_contexts", "_task_sessions", "_retired", "_split_warm_absorbed",
             }),
             "_lock",
         ),

@@ -170,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--lanes", type=int, default=4,
-        help="dispatcher worker lanes; each code is pinned to one lane, "
-        "so jobs on different codes solve concurrently "
+        help="worker threads; jobs on one code run one at a time "
         "(1 = the serial dispatcher)",
     )
     serve.add_argument(

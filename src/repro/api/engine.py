@@ -22,13 +22,14 @@ import multiprocessing
 import threading
 import time
 from collections import Counter, OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 from repro import faults, sanitize
 from repro.api.backends import Backend, ParallelBackend, coerce_backend
 from repro.api.events import DistanceProbe, SolverStats, SubtaskStarted, TaskCompiled
-from repro.api.jobs import Job, ShardedJobExecutor
+from repro.api.jobs import Job, ShardedJobExecutor, claim_key
 from repro.api.resources import ResourceManager
 from repro.api.result import Result
 from repro.api.tasks import (
@@ -147,31 +148,32 @@ class Engine:
         # (correction, detection and distance queries on a code share learnt
         # clauses through task-selector guards).
         self.resources = ResourceManager(max_contexts=session_cache_size)
-        self.resources.configure_shards(self.lanes)
         # The persistent clause store (``repro.store``): durable learnt
-        # clauses and distance-walk checkpoints shared across every lane,
+        # clauses and distance-walk checkpoints shared across every worker,
         # split worker and process using the directory.
         if clause_store is not None:
             self.resources.enable_clause_store(clause_store)
         self._hits = 0
         self._misses = 0
         self._uncacheable = 0
-        # The job layer: created lazily on the first submit().  Concurrency
-        # safety is lane affinity: every execution — background jobs AND
-        # blocking Engine.run calls — first routes its task to a shard
-        # (``ResourceManager.shard_for_task``) and runs under that shard's
-        # lane lock, so a SolveSession is only ever touched by one thread
-        # at a time even when lanes solve different codes concurrently.
+        # The job layer: created lazily on the first submit().
         self._executor: ShardedJobExecutor | None = None
         self._job_counter = 0
-        self._lane_locks = [threading.RLock() for _ in range(self.lanes)]
-        # Guards the compile cache (shared across lanes) separately from
-        # execution, so a lane compiling a new task never blocks another
-        # lane's solve.
+        # Concurrency safety is one claim per code: whoever executes a task
+        # (a blocking run() caller or an executor worker) holds its
+        # ``claim_key`` in ``_claimed`` for the whole execution, so a
+        # SolveSession is entered by one thread at a time while different
+        # codes run concurrently.  The executor's job queue shares the lock,
+        # so taking a job and claiming its code are one step.
+        self._claim_lock = threading.RLock()
+        self._claims = threading.Condition(self._claim_lock)
+        self._claimed: set = set()
+        # Guards the compile cache (shared across workers) separately from
+        # execution, so a worker compiling a new task never blocks another
+        # worker's solve.
         self._cache_lock = threading.Lock()
         # Guards submit-time state only (job ids, lazy executor creation);
-        # never held across a solve, so submitting stays non-blocking while
-        # jobs run under the lane locks.
+        # never held across a solve, so submitting stays non-blocking.
         self._submit_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -231,9 +233,9 @@ class Engine:
                 self._misses += 1
             else:
                 self._uncacheable += 1
-        # Compile outside the lock: two lanes may compile the same task
+        # Compile outside the lock: two workers may compile the same task
         # concurrently (harmless duplicate work), but a slow compile never
-        # stalls cache hits on other lanes.
+        # stalls cache hits on other workers.
         compiled = self._compile(task)
         if hashable:
             with self._cache_lock:
@@ -385,8 +387,16 @@ class Engine:
     # Execution
     # ------------------------------------------------------------------
     def run(self, task: Task, backend: Backend | str | None = None) -> Result:
-        """Decide one task, blocking, and return the unified result."""
-        return self._execute(task, self.coerce(backend))
+        """Decide one task, blocking, and return the unified result.
+
+        The caller claims the task's code for the whole execution, waiting
+        while a job or another caller holds it."""
+        key = claim_key(task)
+        self._claim(key)
+        try:
+            return self._execute(task, self.coerce(backend))
+        finally:
+            self._release(key)
 
     def submit(
         self,
@@ -398,15 +408,14 @@ class Engine:
     ) -> Job:
         """Enqueue ``task`` and immediately return its :class:`Job` handle.
 
-        Jobs run on the sharded executor's lane threads — each task routes
-        to the lane owning its code's shard, highest ``priority`` first
-        (FIFO among equals) within a lane; ``deadline`` bounds wall-clock
-        seconds from submission, enforced inside the solver hot path.  The
-        handle streams typed events (``job.events()``), blocks for the
-        result (``job.result()``) and cancels (``job.cancel()``) — a
-        cancelled solve stops within one control slice and the shared
-        session stays reusable.  ``Engine.run`` remains the blocking
-        one-task wrapper.
+        Jobs run on the executor's worker threads, highest ``priority``
+        first (FIFO among equals), one at a time per code; ``deadline``
+        bounds wall-clock seconds from submission, enforced inside the
+        solver hot path.  The handle streams typed events
+        (``job.events()``), blocks for the result (``job.result()``) and
+        cancels (``job.cancel()``) — a cancelled solve stops within one
+        control slice and the shared session stays reusable.
+        ``Engine.run`` remains the blocking one-task wrapper.
         """
         with self._submit_lock:
             self._job_counter += 1
@@ -429,6 +438,39 @@ class Engine:
         resources; see :meth:`ResourceManager.retire_task`."""
         return self.resources.retire_task(task)
 
+    # ------------------------------------------------------------------
+    # Code claims
+    # ------------------------------------------------------------------
+    def _try_claim(self, key) -> bool:
+        """Claim ``key`` unless someone holds it; never blocks."""
+        with self._claims:
+            if key in self._claimed:
+                return False
+            self._claimed.add(key)
+            return True
+
+    def _claim(self, key) -> None:
+        """Claim ``key``, waiting while another execution holds it."""
+        with self._claims:
+            while not self._try_claim(key):
+                self._claims.wait()
+
+    def _release(self, key) -> None:
+        """Release ``key``'s claim, then save the contexts LRU-evicted in the
+        meantime, each under its own code's claim (a job still running on an
+        evicted context keeps driving its session until it releases)."""
+        with self._claims:
+            self._claimed.discard(key)
+            self._claims.notify_all()
+            if self._executor is not None:
+                self._executor.wake()
+        for context in self.resources.take_retired():
+            self._claim(context.key)
+            try:
+                context.save_warm()
+            finally:
+                self._release(context.key)
+
     @staticmethod
     def _check_control(control: SolveControl | None) -> None:
         """Between-step interruption point (probe boundaries, pre-solve)."""
@@ -445,42 +487,15 @@ class Engine:
         control: SolveControl | None = None,
         emit: Emit | None = None,
     ) -> Result:
-        """The engine core behind both ``run`` and the job executor.
+        """The engine core behind both ``run`` and the job executor; the
+        caller holds the task's code claim.
 
         ``control``/``emit`` are optional instrumentation: with both None
         this is exactly the historical blocking path, byte-for-byte.
-
-        Execution runs under the lane lock of the task's shard — the same
-        lock the sharded executor's lane thread holds — so blocking calls
-        and background jobs on the *same* code serialize, while different
-        shards proceed concurrently.
         """
-        shard = self.resources.shard_for_task(task)
-        with self._lane_locks[shard % len(self._lane_locks)]:
-            try:
-                return self._execute_on_lane(task, chosen, control, emit)
-            finally:
-                # Evicted contexts whose warm state must be persisted are
-                # parked per shard; flushing at the job boundary keeps the
-                # session access on the owning lane.
-                self.resources.flush_retired(shard)
-
-    def _execute_on_lane(
-        self,
-        task: Task,
-        chosen: Backend,
-        control: SolveControl | None = None,
-        emit: Emit | None = None,
-    ) -> Result:
-        if sanitize.enabled():
-            # The lane lock requirement crosses the _execute/_execute_on_lane
-            # boundary, which the static REPRO-LOCK rule cannot see — check
-            # it dynamically for any future direct caller.
-            shard = self.resources.shard_for_task(task)
-            sanitize.assert_lock_held(
-                self._lane_locks[shard % len(self._lane_locks)],
-                f"lane {shard} session access (_execute_on_lane)",
-            )
+        # The claim requirement crosses the caller/_execute boundary, which
+        # the static REPRO-LOCK rule cannot see: check it dynamically.
+        sanitize.assert_claimed(self._claimed, claim_key(task), "Engine._execute")
         if isinstance(task, DistanceTask):
             return self._run_distance(task, chosen, control=control, emit=emit)
         start = time.perf_counter()
@@ -786,11 +801,12 @@ class Engine:
         behaviour for store-less engines.
 
         With a clause store attached, multi-task sweeps are additionally
-        *checkpointed*: a manifest keyed by the sweep's task list records
-        each completed result, so a killed or drained replica's sweep
-        resumes on the next call with only the incomplete tasks re-run
-        (resumed results carry ``details["sweep_resumed"] = True``).  The
-        manifest is deleted once the sweep completes.
+        *checkpointed*, with or without a pool: a manifest keyed by the
+        sweep's task list records each result as it completes, so a killed
+        or drained replica's sweep resumes on the next call with only the
+        incomplete tasks re-run (resumed results carry
+        ``details["sweep_resumed"] = True``).  The manifest is deleted once
+        the sweep completes.
         """
         batch = list(tasks)
         chosen = coerce_backend(backend) if backend is not None else self.backend
@@ -811,24 +827,22 @@ class Engine:
         results: list[Result | None] = [None] * len(batch)
         for index, result in completed.items():
             results[index] = result
-        if processes and processes > 1 and len(batch) > 1:
-            store_dir = store.directory if store is not None else None
-            payloads = [(batch[index], _worker_backend(chosen), store_dir) for index in remaining]
-            if payloads:
-                with multiprocessing.Pool(processes=processes) as pool:
-                    mapped = pool.map(_run_payload, payloads)
-                for index, result in zip(remaining, mapped):
-                    results[index] = result
-            if manifest_key is not None:
-                store.checkpoint_delete(manifest_key)
-            return results  # type: ignore[return-value]
-        for index in remaining:
-            results[index] = self.run(batch[index], backend=chosen)
-            if manifest_key is not None:
-                completed[index] = results[index]
-                store.checkpoint_save(
-                    manifest_key, _sweep_manifest_payload(len(batch), completed)
-                )
+        use_pool = bool(processes and processes > 1 and len(batch) > 1 and remaining)
+        with multiprocessing.Pool(processes) if use_pool else nullcontext() as pool:
+            if pool is not None:
+                store_dir = store.directory if store is not None else None
+                outcomes = pool.imap(_run_payload, [
+                    (batch[index], _worker_backend(chosen), store_dir) for index in remaining
+                ])
+            else:
+                outcomes = (self.run(batch[index], backend=chosen) for index in remaining)
+            for index, result in zip(remaining, outcomes):
+                results[index] = result
+                if manifest_key is not None:
+                    completed[index] = result
+                    store.checkpoint_save(
+                        manifest_key, _sweep_manifest_payload(len(batch), completed)
+                    )
         if manifest_key is not None:
             store.checkpoint_delete(manifest_key)
         return results  # type: ignore[return-value]

@@ -164,7 +164,7 @@ class SolverStats(Event):
     literals removed by binary self-subsumption) and ``learnt_evicted``
     (learnt clauses deleted by clause-database reduction).  ``lane`` (the
     worker lane that ran the job) is serialized only for jobs dispatched
-    through the sharded executor, never for blocking runs.
+    through the job executor, never for blocking runs.
     """
 
     conflicts: int = 0
@@ -343,8 +343,13 @@ def event_from_dict(payload: dict) -> Event:
 
 
 def deterministic_view(payload: dict) -> dict:
-    """The event dict minus wall-clock fields, for stream-equality checks."""
-    return {key: value for key, value in payload.items() if key not in TIMING_FIELDS}
+    """The event dict minus wall-clock fields and ``lane``, for
+    stream-equality checks: which worker takes a job from the shared queue
+    depends on thread scheduling, as the timings do."""
+    return {
+        key: value for key, value in payload.items()
+        if key not in TIMING_FIELDS and key != "lane"
+    }
 
 
 def validate_event(payload) -> list[str]:

@@ -5,13 +5,13 @@ lifecycle:
 
 * :meth:`Engine.submit` enqueues a task and immediately returns a
   :class:`Job` handle;
-* the engine-owned :class:`ShardedJobExecutor` routes each job to a worker
-  *lane* (one dispatcher thread + priority queue per lane, highest
-  :attr:`Job.priority` first, FIFO among equals).  Lane assignment is the
-  concurrency-safety invariant: every code maps to exactly one lane via the
-  engine's :class:`~repro.api.resources.ResourceManager`, so two jobs that could
-  touch the same :class:`~repro.smt.interface.SolveSession` always run on
-  the same thread while jobs on unrelated codes run concurrently;
+* the engine-owned :class:`ShardedJobExecutor` keeps one priority queue
+  (highest :attr:`Job.priority` first, FIFO among equals) served by a fixed
+  set of worker threads.  The concurrency-safety invariant is the *code
+  claim*: whoever executes a task holds its code's claim for the whole
+  execution, so two executions that could touch the same
+  :class:`~repro.smt.interface.SolveSession` never overlap, while jobs on
+  unrelated codes run concurrently;
 * every observable step is emitted as a typed event
   (:mod:`repro.api.events`): replayable, so a subscriber attached after the
   fact still sees the whole stream, ending in exactly one terminal event;
@@ -28,7 +28,7 @@ through :meth:`Job.snapshot` and :meth:`Job.subscribe`.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import itertools
 import logging
 import queue
@@ -57,6 +57,7 @@ __all__ = [
     "JobCancelledError",
     "JobStatus",
     "ShardedJobExecutor",
+    "claim_key",
 ]
 
 
@@ -119,7 +120,7 @@ class Job:
         self.priority = priority
         self.deadline = deadline
         self.backend = backend
-        #: worker lane the executor routed this job to (None until submitted).
+        #: index of the worker thread that took the job (None while queued).
         self.lane: int | None = None
         self.status = JobStatus.PENDING
         self.submitted_at = time.monotonic()
@@ -363,59 +364,56 @@ class Job:
         return f"Job({self.id!r}, {self.task!r}, status={self.status.value})"
 
 
-class _Lane:
-    """One worker lane: a priority heap, its condition, and its thread."""
 
-    def __init__(self, lane_id: int):
-        self.id = lane_id
-        self.heap: list[tuple[int, int, Job]] = []
-        self.counter = itertools.count()
-        self.condition = threading.Condition()
-        self.thread: threading.Thread | None = None
-        self.current: Job | None = None
+
+def claim_key(task):
+    """The key an execution of ``task`` claims: its code, which is also the
+    key of the code's :class:`~repro.api.resources.CodeContext`.  Every
+    code-less task shares the key ``None``."""
+    return getattr(task, "code", None)
 
 
 class ShardedJobExecutor:
-    """Hash-sharded job runner: one dispatcher thread + queue per lane.
+    """One priority queue served by ``lanes`` worker threads.
 
-    Routing is delegated to the engine's
-    :class:`~repro.api.resources.ResourceManager`: the shard key is the
-    task's code, with code-less tasks pinned to lane 0.  Lane
-    affinity is the whole concurrency story: a ``SolveSession`` is only ever
-    touched from the one lane its code maps to (blocking ``Engine.run``
-    calls serialize against that same lane through the engine's per-lane
-    locks), so no session or context needs its own locking.
+    A worker takes the highest-priority queued job (FIFO among equals) whose
+    code nobody has claimed, and holds that code's claim until the job is
+    terminal (see :meth:`Engine.run <repro.api.engine.Engine.run>`, which
+    claims the same way).  Jobs on one code therefore run one at a time in
+    priority order, and jobs on different codes never wait on each other.
+    The queue shares the engine's claim lock, so taking a job and claiming
+    its code are one step.  Idle workers wait on their own condition, so a
+    submission, or a claim released while jobs are queued, wakes one worker
+    rather than every thread waiting on a claim.
 
-    Lane threads are named ``repro-lane-<shard>`` and started lazily on the
-    first job routed to them; ``lanes=1`` gives one serial dispatcher.
+    Worker threads are named ``repro-lane-<i>`` and start on the first
+    submission; ``lanes=1`` gives one serial dispatcher.
     """
 
     def __init__(self, engine: "Engine", lanes: int = 4, autostart: bool = True):
         self.engine = engine
         self.autostart = autostart
         self.lanes = max(1, int(lanes))
-        self._lanes = [_Lane(index) for index in range(self.lanes)]
-        # Serializes submit vs shutdown across every lane: a submission that
-        # loses the race must raise before emitting JobSubmitted, and one
-        # that wins must have its job pushed before the drain sweeps.
-        self._lock = threading.Lock()
+        # Also guards the queue and the shutdown flag: a submission that
+        # loses the race with shutdown raises before emitting JobSubmitted,
+        # and one that wins is queued before the drain sweeps.
+        self._claims = engine._claims
+        self._work = threading.Condition(engine._claim_lock)
+        self._queue: list[tuple[int, int, Job]] = []
+        self._counter = itertools.count()
         self._shutdown = False
+        self._threads: list[threading.Thread | None] = [None] * self.lanes
+        #: the job each worker runs; the crash supervisor fails it.
+        self._current: list[Job | None] = [None] * self.lanes
+        self._completed = [0] * self.lanes
+        self._busy = [0.0] * self.lanes
         self._fault = faults.hook("lane")
-        #: lane threads the supervisor replaced after a crash (stats).
+        #: worker threads the supervisor replaced after a crash (stats).
         self.lane_crashes = 0
 
     # ------------------------------------------------------------------
-    def lane_for(self, task) -> int:
-        """The lane ``task`` is (or would be) routed to.
-
-        The modulo guards a lane count differing from the resource
-        manager's shard count (a standalone executor built with its own
-        ``lanes``); affinity is preserved because the mapping stays a pure
-        function of the shard."""
-        return self.engine.resources.shard_for_task(task) % len(self._lanes)
-
     def submit(self, job: Job) -> Job:
-        with self._lock:
+        with self._claims:
             if self._shutdown:
                 raise RuntimeError("executor is shut down")
             job.emit(
@@ -428,57 +426,58 @@ class ShardedJobExecutor:
                     deadline=job.deadline,
                 )
             )
-            lane = self._lanes[self.lane_for(job.task)]
-            job.lane = lane.id
-            with lane.condition:
-                heapq.heappush(lane.heap, (-job.priority, next(lane.counter), job))
-                stats = self.engine.resources.lane_stat(lane.id)
-                if stats is not None:
-                    stats.enqueued += 1
-                lane.condition.notify()
+            bisect.insort(self._queue, (-job.priority, next(self._counter), job))
+            self._work.notify()
         if self.autostart:
-            self.start(lane.id)
+            self.start()
         return job
 
-    def start(self, lane_id: int | None = None) -> None:
-        """Start one lane's thread (or every lane's) if not already running."""
-        targets = self._lanes if lane_id is None else [self._lanes[lane_id]]
-        for lane in targets:
-            with lane.condition:
-                if lane.thread is None or not lane.thread.is_alive():
-                    lane.thread = threading.Thread(
+    def start(self) -> None:
+        """Start every worker thread that is not running."""
+        with self._claims:
+            for lane, thread in enumerate(self._threads):
+                if thread is None or not thread.is_alive():
+                    thread = threading.Thread(
                         target=self._lane_main,
                         args=(lane,),
-                        name=f"repro-lane-{lane.id}",
+                        name=f"repro-lane-{lane}",
                         daemon=True,
                     )
-                    lane.thread.start()
+                    self._threads[lane] = thread
+                    thread.start()
+
+    def wake(self) -> None:
+        """Wake one idle worker if jobs are queued (a claim was released)."""
+        with self._claims:
+            if self._queue:
+                self._work.notify()
 
     def pending(self) -> int:
-        total = 0
-        for lane in self._lanes:
-            with lane.condition:
-                total += len(lane.heap)
-        return total
+        with self._claims:
+            return len(self._queue)
 
-    def queue_depths(self) -> list[int]:
-        """Per-lane queue depth, indexed by lane id (for /stats snapshots)."""
-        depths = []
-        for lane in self._lanes:
-            with lane.condition:
-                depths.append(len(lane.heap))
-        return depths
+    def stats(self) -> dict:
+        """Per-worker counters and the queue depth, for ``/stats``."""
+        rows = [
+            {
+                "lane": lane,
+                "jobs_completed": self._completed[lane],
+                "busy_seconds": round(self._busy[lane], 6),
+            }
+            for lane in range(self.lanes)
+        ]
+        return {"lanes": rows, "queue_depth": self.pending()}
 
     # ------------------------------------------------------------------
-    def _lane_main(self, lane: _Lane) -> None:
-        """Lane thread entry point: run the dispatch loop under supervision.
+    def _lane_main(self, lane: int) -> None:
+        """Worker thread entry point: run the dispatch loop under supervision.
 
         ``_loop`` only exits via a ``BaseException`` (the per-job
         ``except Exception`` guard already maps ordinary task errors to
         ``JobFailed`` without killing the thread), so anything that reaches
         here is a lane *crash* — an injected ``InjectedLaneCrash``, a broken
-        transition, interpreter shutdown — and must not silently strand the
-        lane's queue.
+        transition, interpreter shutdown — and must not strand the job's
+        claim or the queue.
         """
         try:
             self._loop(lane)
@@ -486,23 +485,23 @@ class ShardedJobExecutor:
         except BaseException as error:  # noqa: BLE001 - supervised crash path
             self._supervise_crash(lane, error)
 
-    def _supervise_crash(self, lane: _Lane, error: BaseException) -> None:
-        """Contain a dead lane thread so its shard keeps making progress.
+    def _supervise_crash(self, lane: int, error: BaseException) -> None:
+        """Contain a dead worker thread so the queue keeps making progress.
 
         The in-flight job fails with a typed ``JobFailed(reason="lane_crash")``
         (the task itself may be fine — clients distinguish infrastructure
         death from task errors and may resubmit under a fresh idempotency
-        key); everything the dead thread may have poisoned is discarded —
-        the job's code context is quarantined rather than saved warm — and a
-        fresh thread is started on the untouched pending heap, so queued
-        jobs rerun without resubmission.
+        key); the job's code context, which the dead thread may have
+        poisoned, is quarantined rather than saved warm, and only then is
+        the code's claim released.  A fresh thread replaces the dead one;
+        queued jobs run without resubmission.
         """
-        job = lane.current
-        lane.current = None
+        job = self._current[lane]
+        self._current[lane] = None
         self.lane_crashes += 1
         log.error(
             "lane %d crashed (%s: %s); supervisor restarting it",
-            lane.id,
+            lane,
             type(error).__name__,
             error,
         )
@@ -510,7 +509,7 @@ class ShardedJobExecutor:
             if not job.status.terminal:
                 job._finish_failed(
                     RuntimeError(
-                        f"lane {lane.id} crashed mid-job: "
+                        f"lane {lane} crashed mid-job: "
                         f"{type(error).__name__}: {error}"
                     ),
                     reason="lane_crash",
@@ -519,34 +518,48 @@ class ShardedJobExecutor:
                 self.engine.resources.quarantine_task(job.task)
             except Exception as discard_error:  # noqa: BLE001 - best effort
                 log.warning("context quarantine failed: %s", discard_error)
+            self.engine._release(claim_key(job.task))
         if not self._shutdown:
-            with lane.condition:
+            with self._claims:
                 # This (dying) thread is still alive while the supervisor
-                # runs, so start()'s is_alive() check would refuse to replace
-                # it; detach it first.
-                lane.thread = None
-            self.start(lane.id)
+                # runs, so start()'s is_alive() check would keep it; detach
+                # it first.
+                self._threads[lane] = None
+            self.start()
 
-    def _loop(self, lane: _Lane) -> None:
+    def _take(self, lane: int) -> Job | None:
+        """Dequeue the highest-priority job whose code is unclaimed, claiming
+        its code for ``lane``; None when every queued code is claimed."""
+        with self._claims:
+            for index, (_, _, job) in enumerate(self._queue):
+                if self.engine._try_claim(claim_key(job.task)):
+                    del self._queue[index]
+                    job.lane = lane
+                    self._current[lane] = job
+                    return job
+            return None
+
+    def _loop(self, lane: int) -> None:
         while True:
-            with lane.condition:
-                while not lane.heap and not self._shutdown:
-                    lane.condition.wait()
-                if not lane.heap:
-                    return
-                _, _, job = heapq.heappop(lane.heap)
-                lane.current = job
+            with self._claims:
+                job = self._take(lane)
+                while job is None:
+                    if self._shutdown:
+                        return
+                    self._work.wait()
+                    job = self._take(lane)
             try:
                 self._run_job(job, lane)
             # repro: allow[REPRO-EXC] - failure published via JobFailed
-            except Exception as error:  # noqa: BLE001 - lane must survive
+            except Exception as error:  # noqa: BLE001 - worker must survive
                 job._finish_failed(error)
             # Deliberately not a finally: on a BaseException (lane crash)
-            # ``lane.current`` must stay set so the supervisor can fail the
-            # in-flight job; both non-crash paths clear it here.
-            lane.current = None
+            # ``_current`` must stay set so the supervisor can fail the
+            # in-flight job and free its code; both non-crash paths get here.
+            self._current[lane] = None
+            self.engine._release(claim_key(job.task))
 
-    def _run_job(self, job: Job, lane: _Lane) -> None:
+    def _run_job(self, job: Job, lane: int) -> None:
         control = job.control()
         reason = control.interrupted()
         if reason is not None:
@@ -554,27 +567,25 @@ class ShardedJobExecutor:
             return
         job._mark_running()
         if self._fault is not None and self._fault.fire("crash", job.id) is not None:
-            # Before engine._execute, so the dying thread holds no per-lane
-            # engine lock (an RLock held by a dead thread never releases).
-            raise faults.InjectedLaneCrash(f"injected crash on lane {lane.id}")
+            # Before engine._execute, so no session is mid-transaction; the
+            # supervisor still quarantines the context and frees the claim.
+            raise faults.InjectedLaneCrash(f"injected crash on lane {lane}")
 
         def emit(event):
-            # Stamp solver-phase events with the lane that ran them; the
+            # Stamp solver-phase events with the worker that ran them; the
             # engine emits them lane-agnostically.
             if isinstance(event, SolverStats) and event.lane < 0:
-                event.lane = lane.id
+                event.lane = lane
             return job.emit(event)
 
-        stats = self.engine.resources.lane_stat(lane.id)
         started = time.perf_counter()
 
         def account() -> None:
-            # Settle the lane counters BEFORE the terminal event publishes:
+            # Settle the worker counters BEFORE the terminal event publishes:
             # a client that just read JobCompleted off the wire must see a
             # /stats lane table that already includes this job.
-            if stats is not None:
-                stats.busy_seconds += time.perf_counter() - started
-                stats.jobs_completed += 1
+            self._busy[lane] += time.perf_counter() - started
+            self._completed[lane] += 1
 
         try:
             result = self.engine._execute(
@@ -584,6 +595,8 @@ class ShardedJobExecutor:
                 emit=emit,
             )
         except SolverInterrupted as interrupt:
+            # Still under the claim: the lookup finds this job's context (or
+            # none, if an LRU eviction dropped it) and never creates one.
             self.engine.release_task(job.task)
             account()
             job._finish_cancelled(interrupt.reason)
@@ -599,22 +612,18 @@ class ShardedJobExecutor:
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting jobs, cancel everything queued, optionally join.
 
-        In-flight jobs (one per busy lane) run to completion — interrupting
+        In-flight jobs (one per busy worker) run to completion — interrupting
         them is the caller's business via :meth:`Job.cancel` beforehand.
         """
-        with self._lock:
+        with self._claims:
             self._shutdown = True
-            drained: list[Job] = []
-            for lane in self._lanes:
-                with lane.condition:
-                    drained.extend(job for _, _, job in lane.heap)
-                    lane.heap.clear()
-                    lane.condition.notify_all()
+            drained = [job for _, _, job in self._queue]
+            self._queue.clear()
+            self._work.notify_all()
         for job in drained:
             job._finish_cancelled("shutdown")
         if wait:
             me = threading.current_thread()
-            for lane in self._lanes:
-                thread = lane.thread
+            for thread in list(self._threads):
                 if thread is not None and thread.is_alive() and thread is not me:
                     thread.join()

@@ -28,7 +28,6 @@ This module centralizes those resources *per code*:
 from __future__ import annotations
 
 import threading
-import zlib
 from collections import Counter, OrderedDict
 
 from repro import sanitize
@@ -40,7 +39,6 @@ from repro.store import ClauseStore
 __all__ = [
     "CodeContext",
     "ContextView",
-    "LaneStats",
     "ResourceManager",
 ]
 
@@ -99,7 +97,7 @@ class CodeContext:
     ):
         self.key = key
         # Armed only under REPRO_SANITIZE: CodeContext entry points are
-        # lane-affine exactly like the session they drive.
+        # entered under the code's claim, exactly like the session they drive.
         self._entry_guard = sanitize.new_entry_guard(f"CodeContext({key!r})")
         self.session = SolveSession()
         self.clause_store = clause_store
@@ -230,35 +228,14 @@ class CodeContext:
         )
 
 
-class LaneStats:
-    """Counters for one dispatcher lane (mutated by the sharded executor;
-    read by ``ResourceManager.stats``)."""
-
-    __slots__ = ("lane", "enqueued", "jobs_completed", "busy_seconds")
-
-    def __init__(self, lane: int):
-        self.lane = lane
-        self.enqueued = 0
-        self.jobs_completed = 0
-        self.busy_seconds = 0.0
-
-
 class ResourceManager:
     """The engine's solver-resource facade: contexts and the clause store.
 
-    With the sharded dispatcher the manager is also the *routing authority*:
-    :meth:`shard_for_task` maps every task to the one worker lane allowed to
-    touch its code's session.  The shard key is the code itself (its
-    registry key, or an ad-hoc code's name); assignment is sticky — a key,
-    once mapped, keeps its lane for the manager's lifetime — with crc32
-    hashing onto free lanes and least-recently-used lane reuse once every
-    lane carries keys.
-
     The internal lock only guards the manager's own dict bookkeeping
-    (context/session registries, shard assignments).  Sessions themselves
-    are deliberately unlocked: lane affinity guarantees each one is only
-    ever driven from its lane's thread (blocking ``Engine.run`` calls
-    serialize against that lane through the engine's per-lane locks).
+    (context/session registries, the retire list).  Sessions themselves are
+    deliberately unlocked: every execution holds its code's claim (see
+    :meth:`Engine.run <repro.api.engine.Engine.run>`), so each one is driven
+    by one thread at a time.
     """
 
     def __init__(self, max_contexts: int = 32):
@@ -279,69 +256,12 @@ class ResourceManager:
         #: learnt clauses the parallel backend's split workers absorbed from
         #: the clause store (see :meth:`record_split_warm`).
         self._split_warm_absorbed = 0
-        self.num_shards = 1
-        self.configure_shards(1)
-
-    # ------------------------------------------------------------------
-    # Sharding: code → lane
-    # ------------------------------------------------------------------
-    def configure_shards(self, num_shards: int) -> None:
-        """(Re)size the lane table; called by the engine before any job runs."""
-        with self._lock:
-            self.num_shards = max(1, int(num_shards))
-            self._shard_assignments: dict[str, int] = {}
-            self._keys_per_lane = [0] * self.num_shards
-            # Least-recently-assigned first; reused when every lane is taken.
-            self._lane_lru = list(range(self.num_shards))
-            self._lane_stats = [LaneStats(index) for index in range(self.num_shards)]
-            self._retired: list[list[CodeContext]] = [
-                [] for _ in range(self.num_shards)
-            ]
+        #: LRU-evicted contexts awaiting ``save_warm`` (see :meth:`take_retired`).
+        self._retired: list[CodeContext] = []
 
     def attach_executor(self, executor) -> None:
-        """Register the sharded executor so stats can report queue depths."""
+        """Register the job executor so stats can report its worker table."""
         self._executor = executor
-
-    def lane_stat(self, lane: int) -> LaneStats | None:
-        if 0 <= lane < len(self._lane_stats):
-            return self._lane_stats[lane]
-        return None
-
-    def shard_key(self, code) -> str:
-        """The affinity key for a code: its registry key, else its name."""
-        if isinstance(code, str):
-            return code
-        name = getattr(code, "name", "")
-        return name if name else type(code).__name__
-
-    def shard_for(self, key: str | None) -> int:
-        """The lane for a shard key (sticky; hash-then-LRU on collision)."""
-        if key is None or self.num_shards <= 1:
-            return 0
-        with self._lock:
-            lane = self._shard_assignments.get(key)
-            if lane is None:
-                preferred = zlib.crc32(str(key).encode()) % self.num_shards
-                if self._keys_per_lane[preferred] == 0:
-                    lane = preferred
-                else:
-                    # Hash collision: reuse the emptiest lane, breaking ties
-                    # toward the least recently assigned one.
-                    lane = min(
-                        self._lane_lru, key=lambda lane: self._keys_per_lane[lane]
-                    )
-                self._shard_assignments[key] = lane
-                self._keys_per_lane[lane] += 1
-            self._lane_lru.remove(lane)
-            self._lane_lru.append(lane)
-            return lane
-
-    def shard_for_task(self, task) -> int:
-        """The lane ``task`` must run on (code-less tasks pin to lane 0)."""
-        code = getattr(task, "code", None)
-        if code is None:
-            return 0
-        return self.shard_for(self.shard_key(code))
 
     # ------------------------------------------------------------------
     def context_for(self, key) -> CodeContext:
@@ -355,28 +275,21 @@ class ResourceManager:
                 context = CodeContext(key, clause_store=self.clause_store)
                 self._contexts[key] = context
                 while len(self._contexts) > self.max_contexts:
-                    evicted_key, evicted = self._contexts.popitem(last=False)
+                    _, evicted = self._contexts.popitem(last=False)
                     if evicted.clause_store is not None:
-                        # save_warm touches the evicted session, which only
-                        # its own lane may do: park it on that lane's retire
-                        # list, flushed at the lane's next job boundary.
-                        shard = self.shard_for(self.shard_key(evicted_key))
-                        self._retired[shard].append(evicted)
+                        # save_warm touches the evicted session, which a job
+                        # may still be driving: the engine saves it under
+                        # that code's claim once this execution releases.
+                        self._retired.append(evicted)
             else:
                 self._contexts.move_to_end(key)
             return context
 
-    def flush_retired(self, shard: int) -> None:
-        """Persist evicted contexts parked on ``shard``'s retire list.
-
-        Called from the shard's own lane (with the engine's lane lock held),
-        which makes the ``save_warm`` session access single-threaded."""
+    def take_retired(self) -> list[CodeContext]:
+        """Hand over the evicted contexts still to be saved warm."""
         with self._lock:
-            if not 0 <= shard < len(self._retired) or not self._retired[shard]:
-                return
-            retired, self._retired[shard] = self._retired[shard], []
-        for context in retired:
-            context.save_warm()
+            retired, self._retired = self._retired, []
+        return retired
 
     # ------------------------------------------------------------------
     # Inert names kept for ``perfbench/tracer.py``, which wraps them by name
@@ -448,11 +361,11 @@ class ResourceManager:
     def quarantine_task(self, task) -> bool:
         """Discard a (possibly poisoned) task's solver state *unsaved*.
 
-        The lane supervisor calls this after a lane thread died mid-job: the
+        The crash supervisor calls this after a worker thread died mid-job: the
         context's session may hold a half-applied transaction, so unlike LRU
         eviction it is dropped without ``save_warm`` — persisting it could
         poison the warm store too.  A fresh context is rebuilt lazily on the
-        shard's next job for the same code.  Returns whether anything was
+        next execution on the same code.  Returns whether anything was
         dropped.
         """
         code_key = getattr(task, "code", None)
@@ -521,13 +434,9 @@ class ResourceManager:
         solver: Counter = Counter()
         transfer: Counter = Counter()
         store = self.clause_store
-        # Per-lane warm hit/miss/absorption attribution: each context maps to
-        # exactly one lane (its shard key's sticky assignment).
-        lane_store: dict[int, Counter] = {}
         with self._lock:
             contexts = list(self._contexts.values())
             num_contexts = len(self._contexts)
-            assignments = dict(self._shard_assignments)
             split_warm_absorbed = self._split_warm_absorbed
         for context in contexts:
             session_stats = context.session.stats()
@@ -538,10 +447,6 @@ class ResourceManager:
             context_hits += context.hits
             context_misses += context.misses
             retired_guards += context.retired
-            if store is not None:
-                lane = assignments.get(self.shard_key(context.key))
-                if lane is not None:
-                    lane_store.setdefault(lane, Counter()).update(context.counters)
         stats = {
             "contexts": num_contexts,
             "context_hits": context_hits,
@@ -570,36 +475,9 @@ class ResourceManager:
             if store.evictions:
                 stats["store_evictions"] = store.evictions
             stats["store"] = store.stats()
-        # The lane table appears once jobs have been dispatched through the
-        # sharded executor (same only-when-active rule as the counters
-        # above), so blocking-only runs keep their historical schema.
+        # The worker table appears once jobs have been submitted to the
+        # executor (same only-when-active rule as the counters above), so
+        # blocking-only runs keep their historical schema.
         if self._executor is not None:
-            depths = self._executor.queue_depths()
-            rows = []
-            for lane in self._lane_stats:
-                row = {
-                    "lane": lane.lane,
-                    "queue_depth": depths[lane.lane] if lane.lane < len(depths) else 0,
-                    "enqueued": lane.enqueued,
-                    "jobs_completed": lane.jobs_completed,
-                    "busy_seconds": round(lane.busy_seconds, 6),
-                    "shard_keys": sorted(
-                        key for key, assigned in assignments.items()
-                        if assigned == lane.lane
-                    ),
-                }
-                if store is not None:
-                    # Store hit-rate per lane: where exact-fingerprint
-                    # reuse lands under the dispatcher's routing.
-                    counts = lane_store.get(lane.lane, Counter())
-                    hits, misses = counts["warm_hits"], counts["warm_misses"]
-                    looked_up = hits + misses
-                    row["store_hits"] = hits
-                    row["store_misses"] = misses
-                    row["warm_absorbed"] = counts["warm_absorbed"]
-                    row["store_hit_rate"] = (
-                        round(hits / looked_up, 4) if looked_up else 0.0
-                    )
-                rows.append(row)
-            stats["lanes"] = rows
+            stats.update(self._executor.stats())
         return stats

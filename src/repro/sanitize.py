@@ -3,14 +3,14 @@
 ``REPRO_SANITIZE=1`` arms cheap dynamic assertions that complement the
 static rules in :mod:`repro.analysis`:
 
-* **single-entry guards** on lane-affine objects (``SolveSession.check``,
-  ``CodeContext`` entry points): lane affinity promises each session is
-  driven by one thread *at a time* (sessions legally migrate between a
-  caller thread and a lane thread across jobs — the invariant is no
-  concurrent entry, not a fixed owner);
-* **lock-held checks** where a lock requirement crosses a function
-  boundary and the static rule cannot see it (a lane driving a session
-  must hold its lane lock);
+* **single-entry guards** on claim-protected objects (``SolveSession.check``,
+  ``CodeContext`` entry points): the per-code claim promises each session
+  is driven by one thread *at a time* (sessions legally migrate between
+  caller and worker threads across jobs — the invariant is no concurrent
+  entry, not a fixed owner);
+* a **claim-held check** where the claim requirement crosses a function
+  boundary and the static rule cannot see it (``Engine._execute`` must run
+  under its task's code claim);
 * an **event-loop watchdog** in the service: a daemon thread heartbeats
   the loop and counts stalls longer than the threshold — a blocked loop
   is exactly the bug class REPRO-ASYNC guards against statically.
@@ -32,7 +32,7 @@ __all__ = [
     "EntryGuard",
     "LoopWatchdog",
     "SanitizerError",
-    "assert_lock_held",
+    "assert_claimed",
     "enabled",
     "entry_guarded",
     "new_entry_guard",
@@ -56,11 +56,11 @@ class SanitizerError(AssertionError):
 
 
 class EntryGuard:
-    """Detects concurrent entry into a lane-affine object.
+    """Detects concurrent entry into a claim-protected object.
 
     Reentrant for the owning thread (a context's entry point may call the
     session's); raises :class:`SanitizerError` when a second thread enters
-    while the first is still inside — the race lane affinity must prevent.
+    while the first is still inside — the race the code claim must prevent.
     """
 
     __slots__ = ("label", "_lock", "_owner", "_depth")
@@ -81,8 +81,8 @@ class EntryGuard:
             other = self._owner
         raise SanitizerError(
             f"sanitizer: concurrent entry into {self.label}: thread {me} "
-            f"entered while thread {other} is still inside — lane affinity "
-            "violated (two lanes driving one session?)"
+            f"entered while thread {other} is still inside — code claim "
+            "violated (two threads driving one session?)"
         )
 
     def __exit__(self, *exc_info) -> None:
@@ -115,18 +115,14 @@ def entry_guarded(method):
     return wrapper
 
 
-def assert_lock_held(lock, what: str) -> None:
-    """Raise unless ``lock`` is held (by us, for RLocks; by anyone, for Locks).
+def assert_claimed(claimed, key, what: str) -> None:
+    """Raise unless ``key`` is in the ``claimed`` set (held by some thread).
 
     No-op when sanitizing is off, so call sites can invoke it
-    unconditionally on cold paths.
+    unconditionally.
     """
-    if not enabled():
-        return
-    owned = getattr(lock, "_is_owned", None)
-    held = owned() if callable(owned) else lock.locked()
-    if not held:
-        raise SanitizerError(f"sanitizer: {what} requires {lock!r} to be held")
+    if enabled() and key not in claimed:
+        raise SanitizerError(f"sanitizer: {what} requires the claim on {key!r}")
 
 
 class LoopWatchdog:

@@ -14,26 +14,42 @@ service flips from *serving* to *draining*:
   no job is left non-terminal when the server task returns.
 
 The coordinator only tracks jobs the *server* created; an engine shared with
-other code keeps its other jobs untouched.
+other code keeps its other jobs untouched.  It is also the service's job
+registry behind ``GET /jobs/<id>`` and idempotent ``POST /jobs`` replay:
+every live job stays, finished ones are forgotten oldest-finished first
+beyond :data:`KEPT_FINISHED_JOBS`, each with its idempotency key.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.jobs import Job
 
-__all__ = ["DrainCoordinator"]
+__all__ = ["DrainCoordinator", "KEPT_FINISHED_JOBS"]
+
+#: Finished jobs the registry keeps (most recently finished first).
+KEPT_FINISHED_JOBS = 256
 
 
 class DrainCoordinator:
-    """Tracks server-owned jobs and orchestrates the drain sequence."""
+    """Tracks server-owned jobs and orchestrates the drain sequence.
+
+    Used from the event loop only, except for the done-callbacks that
+    append to ``_finished`` (a deque, safe to append from any thread).
+    """
 
     def __init__(self) -> None:
         self._jobs: dict[str, "Job"] = {}
+        #: X-Idempotency-Key -> job id: a POST retried after a lost
+        #: response returns the original job instead of running it twice.
+        self._idempotency: dict[str, str] = {}
+        #: (job id, idempotency key) of finished jobs, in finishing order.
+        self._finished: deque[tuple[str, str]] = deque()
         self._draining = False
         self._drained = asyncio.Event()
 
@@ -42,11 +58,27 @@ class DrainCoordinator:
     def draining(self) -> bool:
         return self._draining
 
-    def track(self, job: "Job") -> None:
+    def track(self, job: "Job", idempotency_key: str = "") -> None:
         self._jobs[job.id] = job
+        if idempotency_key:
+            self._idempotency[idempotency_key] = job.id
+        job.add_done_callback(
+            lambda done: self._finished.append((done.id, idempotency_key))
+        )
+        while len(self._finished) > KEPT_FINISHED_JOBS:
+            job_id, key = self._finished.popleft()
+            self._jobs.pop(job_id, None)
+            if key and self._idempotency.get(key) == job_id:
+                del self._idempotency[key]
 
     def get(self, job_id: str) -> "Job | None":
         return self._jobs.get(job_id)
+
+    def replay(self, idempotency_key: str) -> "Job | None":
+        """The job an earlier POST with this idempotency key created, while
+        the registry still keeps it."""
+        job_id = self._idempotency.get(idempotency_key)
+        return self._jobs.get(job_id) if job_id is not None else None
 
     def jobs(self) -> list["Job"]:
         return list(self._jobs.values())

@@ -88,8 +88,11 @@ class Response:
     headers: dict[str, str] = field(default_factory=dict)
     #: streaming responses yield byte chunks instead of carrying a payload
     stream: AsyncIterator[bytes] | None = None
-    #: extra fields merged into the access-log record (job id, lane, ...)
+    #: extra fields merged into the access-log record
     log: dict = field(default_factory=dict)
+    #: the job the request is about; the access log records its id and the
+    #: worker lane that took it (read when the record is written)
+    job: Job | None = None
 
     def body(self) -> bytes:
         if self.payload is None:
@@ -103,11 +106,6 @@ class Router:
 
     def __init__(self, service: "VerificationService"):
         self.service = service
-        # X-Idempotency-Key → job id.  A POST /jobs retried after a lost
-        # response returns the original job instead of double-running the
-        # task.  Retention matches the drain coordinator's full job registry
-        # (the lookup substrate): keys live for the replica's lifetime.
-        self._idempotency: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     async def handle(self, request: Request) -> Response:
@@ -134,8 +132,7 @@ class Router:
         service = self.service
         idempotency_key = request.headers.get("x-idempotency-key", "")
         if idempotency_key:
-            known = self._idempotency.get(idempotency_key)
-            job = service.drain.get(known) if known is not None else None
+            job = service.drain.replay(idempotency_key)
             if job is not None:
                 # Replay, before admission and before the drain gate: the
                 # first attempt already paid both, and a retry racing a
@@ -151,7 +148,8 @@ class Router:
                         "events": f"/jobs/{job.id}/events",
                         "deduplicated": True,
                     },
-                    log={"job_id": job.id, "job_lane": job.lane, "deduplicated": True},
+                    job=job,
+                    log={"deduplicated": True},
                 )
         if service.drain.draining:
             raise HttpError(503, "draining: not accepting new jobs")
@@ -195,11 +193,8 @@ class Router:
         except Exception:
             service.admission.release(api_key)
             raise
-        service.drain.track(job)
-        if idempotency_key:
-            self._idempotency[idempotency_key] = job.id
+        service.drain.track(job, idempotency_key)
         job.add_done_callback(lambda _job: service.admission.release(api_key))
-        log = {"job_id": job.id, "job_lane": job.lane}
         if stream:
             # Submit-and-stream: the event stream IS the response body, so a
             # client that wants the verdict pays one connection per job
@@ -211,7 +206,7 @@ class Router:
                     "Content-Type": "application/x-ndjson",
                     "X-Job-Id": job.id,
                 },
-                log=log,
+                job=job,
             )
         return Response(
             201,
@@ -223,7 +218,7 @@ class Router:
                 "task_kind": type(task).kind,
                 "events": f"/jobs/{job.id}/events",
             },
-            log=log,
+            job=job,
         )
 
     # ------------------------------------------------------------------
@@ -319,7 +314,7 @@ class Router:
             200,
             stream=self._event_stream(job),
             headers={"Content-Type": "application/x-ndjson"},
-            log={"job_id": job.id, "job_lane": job.lane},
+            job=job,
         )
 
     # ------------------------------------------------------------------

@@ -250,6 +250,7 @@ class VerificationService:
                     sent,
                     time.monotonic() - started,
                     extra=response.log if response is not None else None,
+                    job=response.job if response is not None else None,
                 )
 
     async def _read_request(self, reader: asyncio.StreamReader) -> Request | None:
@@ -390,6 +391,7 @@ class VerificationService:
         sent: int,
         duration: float,
         extra: dict | None = None,
+        job=None,
     ) -> None:
         record = {
             "method": request.method if request else "-",
@@ -399,9 +401,12 @@ class VerificationService:
             "bytes": sent,
             "duration_ms": round(duration * 1000, 3),
         }
+        if job is not None:
+            # The worker lane that took the job (null while it is queued),
+            # so per-worker behaviour is greppable.
+            record["job_id"] = job.id
+            record["job_lane"] = job.lane
         if extra:
-            # Route-provided context: job id and the dispatcher lane the job
-            # routed to (``job_lane``), so per-lane behaviour is greppable.
             record.update(extra)
         access_log.info(json.dumps(record, default=str))
 

@@ -86,7 +86,7 @@ class SolveSession:
         self.encoder = encoder or FormulaEncoder()
         self.max_conflicts = max_conflicts
         # Armed only under REPRO_SANITIZE: detects two threads driving this
-        # session at once (the race lane affinity must rule out).
+        # session at once (the race the per-code claim must rule out).
         self._entry_guard = sanitize.new_entry_guard("SolveSession")
         self._solver: SATSolver | None = None
         self._synced_clauses = 0

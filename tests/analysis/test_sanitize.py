@@ -1,4 +1,4 @@
-"""The dynamic sanitizer: entry guards, lock-held asserts, loop watchdog.
+"""The dynamic sanitizer: entry guards, claim-held asserts, loop watchdog.
 
 These tests arm the sanitizer explicitly (monkeypatching ``ENABLED``), so
 they pass both in the plain suite and in the REPRO_SANITIZE=1 CI job.
@@ -77,35 +77,33 @@ def test_session_check_raises_on_concurrent_entry(monkeypatch):
     assert session.check().status == "sat"  # session stays usable
 
 
-def test_assert_lock_held(monkeypatch):
+def test_assert_claimed(monkeypatch):
     monkeypatch.setattr(sanitize, "ENABLED", True)
-    rlock = threading.RLock()
-    with pytest.raises(sanitize.SanitizerError):
-        sanitize.assert_lock_held(rlock, "registry mutation")
-    with rlock:
-        sanitize.assert_lock_held(rlock, "registry mutation")
-    lock = threading.Lock()
-    with pytest.raises(sanitize.SanitizerError):
-        sanitize.assert_lock_held(lock, "registry mutation")
-    with lock:
-        sanitize.assert_lock_held(lock, "registry mutation")
+    claimed = set()
+    with pytest.raises(sanitize.SanitizerError, match="claim"):
+        sanitize.assert_claimed(claimed, "steane", "session access")
+    claimed.add("steane")
+    sanitize.assert_claimed(claimed, "steane", "session access")
 
 
-def test_assert_lock_held_noop_when_disabled(monkeypatch):
+def test_assert_claimed_noop_when_disabled(monkeypatch):
     monkeypatch.setattr(sanitize, "ENABLED", False)
-    sanitize.assert_lock_held(threading.Lock(), "never checked")
+    sanitize.assert_claimed(set(), "steane", "never checked")
 
 
-def test_engine_lane_lock_assert_fires(monkeypatch):
+def test_engine_claim_assert_fires(monkeypatch):
+    from repro.api import CorrectionTask
     from repro.api.engine import Engine
 
     monkeypatch.setattr(sanitize, "ENABLED", True)
     engine = Engine()
+    task = CorrectionTask(code="steane")
     try:
-        with pytest.raises(sanitize.SanitizerError, match="lane"):
-            # Bypassing _execute means no lane lock is held — exactly the
+        with pytest.raises(sanitize.SanitizerError, match="claim"):
+            # Calling _execute directly skips the code claim — exactly the
             # misuse the dynamic check exists to catch.
-            engine._execute_on_lane(object(), engine.backend)
+            engine._execute(task, engine.backend)
+        assert engine.run(task).verified is True  # run() claims first
     finally:
         engine.close()
 

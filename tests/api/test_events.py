@@ -207,3 +207,10 @@ class TestDeterministicView:
         view = deterministic_view(event.to_dict())
         assert "compile_seconds" not in view
         assert view["cached"] is True and view["seq"] == 1
+
+    def test_strips_the_worker_lane(self):
+        event = SolverStats(conflicts=3, lane=2)
+        event.job_id, event.seq = "job-1", 4
+        view = deterministic_view(event.to_dict())
+        assert "lane" not in view
+        assert view["conflicts"] == 3 and view["seq"] == 4

@@ -1,17 +1,21 @@
-"""The sharded dispatcher: lane routing, and the registry's family tags.
+"""The job executor's code claims, and the registry's family tags.
 
-Lane affinity is the concurrency-safety invariant under test: every task on
-one code routes to the same lane, forever.
+The per-code claim is the concurrency-safety invariant under test: jobs on
+one code never overlap, and jobs on different codes never wait on each
+other.
 """
 
+import sys
 import threading
 
 import pytest
 
+from repro import faults
 from repro.api import CorrectionTask, DetectionTask, DistanceTask, Engine
-from repro.api.jobs import JobStatus, ShardedJobExecutor
-from repro.api.resources import ResourceManager
+from repro.api.jobs import JobStatus, ShardedJobExecutor, claim_key
 from repro.codes.registry import CODE_REGISTRY, family_of
+
+from tests.service.test_sharded_dispatch import _ReentrancyGuard
 
 
 class TestFamilyRegistry:
@@ -30,50 +34,19 @@ class TestFamilyRegistry:
             assert len(set(ranks)) == len(ranks), f"duplicate rank in {family}"
 
 
-class TestShardRouting:
-    def test_same_code_always_routes_to_same_lane(self):
-        manager = ResourceManager()
-        manager.configure_shards(4)
-        lanes = {manager.shard_for_task(CorrectionTask(code="steane")) for _ in range(10)}
-        assert len(lanes) == 1
+class TestClaimKeys:
+    def test_claim_key_is_the_code_not_its_family(self):
+        surface_5 = claim_key(CorrectionTask(code="surface-5"))
+        assert surface_5 == "surface-5"
+        # Every task kind on one code claims that code ...
+        assert claim_key(DistanceTask(code="surface-5")) == surface_5
+        assert claim_key(DetectionTask(code="surface-5")) == surface_5
+        # ... while family members claim independently.
+        assert claim_key(DistanceTask(code="surface-3")) != surface_5
 
-    def test_shard_key_is_the_code_not_its_family(self):
-        manager = ResourceManager()
-        manager.configure_shards(4)
-        assert manager.shard_key("surface-3") == "surface-3"
-        assert manager.shard_key("five-qubit") == "five-qubit"
-        # Every task kind on one code shares that code's lane ...
-        surface_5 = manager.shard_for_task(CorrectionTask(code="surface-5"))
-        assert manager.shard_for_task(DistanceTask(code="surface-5")) == surface_5
-        assert manager.shard_for_task(DetectionTask(code="surface-5")) == surface_5
-        # ... while family members are routed independently: with free
-        # lanes left, a second code never lands on an occupied one.
-        assert manager.shard_for_task(DistanceTask(code="surface-3")) != surface_5
-
-    def test_codeless_tasks_pin_to_lane_zero(self):
-        manager = ResourceManager()
-        manager.configure_shards(4)
-        assert manager.shard_for_task(object()) == 0
-
-    def test_distinct_codes_spread_over_lanes(self):
-        manager = ResourceManager()
-        manager.configure_shards(4)
-        keys = ["steane", "shor", "surface-3", "gottesman-8", "repetition-5",
-                "reed-muller-4", "xzzx-3", "color-832"]
-        lanes = {key: manager.shard_for(manager.shard_key(key)) for key in keys}
-        # Sticky least-loaded assignment: 8 keys over 4 lanes never piles
-        # more than a fair share plus one onto any single lane.
-        per_lane = [list(lanes.values()).count(lane) for lane in range(4)]
-        assert max(per_lane) <= 3
-        assert sum(per_lane) == len(keys)
-        # ... and the assignment is sticky across repeat lookups.
-        assert lanes == {key: manager.shard_for(manager.shard_key(key)) for key in keys}
-
-    def test_one_lane_collapses_to_serial(self):
-        manager = ResourceManager()
-        manager.configure_shards(1)
-        assert manager.shard_for_task(CorrectionTask(code="steane")) == 0
-        assert manager.shard_for_task(CorrectionTask(code="shor")) == 0
+    def test_codeless_tasks_share_one_claim(self):
+        assert claim_key(object()) is None
+        assert claim_key(object()) == claim_key(object())
 
 
 class TestNoCrossCodeState:
@@ -123,12 +96,43 @@ class TestNoCrossCodeState:
         assert not removed & set(engine.resources.stats())
 
 
+class _Hold:
+    """Wraps ``engine._execute`` so executions of one code park on an event.
+
+    ``entered`` is set once a held execution is inside (its code claimed);
+    it stays parked until ``release`` is set.  Every other execution runs
+    straight through.
+    """
+
+    def __init__(self, engine, code):
+        self.code = code
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        original = engine._execute
+
+        def held(task, *args, **kwargs):
+            if getattr(task, "code", None) == self.code:
+                self.entered.set()
+                assert self.release.wait(120), "held execution never released"
+            return original(task, *args, **kwargs)
+
+        engine._execute = held
+
+
 class TestShardedExecutor:
     def _engine(self, lanes=4):
         return Engine(backend="serial", lanes=lanes)
 
-    def test_jobs_route_to_their_code_lane(self):
+    def test_job_lane_is_the_worker_that_ran_it(self):
         engine = self._engine()
+        ran_on = {}
+        original = engine._execute
+
+        def recording(task, *args, **kwargs):
+            ran_on[task.code] = threading.current_thread().name
+            return original(task, *args, **kwargs)
+
+        engine._execute = recording
         try:
             jobs = [
                 engine.submit(CorrectionTask(code=key))
@@ -136,11 +140,7 @@ class TestShardedExecutor:
             ]
             for job in jobs:
                 assert job.result(timeout=120).verified is True
-            expected = {
-                job: engine.resources.shard_for_task(job.task) for job in jobs
-            }
-            for job, lane in expected.items():
-                assert job.lane == lane
+                assert ran_on[job.task.code] == f"repro-lane-{job.lane}"
         finally:
             engine.close()
 
@@ -173,17 +173,17 @@ class TestShardedExecutor:
             stats = engine.resources.stats()
             lanes = stats["lanes"]
             assert [entry["lane"] for entry in lanes] == list(range(4))
+            assert all(
+                set(entry) == {"lane", "jobs_completed", "busy_seconds"}
+                for entry in lanes
+            )
             assert sum(entry["jobs_completed"] for entry in lanes) == 4
             assert sum(entry["busy_seconds"] for entry in lanes) > 0
-            assert all(entry["queue_depth"] == 0 for entry in lanes)
-            claimed = [key for entry in lanes for key in entry["shard_keys"]]
-            assert sorted(claimed) == sorted(
-                {"steane", "shor", "surface-3", "five-qubit"}
-            )
+            assert stats["queue_depth"] == 0
         finally:
             engine.close()
 
-    def test_lane_rows_report_exact_fingerprint_warm_starts(self, tmp_path):
+    def test_store_counters_report_exact_fingerprint_warm_starts(self, tmp_path):
         for _ in range(2):
             engine = Engine(backend="serial", lanes=4, clause_store=str(tmp_path))
             try:
@@ -193,10 +193,9 @@ class TestShardedExecutor:
                 engine.resources.save_warm()
             finally:
                 engine.close()
-        row = next(entry for entry in stats["lanes"] if "steane" in entry["shard_keys"])
-        assert row["store_hits"] == 1
-        assert row["warm_absorbed"] > 0
-        assert "store_absorbed" not in row and "absorbed_clauses" not in row
+        assert stats["warm_hits"] == 1
+        assert stats["warm_absorbed"] > 0
+        assert "store_absorbed" not in stats and "absorbed_clauses" not in stats
 
     def test_shutdown_cancels_queued_jobs(self):
         engine = self._engine()
@@ -229,9 +228,9 @@ class TestShardedExecutor:
         finally:
             engine.close()
 
-    def test_blocking_run_serializes_against_the_same_lane(self):
+    def test_blocking_run_serializes_against_a_job_on_the_same_code(self):
         """Engine.run and a background job on the SAME code must not race:
-        both go through the code's lane lock."""
+        both claim the code before executing."""
         engine = self._engine()
         try:
             job = engine.submit(DistanceTask(code="surface-3"))
@@ -242,3 +241,204 @@ class TestShardedExecutor:
             assert job.result(timeout=300).details["distance"] == 3
         finally:
             engine.close()
+
+
+class TestCodeClaims:
+    """One claim per code: jobs on one code run one at a time, jobs on
+    different codes never wait on each other.  Every wait here is on an
+    event with a generous timeout, never on the wall clock."""
+
+    #: the service-mixed codes in their warm-up order; a sticky code->lane
+    #: table with 4 lanes puts hgp-hamming on shor's lane after these.
+    SERVICE_CODES = ("steane", "five-qubit", "shor", "color-832", "gottesman-8", "iceberg-6")
+
+    def test_a_job_never_waits_behind_another_codes_job(self):
+        engine = Engine(backend="serial", lanes=4)
+        try:
+            for key in self.SERVICE_CODES:
+                engine.run(DetectionTask(code=key))
+            hold = _Hold(engine, "hgp-hamming")
+            held = engine.submit(DetectionTask(code="hgp-hamming", trial_distance=2))
+            assert hold.entered.wait(60)
+            try:
+                shor = engine.submit(DetectionTask(code="shor"))
+                assert shor.wait(60), "shor waited behind the held hgp-hamming job"
+                assert shor.result(timeout=0).verified is True
+                assert not held.status.terminal
+            finally:
+                hold.release.set()
+            assert held.result(timeout=120).verified is True
+        finally:
+            engine.close()
+
+    def test_two_jobs_on_one_code_never_overlap(self, monkeypatch):
+        guard = _ReentrancyGuard().install(monkeypatch)
+        engine = Engine(backend="serial", lanes=4)
+        try:
+            hold = _Hold(engine, "steane")
+            first = engine.submit(CorrectionTask(code="steane"))
+            assert hold.entered.wait(60)
+            try:
+                second = engine.submit(DetectionTask(code="steane"))
+                # A free worker runs another code's job to completion while
+                # the second steane job stays queued behind the first.
+                other = engine.submit(DetectionTask(code="five-qubit"))
+                assert other.result(timeout=60).verified is True
+                assert second.status is JobStatus.PENDING
+                assert engine._executor.pending() == 1
+            finally:
+                hold.release.set()
+            assert first.result(timeout=120).verified is True
+            assert second.result(timeout=120).verified is True
+            # Flood one code: with four workers free, the claim alone keeps
+            # its session single-entry.
+            flood = [
+                engine.submit(task)
+                for task in (CorrectionTask(code="steane", max_errors=k) for k in (1, 2))
+                for _ in range(3)
+            ]
+            for job in flood:
+                job.result(timeout=120)
+        finally:
+            engine.close()
+        assert guard.violations == []
+
+    def test_job_queued_behind_a_blocking_run_starts_when_it_returns(self):
+        engine = Engine(backend="serial", lanes=2)
+        try:
+            hold = _Hold(engine, "steane")
+            outcome = []
+            caller = threading.Thread(
+                target=lambda: outcome.append(engine.run(CorrectionTask(code="steane")))
+            )
+            caller.start()
+            try:
+                assert hold.entered.wait(60)
+                queued = engine.submit(DetectionTask(code="steane"))
+                other = engine.submit(DetectionTask(code="five-qubit"))
+                assert other.result(timeout=60).verified is True
+                assert queued.status is JobStatus.PENDING
+            finally:
+                hold.release.set()
+                caller.join(120)
+            assert outcome and outcome[0].verified is True
+            # No further submit: releasing the run's claim wakes a worker.
+            assert queued.result(timeout=120).verified is True
+            assert engine._claimed == set()
+        finally:
+            engine.close()
+
+    def test_claims_hold_under_thread_switch_stress(self):
+        """More workers than cores, frequent thread switches, blocking
+        callers racing the workers: no code ever has two executions in
+        flight, and every claim is released at the end."""
+        engine = Engine(backend="serial", lanes=6)
+        lock = threading.Lock()
+        in_flight: dict = {}
+        overlaps = []
+        original = engine._execute
+
+        def counting(task, *args, **kwargs):
+            key = claim_key(task)
+            with lock:
+                in_flight[key] = in_flight.get(key, 0) + 1
+                if in_flight[key] > 1:
+                    overlaps.append(key)
+            try:
+                return original(task, *args, **kwargs)
+            finally:
+                with lock:
+                    in_flight[key] -= 1
+
+        engine._execute = counting
+        codes = ("steane", "five-qubit", "iceberg-6")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            jobs = [engine.submit(DetectionTask(code=code)) for code in codes * 8]
+            blocking = []
+            callers = [
+                threading.Thread(target=lambda code=code: blocking.extend(
+                    engine.run(CorrectionTask(code=code)).verified for _ in range(3)
+                ))
+                for code in codes[:2]
+            ]
+            for caller in callers:
+                caller.start()
+            for job in jobs:
+                assert job.result(timeout=120).verified is True
+            for caller in callers:
+                caller.join(120)
+                assert not caller.is_alive()
+            assert blocking == [True] * 6
+        finally:
+            sys.setswitchinterval(interval)
+            engine.close()
+        assert overlaps == []
+        assert engine._claimed == set()
+
+    def test_evicted_context_is_saved_under_its_own_claim(self, tmp_path, monkeypatch):
+        """A job on five-qubit evicts the context a running steane job still
+        drives; the eviction is saved only once steane's claim is free, by
+        whoever then claims it, never concurrently with the steane job."""
+        from repro.api.resources import CodeContext, ResourceManager
+
+        engine = Engine(backend="serial", lanes=2, session_cache_size=1,
+                        clause_store=str(tmp_path))
+        saved = []
+        steane_saved = threading.Event()
+        original_save = CodeContext.save_warm
+
+        def recording(context):
+            saved.append((context.key, context.key in engine._claimed))
+            if context.key == "steane":
+                steane_saved.set()
+            return original_save(context)
+
+        monkeypatch.setattr(CodeContext, "save_warm", recording)
+        entered, release = threading.Event(), threading.Event()
+        original_session_for = ResourceManager.session_for
+
+        def held(resources, task, compiled):
+            session = original_session_for(resources, task, compiled)
+            if task.code == "steane":  # hold with the context resolved
+                entered.set()
+                assert release.wait(120)
+            return session
+
+        monkeypatch.setattr(ResourceManager, "session_for", held)
+        try:
+            first = engine.submit(CorrectionTask(code="steane"))
+            assert entered.wait(60)
+            try:
+                evicting = engine.submit(CorrectionTask(code="five-qubit"))
+                assert evicting.result(timeout=60).verified is True
+                assert engine.cache_info()["sessions"] == 1  # steane evicted
+                assert ("steane", True) not in saved
+            finally:
+                release.set()
+            assert first.result(timeout=120).verified is True
+            assert steane_saved.wait(60)
+            assert ("steane", True) in saved
+        finally:
+            engine.close()
+
+    def test_lane_crash_fails_the_job_and_frees_its_code(self):
+        # The executor binds its fault hook when the first job is submitted.
+        faults.install({"faults": [{"point": "lane.crash", "times": 1}]})
+        engine = Engine(backend="serial", lanes=2)
+        try:
+            crashed = engine.submit(CorrectionTask(code="steane"))
+            with pytest.raises(RuntimeError, match="crashed mid-job"):
+                crashed.result(timeout=60)
+            terminal = list(crashed.events())[-1]
+            assert type(terminal).__name__ == "JobFailed"
+            assert terminal.reason == "lane_crash"
+            # The crashed job's claim is gone: the next steane job runs.
+            retry = engine.submit(CorrectionTask(code="steane"))
+            assert retry.result(timeout=60).verified is True
+            assert engine._executor.lane_crashes == 1
+            assert engine._claimed == set()
+        finally:
+            engine.close()
+            faults.disarm()

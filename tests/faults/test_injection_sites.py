@@ -180,3 +180,26 @@ class TestSweepResume:
         assert results[0].verified is True
         assert engine.resources.clause_store.checkpoints_saved == 0
         engine.close()
+
+    @pytest.mark.parametrize("processes", [None, 2])
+    def test_every_finished_task_is_checkpointed(self, tmp_path, monkeypatch, processes):
+        """One ``sweep:`` manifest save per task, with or without a pool, so
+        a killed pool sweep resumes like a killed serial one."""
+        saved = []
+        original = ClauseStore.checkpoint_save
+
+        def recording(store, key, payload):
+            if key.startswith("sweep:"):
+                saved.append(sorted(payload["results"]))
+            return original(store, key, payload)
+
+        # Pool workers record into their own (forked) copy of ``saved``;
+        # only the parent's manifest saves land here.
+        monkeypatch.setattr(ClauseStore, "checkpoint_save", recording)
+        engine = Engine(clause_store=str(tmp_path))
+        batch = [CorrectionTask(code="steane"), CorrectionTask(code="five-qubit"),
+                 CorrectionTask(code="shor")]
+        results = engine.run_many(batch, schedule="fifo", processes=processes)
+        assert all(result.verified for result in results)
+        assert saved == [["0"], ["0", "1"], ["0", "1", "2"]]
+        engine.close()

@@ -372,7 +372,7 @@ class TestDrain:
 
 
 class TestClauseStore:
-    def test_stats_carry_per_lane_store_hit_rates(self, tmp_path):
+    def test_stats_carry_store_hits_and_a_worker_table(self, tmp_path):
         store_dir = str(tmp_path / "store")
         with ServiceHarness(clause_store=store_dir) as harness:
             client = harness.client()
@@ -381,12 +381,15 @@ class TestClauseStore:
             stats = client.stats()["resources"]
             assert "store" in stats
             assert stats["store"]["misses"] >= 1  # first contact is cold
-            lanes = {lane["lane"]: lane for lane in stats["lanes"]}
-            steane_lane = next(
-                lane for lane in lanes.values() if "steane" in lane.get("shard_keys", [])
+            assert stats["warm_misses"] >= 1
+            # One row per worker, plus one queue depth for the shared queue.
+            assert [row["lane"] for row in stats["lanes"]] == list(range(4))
+            assert all(
+                set(row) == {"lane", "jobs_completed", "busy_seconds"}
+                for row in stats["lanes"]
             )
-            assert steane_lane["store_misses"] >= 1
-            assert steane_lane["store_hit_rate"] == 0.0
+            assert sum(row["jobs_completed"] for row in stats["lanes"]) == 1
+            assert stats["queue_depth"] == 0
             harness.stop()
 
         # A restarted replica over the same directory warm-starts: the
@@ -399,9 +402,61 @@ class TestClauseStore:
             assert errors == [] and counts["JobCompleted"] == 1
             stats = client.stats()["resources"]
             assert stats["store"]["hits"] >= 1
-            lanes = {lane["lane"]: lane for lane in stats["lanes"]}
-            steane_lane = next(
-                lane for lane in lanes.values() if "steane" in lane.get("shard_keys", [])
-            )
-            assert steane_lane["store_hits"] >= 1
-            assert steane_lane["store_hit_rate"] > 0.0
+            assert stats["warm_hits"] >= 1
+            assert stats["warm_absorbed"] > 0
+
+
+class TestJobRegistryBound:
+    """The service forgets finished jobs beyond ``KEPT_FINISHED_JOBS``,
+    oldest-finished first, together with their idempotency keys."""
+
+    def test_registry_keeps_live_jobs_and_the_newest_finished(self):
+        from repro.api import CorrectionTask
+        from repro.api.jobs import Job
+        from repro.service.drain import KEPT_FINISHED_JOBS, DrainCoordinator
+
+        registry = DrainCoordinator()
+        live = Job("job-live", CorrectionTask(code="steane"))
+        registry.track(live, "key-live")
+        total = KEPT_FINISHED_JOBS + 44
+        for index in range(total):
+            job = Job(f"job-{index}", CorrectionTask(code="steane"))
+            registry.track(job, f"key-{index}")
+            job._finish_cancelled("cancelled")
+        # Pruning happens on the next submission.
+        registry.track(Job("job-next", CorrectionTask(code="steane")))
+        assert len(registry.jobs()) == KEPT_FINISHED_JOBS + 2
+        assert registry.get("job-live") is live
+        assert registry.replay("key-live") is live
+        oldest_kept = total - KEPT_FINISHED_JOBS
+        assert registry.get(f"job-{oldest_kept - 1}") is None
+        assert registry.replay(f"key-{oldest_kept - 1}") is None
+        assert registry.get(f"job-{oldest_kept}") is not None
+        assert registry.replay(f"key-{total - 1}") is registry.get(f"job-{total - 1}")
+        assert len(registry._idempotency) == KEPT_FINISHED_JOBS + 1
+
+    def test_evicted_job_is_404_and_its_key_makes_a_fresh_job(self, monkeypatch):
+        from repro.service import drain
+
+        monkeypatch.setattr(drain, "KEPT_FINISHED_JOBS", 2)
+        with ServiceHarness() as harness:
+            client = harness.client(api_key="registry")
+            spec = {"kind": "detection", "code": "steane"}
+            first = client.submit(spec, idempotency_key="key-0")
+            list(client.events(first["id"]))
+            for index in (1, 2):
+                job = client.submit(spec, idempotency_key=f"key-{index}")
+                list(client.events(job["id"]))
+            # Three finished jobs; this submission forgets the oldest.
+            newest = client.submit(spec)
+            list(client.events(newest["id"]))
+            with pytest.raises(ServiceError) as excinfo:
+                client.job(first["id"])
+            assert excinfo.value.status == 404
+            fresh = client.submit(spec, idempotency_key="key-0")
+            assert fresh["id"] != first["id"]
+            assert "deduplicated" not in fresh
+            list(client.events(fresh["id"]))
+            # A key whose job is still kept replays it.
+            replayed = client.submit(spec, idempotency_key="key-2")
+            assert replayed.get("deduplicated") is True

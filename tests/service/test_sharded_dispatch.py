@@ -1,11 +1,11 @@
 """Concurrent mixed-code traffic through the real-socket service.
 
-The sharded dispatcher's contract, asserted end to end: N clients hammering
+The executor's contract, asserted end to end: N clients hammering
 distinct codes get exactly the verdicts a serial engine produces, every
-``SolveSession`` is only ever touched by one thread (a reentrancy guard
-wraps ``SolveSession.check`` for the duration of the test), and the new
-wire surface — submit-and-stream, per-lane stats, per-key admission
-counters, lane ids in access logs — behaves as documented.
+``SolveSession`` is entered by one thread at a time (a reentrancy guard
+wraps ``SolveSession.check`` for the duration of the test), and the wire
+surface — submit-and-stream, per-worker stats, per-key admission
+counters, worker lanes in access logs — behaves as documented.
 """
 
 import json
@@ -94,8 +94,7 @@ class TestConcurrentMixedCodes:
         outcomes: list = [None] * len(MIXED_SPECS)
         with ServiceHarness(lanes=4) as harness:
             # Solve surface-3 to completion first, so the concurrent sweep
-            # also re-selects a task guard on a context already live on its
-            # lane.
+            # also re-selects a task guard on a context that is already live.
             warm = harness.client(api_key="warmup")
             _, warm_events = warm.submit_stream(
                 {"kind": "correction", "code": "surface-3"}
@@ -137,9 +136,8 @@ class TestConcurrentMixedCodes:
             assert counts["JobSubmitted"] == len(MIXED_SPECS)
             assert counts["JobCompleted"] == len(MIXED_SPECS)
 
-            # The lane table saw real concurrency: jobs completed on more
-            # than one lane (8 distinct shard keys over 4 lanes cannot
-            # collapse onto one).
+            # The worker table saw real concurrency: 8 jobs on distinct
+            # codes, submitted at once, completed on more than one worker.
             stats = harness.client().stats()
             lanes = stats["resources"]["lanes"]
             busy = [entry for entry in lanes if entry["jobs_completed"]]
@@ -160,15 +158,10 @@ class TestConcurrentMixedCodes:
                 assert admission["completed_by_key"][f"mixed-{index}"] == 1
             assert admission["inflight_by_key"] == {}
 
-        # The invariant the whole design hangs on.
+        # The invariant the whole design hangs on: a session may move
+        # between workers across jobs, but is never entered twice at once.
         assert guard.violations == []
-        multi = {
-            key: names
-            for key, names in guard.threads_by_session.items()
-            if len(names) > 1
-        }
-        assert multi == {}, f"sessions touched by multiple threads: {multi}"
-        # ... and the solving threads really were named lane threads.
+        # ... and the solving threads really were named worker threads.
         lane_threads = {
             name
             for names in guard.threads_by_session.values()
@@ -254,7 +247,7 @@ class TestSubmitStream:
 
 
 class TestLaneObservability:
-    def test_access_log_records_carry_the_job_lane(self):
+    def test_access_log_records_carry_the_worker_lane(self):
         records: list[dict] = []
 
         class Capture(logging.Handler):
@@ -275,9 +268,12 @@ class TestLaneObservability:
         submits = [r for r in records if r.get("method") == "POST" and r["status"] == 201]
         assert submits
         assert submits[0]["job_id"] == job["id"]
-        assert isinstance(submits[0]["job_lane"], int)
+        # The stream's record is written after the terminal event, so it
+        # names the worker that ran the job; the submit's record is written
+        # at once and is null while the job is still queued.
         streams = [r for r in records if r.get("path", "").endswith("/events")]
-        assert streams and streams[0]["job_lane"] == submits[0]["job_lane"]
+        assert streams and isinstance(streams[0]["job_lane"], int)
+        assert submits[0]["job_lane"] in (None, streams[0]["job_lane"])
 
     def test_solver_stats_events_carry_the_lane_over_the_wire(self):
         with ServiceHarness(lanes=4) as harness:
