@@ -458,14 +458,23 @@ class Engine:
     def _release(self, key) -> None:
         """Release ``key``'s claim, then save the contexts LRU-evicted in the
         meantime, each under its own code's claim (a job still running on an
-        evicted context keeps driving its session until it releases)."""
+        evicted context keeps driving its session until it releases).
+
+        An evicted context whose code is claimed goes back on the retired
+        list instead of being waited for: the put-back happens under
+        ``_claims`` while the holder's claim stands, so the holder's own
+        release, which discards that claim under the same lock first, is
+        bound to take and save it."""
         with self._claims:
             self._claimed.discard(key)
             self._claims.notify_all()
             if self._executor is not None:
                 self._executor.wake()
         for context in self.resources.take_retired():
-            self._claim(context.key)
+            with self._claims:
+                if not self._try_claim(context.key):
+                    self.resources.put_back_retired(context)
+                    continue
             try:
                 context.save_warm()
             finally:
@@ -643,7 +652,11 @@ class Engine:
         # Checkpoint/resume: with a clause store attached, the walk persists
         # its bracket after every probe under a semantic task key, so a
         # cancelled or deadline-killed job picks the search up from where it
-        # stopped instead of re-refuting bounds it already settled.
+        # stopped instead of re-refuting bounds it already settled.  Learnt
+        # clauses are flushed once, when the walk ends or is interrupted
+        # (cancel, deadline, drain): a bracket write is cheaper than almost
+        # any probe, a clause flush is not.  A hard kill therefore keeps the
+        # bracket but loses the clauses learnt since the last flush.
         store = self.resources.clause_store
         checkpoint_key = None
         resumed_from = None
@@ -665,74 +678,83 @@ class Engine:
                     # but restarts its own probe schedule inside it.
                     galloping = False
                 resumed_from = {"lo": lo, "hi": hi, "probes": prior_probes}
-        while lo <= hi:
-            self._check_control(control)
-            if galloping:
-                mid = min(gallop_bound, hi)
-                gallop_bound *= 2
-            else:
-                mid = (lo + hi) // 2
-            selectors = [base_guard]
-            if lo > 1:
-                selectors.append(context.weight_lower_guard(error_model.kind, weight, lo))
-            selectors.append(context.weight_upper_guard(error_model.kind, weight, mid))
-            if emit is not None:
-                emit(SubtaskStarted(
-                    index=len(trials),
-                    description=f"probe {lo} <= weight <= {mid}",
-                ))
-            trial_start = time.perf_counter()
-            last = session.check(select=tuple(selectors), control=control)
-            counters.update(last.counters)
-            trial_elapsed = time.perf_counter() - trial_start
-            trials.append(
-                {"trial_distance": mid + 1, "bound": mid, "window": [lo, hi],
-                 "verified": last.is_unsat,
-                 "elapsed_seconds": trial_elapsed,
-                 "conflicts": last.conflicts, "decisions": last.decisions}
-            )
-            found = None
-            if last.is_sat:
-                # The witness pins the distance to its own weight; everything
-                # strictly below stays open for the next probe.  A satisfiable
-                # probe also ends any galloping phase: the answer is bracketed
-                # and bisection finishes the narrowed window.
-                model = {name: value for name, value in (last.model or {}).items()
-                         if name in base_variables}
-                found = max(1, model_error_weight(model, error_model))
-                distance = found
-                witness = model
-                hi = found - 1
-                galloping = False
-            else:
-                lo = mid + 1
-            if checkpoint_key is not None:
-                payload = {
-                    "version": 1,
-                    "strategy": strategy,
-                    "limit": limit,
-                    "lo": lo,
-                    "hi": hi,
-                    "distance": distance,
-                    "probes": prior_probes + len(trials),
-                    "galloping": galloping,
-                    "gallop_bound": gallop_bound,
-                }
-                if witness:
-                    payload["witness"] = witness
-                store.checkpoint_save(checkpoint_key, payload)
-                # Flush learnt clauses at the probe boundary too, so a
-                # kill between probes loses neither the bracket nor the
-                # clauses that made its probes cheap.
-                context.save_warm()
-            if emit is not None:
-                emit(DistanceProbe(
-                    bound=mid, window=[trials[-1]["window"][0], trials[-1]["window"][1]],
-                    sat=last.is_sat, witness_weight=found,
-                    conflicts=last.conflicts, decisions=last.decisions,
-                    elapsed_seconds=trial_elapsed,
-                    resumed_from=resumed_from if len(trials) == 1 else None,
-                ))
+
+        def save_bracket() -> None:
+            payload = {
+                "version": 1,
+                "strategy": strategy,
+                "limit": limit,
+                "lo": lo,
+                "hi": hi,
+                "distance": distance,
+                "probes": prior_probes + len(trials),
+                "galloping": galloping,
+                "gallop_bound": gallop_bound,
+            }
+            if witness:
+                payload["witness"] = witness
+            store.checkpoint_save(checkpoint_key, payload)
+
+        try:
+            while lo <= hi:
+                self._check_control(control)
+                if galloping:
+                    mid = min(gallop_bound, hi)
+                    gallop_bound *= 2
+                else:
+                    mid = (lo + hi) // 2
+                selectors = [base_guard]
+                if lo > 1:
+                    selectors.append(context.weight_lower_guard(error_model.kind, weight, lo))
+                selectors.append(context.weight_upper_guard(error_model.kind, weight, mid))
+                if emit is not None:
+                    emit(SubtaskStarted(
+                        index=len(trials),
+                        description=f"probe {lo} <= weight <= {mid}",
+                    ))
+                trial_start = time.perf_counter()
+                last = session.check(select=tuple(selectors), control=control)
+                counters.update(last.counters)
+                trial_elapsed = time.perf_counter() - trial_start
+                trials.append(
+                    {"trial_distance": mid + 1, "bound": mid, "window": [lo, hi],
+                     "verified": last.is_unsat,
+                     "elapsed_seconds": trial_elapsed,
+                     "conflicts": last.conflicts, "decisions": last.decisions}
+                )
+                found = None
+                if last.is_sat:
+                    # The witness pins the distance to its own weight; everything
+                    # strictly below stays open for the next probe.  A satisfiable
+                    # probe also ends any galloping phase: the answer is bracketed
+                    # and bisection finishes the narrowed window.
+                    model = {name: value for name, value in (last.model or {}).items()
+                             if name in base_variables}
+                    found = max(1, model_error_weight(model, error_model))
+                    distance = found
+                    witness = model
+                    hi = found - 1
+                    galloping = False
+                else:
+                    lo = mid + 1
+                if checkpoint_key is not None:
+                    save_bracket()
+                if emit is not None:
+                    emit(DistanceProbe(
+                        bound=mid, window=[trials[-1]["window"][0], trials[-1]["window"][1]],
+                        sat=last.is_sat, witness_weight=found,
+                        conflicts=last.conflicts, decisions=last.decisions,
+                        elapsed_seconds=trial_elapsed,
+                        resumed_from=resumed_from if len(trials) == 1 else None,
+                    ))
+        except SolverInterrupted:
+            # Re-write the bracket in case its last per-probe write failed
+            # (none to write before this run's first probe), then flush.
+            if checkpoint_key is not None and trials:
+                save_bracket()
+            context.save_warm()
+            raise
+        context.save_warm()
         if checkpoint_key is not None:
             # A finished walk leaves no checkpoint: resume is a benefit
             # reserved for interrupted walks, and a rerun of a completed
@@ -817,12 +839,16 @@ class Engine:
         if schedule == "reuse" and len(batch) > 1:
             order.sort(key=lambda index: _reuse_sort_key(batch[index]))
         manifest_key: str | None = None
+        manifest: dict | None = None
         completed: dict[int, Result] = {}
         if store is not None and len(batch) > 1:
             manifest_key = _sweep_manifest_key(batch, order)
             completed = _restore_sweep_manifest(
                 store.checkpoint_load(manifest_key), len(batch)
             )
+            # Each result is serialized once, as it completes; every save
+            # dumps the entries already held.
+            manifest = _sweep_manifest_payload(len(batch), completed)
         remaining = [index for index in order if index not in completed]
         results: list[Result | None] = [None] * len(batch)
         for index, result in completed.items():
@@ -838,11 +864,9 @@ class Engine:
                 outcomes = (self.run(batch[index], backend=chosen) for index in remaining)
             for index, result in zip(remaining, outcomes):
                 results[index] = result
-                if manifest_key is not None:
-                    completed[index] = result
-                    store.checkpoint_save(
-                        manifest_key, _sweep_manifest_payload(len(batch), completed)
-                    )
+                if manifest is not None:
+                    manifest["results"][str(index)] = _manifest_entry(result)
+                    store.checkpoint_save(manifest_key, manifest)
         if manifest_key is not None:
             store.checkpoint_delete(manifest_key)
         return results  # type: ignore[return-value]
@@ -865,13 +889,15 @@ def _sweep_manifest_key(batch: list, order: list[int]) -> str:
     return f"sweep:{digest.hexdigest()}"
 
 
-def _sweep_manifest_payload(total: int, completed: "dict[int, Result]") -> dict:
+def _manifest_entry(result: Result) -> dict:
     # default=str keeps exotic details values from aborting the sweep with a
     # serialization error: the manifest is a resume hint, not the result of
     # record, so lossy stringification there is acceptable.
-    results = {
-        str(index): json.loads(result.to_json()) for index, result in completed.items()
-    }
+    return json.loads(result.to_json())
+
+
+def _sweep_manifest_payload(total: int, completed: "dict[int, Result]") -> dict:
+    results = {str(index): _manifest_entry(result) for index, result in completed.items()}
     return {"version": 1, "total": total, "results": results}
 
 

@@ -27,6 +27,7 @@ This module centralizes those resources *per code*:
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import Counter, OrderedDict
 
@@ -35,6 +36,7 @@ from repro.classical.expr import free_variables
 from repro.smt.interface import SMTCheck, SolveSession
 from repro.smt.solver import SEARCH_COUNTERS, nonzero
 from repro.store import ClauseStore
+from repro.store.clause_store import _canonical_clause
 
 __all__ = [
     "CodeContext",
@@ -112,6 +114,9 @@ class CodeContext:
         self._warm_attempted = False
         self._warm_fingerprint: str | None = None
         self._warm_vars = 0
+        #: canonical clause -> the LBD the store is known to hold for it at
+        #: most: clauses this context loaded from, or wrote to, the store.
+        self._persisted: dict[tuple[int, ...], int] = {}
         #: Cumulative exact-fingerprint warm-start counters: warm_hits /
         #: warm_misses / warm_absorbed.
         self.counters: Counter = Counter()
@@ -214,18 +219,39 @@ class CodeContext:
         learnt = self.clause_store.load(self._warm_fingerprint)
         if learnt:
             self.counters.update(warm_hits=1, warm_absorbed=self.session.absorb_learnt(learnt))
+            # Loaded clauses are canonical.  The session scores each by its
+            # length, which is no lower than the LBD it was learnt with, so
+            # the store already holds it at that LBD or better (except a
+            # clause stripped by guard retirement, which keeps the LBD of
+            # its longer self).
+            for clause in learnt:
+                self._persisted[tuple(clause)] = len(clause)
         else:
             self.counters["warm_misses"] += 1
 
     @sanitize.entry_guarded
     def save_warm(self) -> None:
+        """Write the learnt clauses this context has not written yet.
+
+        A clause counts as written once the store merged it, at the LBD it
+        was written with; it is written again only if the session now holds
+        it at a lower LBD (the store keeps the lowest).  Clauses whose write
+        failed stay unwritten, so the next call retries them.
+        """
         if self.clause_store is None or not self._warm_attempted:
             return
-        # Persist LBDs for eviction ranking.
-        self.clause_store.store_meta(
-            self._warm_fingerprint,
-            self.session.learnt_clauses_meta(max_var=self._warm_vars),
-        )
+        persisted = self._persisted
+        unsaved: dict[tuple[int, ...], int] = {}
+        for clause, lbd in self.session.learnt_clauses_meta(max_var=self._warm_vars):
+            try:
+                key = tuple(_canonical_clause(clause))
+            except ValueError:
+                continue
+            if lbd < min(persisted.get(key, math.inf), unsaved.get(key, math.inf)):
+                unsaved[key] = lbd
+        # LBDs ride along for the store's eviction ranking.
+        if unsaved and self.clause_store.store_meta(self._warm_fingerprint, unsaved.items()):
+            persisted.update(unsaved)
 
 
 class ResourceManager:
@@ -290,6 +316,11 @@ class ResourceManager:
         with self._lock:
             retired, self._retired = self._retired, []
         return retired
+
+    def put_back_retired(self, context: CodeContext) -> None:
+        """Return an evicted context whose code is busy to the save list."""
+        with self._lock:
+            self._retired.append(context)
 
     # ------------------------------------------------------------------
     # Inert names kept for ``perfbench/tracer.py``, which wraps them by name
@@ -419,6 +450,8 @@ class ResourceManager:
             self._task_sessions.clear()
 
     def close(self) -> None:
+        for context in self.take_retired():
+            context.save_warm()
         self.save_warm()
         with self._lock:
             self._contexts.clear()

@@ -304,16 +304,18 @@ class ClauseStore:
         """Merge plain learnt clauses; LBD defaults to the clause length."""
         self.store_meta(fingerprint, [(clause, len(clause)) for clause in learnt])
 
-    def store_meta(self, fingerprint: str, clauses) -> None:
-        """Merge learnt clauses (with LBD).
+    def store_meta(self, fingerprint: str, clauses) -> bool:
+        """Merge learnt clauses (with LBD); returns whether they are stored.
 
         ``clauses`` is an iterable of ``(literal_list, lbd)``.  Upserts keep
         the best (lowest) LBD seen for a clause; the whole merge is one
-        transaction, so concurrent writers interleave atomically.
+        transaction, so concurrent writers interleave atomically.  ``False``
+        means the merge did not happen (storage error, injected fault, open
+        breaker, broken store) and the caller still holds unsaved clauses.
         """
         conn = self._connect()
         if conn is None:
-            return
+            return False
         now = time.time()
         clause_rows = []
         for clause, lbd in clauses:
@@ -326,7 +328,7 @@ class ClauseStore:
                 (fingerprint, text, _row_checksum(fingerprint, text), int(lbd), len(literals), now, now)
             )
         if not clause_rows:
-            return
+            return True
         try:
             self._check_fault("write", fingerprint)
             with conn:
@@ -337,11 +339,13 @@ class ClauseStore:
                     "lbd = MIN(lbd, excluded.lbd), last_used = excluded.last_used",
                     clause_rows,
                 )
-            self._storage_ok()
-            self.stored += len(clause_rows)
-            self._evict(conn)
         except sqlite3.Error:
             self._storage_failure()
+            return False
+        self._storage_ok()
+        self.stored += len(clause_rows)
+        self._evict(conn)
+        return True
 
     def _evict(self, conn: sqlite3.Connection) -> None:
         """Trim the clause table to budget: worst LBD first, then oldest."""

@@ -13,6 +13,7 @@ import sqlite3
 
 import pytest
 
+from repro import faults
 from repro.api import (
     CorrectionTask,
     DistanceTask,
@@ -22,6 +23,8 @@ from repro.api import (
 )
 from repro.api.engine import _reuse_sort_key, _validate_checkpoint
 from repro.api.events import DistanceProbe, JobCompleted, SolverStats, validate_stream
+from repro.api.jobs import JobStatus
+from repro.api.resources import CodeContext
 from repro.codes.registry import CODE_REGISTRY
 from repro.store import ClauseStore
 from repro.store.clause_store import _row_checksum
@@ -362,6 +365,138 @@ class TestDistanceResume:
         assert _validate_checkpoint({**good, "probes": True}, 9) is None
         assert _validate_checkpoint({**good, "witness": [1]}, 9) is None
         assert _validate_checkpoint({**good, "witness": {"e0": 1}}, 9) is None
+
+
+class TestWalkWriteSchedule:
+    """A walk checkpoints its bracket after every probe and flushes its
+    learnt clauses once: at the end, or when it is interrupted."""
+
+    def test_completed_walk_flushes_once_and_checkpoints_every_probe(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        original_save_warm = CodeContext.save_warm
+        original_checkpoint_save = ClauseStore.checkpoint_save
+
+        def save_warm(context):
+            calls.append("save_warm")
+            return original_save_warm(context)
+
+        def checkpoint_save(store, key, payload):
+            calls.append("checkpoint")
+            return original_checkpoint_save(store, key, payload)
+
+        monkeypatch.setattr(CodeContext, "save_warm", save_warm)
+        monkeypatch.setattr(ClauseStore, "checkpoint_save", checkpoint_save)
+        engine = _store_engine(tmp_path)
+        result = engine.run(DistanceTask(code="surface-5"))
+        probes = len(result.details["trials"])
+        assert probes >= 3
+        assert calls == ["checkpoint"] * probes + ["save_warm"]
+        engine.close()
+
+    def test_cancelled_walk_leaves_its_bracket_and_clauses_before_close(self, tmp_path):
+        engine = _store_engine(tmp_path)
+        task = DistanceTask(code="surface-5")
+        probes = []
+
+        def cancel_after_second_probe(event):
+            if isinstance(event, DistanceProbe):
+                probes.append(event)
+                if len(probes) == 2:
+                    job.cancel()
+
+        # Hold the code so the job starts only once the callback is
+        # subscribed; the callback runs on the worker, so the cancel lands
+        # before the walk's next probe.
+        engine._claim(task.code)
+        try:
+            job = engine.submit(task)
+            job.subscribe(cancel_after_second_probe)
+        finally:
+            engine._release(task.code)
+        assert job.wait(120)
+        assert job.status is JobStatus.CANCELLED
+        assert len(probes) == 2
+        fingerprint = engine.resources.context_for(task.code)._warm_fingerprint
+        with sqlite3.connect(_db_path(tmp_path)) as conn:
+            (checkpoints,) = conn.execute("SELECT COUNT(*) FROM checkpoints").fetchone()
+            (clauses,) = conn.execute(
+                "SELECT COUNT(*) FROM clauses WHERE fingerprint = ?", (fingerprint,)
+            ).fetchone()
+        assert checkpoints == 1
+        assert clauses > 0
+        engine.close()
+
+
+class TestDeltaSaves:
+    """``save_warm`` writes only the clauses its context has not written
+    yet, and the store ends up holding exactly what full saves write."""
+
+    TASKS = (
+        CorrectionTask(code="steane"),
+        DistanceTask(code="steane"),
+        CorrectionTask(code="surface-3"),
+        DistanceTask(code="surface-3"),
+    )
+
+    @staticmethod
+    def _rows(directory):
+        with sqlite3.connect(_db_path(directory)) as conn:
+            return sorted(conn.execute("SELECT fingerprint, clause, lbd FROM clauses"))
+
+    @staticmethod
+    def _full_save(engine):
+        store = engine.resources.clause_store
+        for context in list(engine.resources._contexts.values()):
+            store.store_meta(
+                context._warm_fingerprint,
+                context.session.learnt_clauses_meta(max_var=context._warm_vars),
+            )
+
+    def test_delta_saves_store_what_full_saves_store(self, tmp_path):
+        delta_dir, full_dir = tmp_path / "delta", tmp_path / "full"
+        # The second round loads what the first stored, so it also pins how
+        # a context accounts for clauses it loaded.
+        for _ in range(2):
+            delta, full = _store_engine(delta_dir), _store_engine(full_dir)
+            for task in self.TASKS:
+                assert _verdict(delta.run(task)) == _verdict(full.run(task))
+                delta.resources.save_warm()
+                self._full_save(full)
+            delta_written = delta.resources.clause_store.stored
+            full_written = full.resources.clause_store.stored
+            delta.close()
+            full.resources.clause_store.close()
+            assert self._rows(delta_dir) == self._rows(full_dir)
+            assert 0 < delta_written < full_written
+        assert delta.resources.stats()["warm_hits"] > 0
+
+    def test_a_failed_write_is_retried_by_the_next_save(self, tmp_path):
+        task = CorrectionTask(code="steane")
+        clean_dir, faulted_dir = tmp_path / "clean", tmp_path / "faulted"
+        clean = _store_engine(clean_dir)
+        clean.run(task)
+        clean.close()
+        clean_warm = _store_engine(clean_dir).run(task)
+
+        # The store binds its fault hook when it is opened.
+        faults.install(faults.FaultPlan([{"point": "store.write", "times": 1}], seed=7))
+        try:
+            engine = _store_engine(faulted_dir)
+            engine.run(task)
+            store = engine.resources.clause_store
+            engine.resources.save_warm()
+            assert store.storage_errors == 1
+            assert store.clause_count() == 0
+            engine.resources.save_warm()
+            assert store.clause_count() > 0
+            engine.close()
+        finally:
+            faults.disarm()
+        assert self._rows(faulted_dir) == self._rows(clean_dir)
+        faulted_warm = _store_engine(faulted_dir).run(task)
+        assert faulted_warm.conflicts == clean_warm.conflicts
 
 
 class TestReuseSchedule:

@@ -423,6 +423,40 @@ class TestCodeClaims:
         finally:
             engine.close()
 
+    def test_evicting_a_busy_code_never_blocks_the_worker(self, tmp_path, monkeypatch):
+        """The worker whose five-qubit job evicted the context of a held
+        steane job hands that context back to steane's holder and takes the
+        next queued job: shor completes while steane is still held."""
+        from repro.api.resources import ResourceManager
+
+        engine = Engine(backend="serial", lanes=2, session_cache_size=1,
+                        clause_store=str(tmp_path))
+        entered, release = threading.Event(), threading.Event()
+        original_session_for = ResourceManager.session_for
+
+        def held(resources, task, compiled):
+            session = original_session_for(resources, task, compiled)
+            if task.code == "steane":  # hold with the context resolved
+                entered.set()
+                assert release.wait(120)
+            return session
+
+        monkeypatch.setattr(ResourceManager, "session_for", held)
+        try:
+            first = engine.submit(CorrectionTask(code="steane"))
+            assert entered.wait(60)
+            try:
+                evicting = engine.submit(CorrectionTask(code="five-qubit"))
+                assert evicting.result(timeout=60).verified is True
+                shor = engine.submit(CorrectionTask(code="shor"))
+                assert shor.result(timeout=60).verified is True
+                assert not first.status.terminal
+            finally:
+                release.set()
+            assert first.result(timeout=120).verified is True
+        finally:
+            engine.close()
+
     def test_lane_crash_fails_the_job_and_frees_its_code(self):
         # The executor binds its fault hook when the first job is submitted.
         faults.install({"faults": [{"point": "lane.crash", "times": 1}]})

@@ -203,3 +203,31 @@ class TestSweepResume:
         assert all(result.verified for result in results)
         assert saved == [["0"], ["0", "1"], ["0", "1", "2"]]
         engine.close()
+
+    def test_each_result_is_serialized_once(self, tmp_path, monkeypatch):
+        """A manifest save dumps the entries it already holds: a 3-task sweep
+        serializes 3 results, not one more per save."""
+        saved = []
+        serialized = []
+        original_save = ClauseStore.checkpoint_save
+        original_to_dict = Result.to_dict
+
+        def recording(store, key, payload):
+            if key.startswith("sweep:"):
+                saved.append(sorted(payload["results"]))
+            return original_save(store, key, payload)
+
+        def counting(result):
+            serialized.append(result.subject)
+            return original_to_dict(result)
+
+        monkeypatch.setattr(ClauseStore, "checkpoint_save", recording)
+        monkeypatch.setattr(Result, "to_dict", counting)
+        engine = Engine(clause_store=str(tmp_path))
+        batch = [CorrectionTask(code="steane"), CorrectionTask(code="five-qubit"),
+                 CorrectionTask(code="shor")]
+        results = engine.run_many(batch, schedule="fifo")
+        assert all(result.verified for result in results)
+        assert saved == [["0"], ["0", "1"], ["0", "1", "2"]]
+        assert len(serialized) == 3
+        engine.close()
