@@ -2,8 +2,8 @@
 
 The verification engine's correctness rests on conventions no generic
 linter knows about: claim-protected solver sessions, lock-guarded shared
-registries, a non-blocking asyncio front door, and a multi-layer stats
-chain whose key sets must stay in sync.  This package mechanizes those
+registries, a non-blocking asyncio front door, and exception handlers
+that must not swallow failures silently.  This package mechanizes those
 conventions as AST-level rules (stdlib :mod:`ast` only, no third-party
 dependencies) behind a small rule engine with per-line suppression
 comments::

@@ -1,8 +1,8 @@
 """Core model of the analyzer: findings, sources, rules, suppressions.
 
 A :class:`SourceFile` wraps one parsed Python file together with its
-suppression table; a :class:`Rule` inspects files (or the whole file set,
-for cross-module contracts) and yields :class:`Finding` objects.  The
+suppression table; a :class:`Rule` inspects one file at a time and yields
+:class:`Finding` objects.  The
 :class:`~repro.analysis.engine.Analyzer` drives the rules and filters
 findings a ``# repro: allow[RULE-ID]`` comment waives.
 """
@@ -95,20 +95,12 @@ class SourceFile:
 
 
 class Rule:
-    """Base class for analyzer rules.
-
-    Per-file rules override :meth:`check_file`; cross-module contract rules
-    (key-set diffs between layers) override :meth:`check_project`, which
-    sees every analyzed file at once.  A rule may implement both.
-    """
+    """Base class for analyzer rules: each overrides :meth:`check_file`."""
 
     rule_id: str = ""
     description: str = ""
 
     def check_file(self, source: SourceFile) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, files: list[SourceFile]) -> Iterator[Finding]:
         return iter(())
 
 

@@ -1,7 +1,7 @@
 """The analyzer driver and its command-line front end.
 
-``Analyzer`` walks the given paths for ``.py`` files, runs every per-file
-rule on each file and every project rule on the whole set, then drops
+``Analyzer`` walks the given paths for ``.py`` files, runs every rule on
+each file, then drops
 findings waived by ``# repro: allow[RULE-ID]`` comments.  Unparsable
 files are reported as ``REPRO-PARSE`` findings rather than crashing the
 run.  ``main`` is what ``python -m repro analyze`` dispatches to: exit 0
@@ -67,8 +67,6 @@ class Analyzer:
         for source in files:
             for rule in self.rules:
                 findings.extend(rule.check_file(source))
-        for rule in self.rules:
-            findings.extend(rule.check_project(files))
         kept = []
         for finding in findings:
             source = by_path.get(finding.path)
@@ -97,6 +95,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.list_rules:
         for rule in DEFAULT_RULES:
             print(f"{rule.rule_id}: {rule.description}")
+        print(f"{PARSE_RULE_ID}: a file the analyzer cannot parse")
         return 0
     findings = Analyzer().analyze_paths(args.paths)
     if args.json:

@@ -2,14 +2,12 @@
 
 from repro.analysis.rules.affinity import SessionAffinityRule
 from repro.analysis.rules.asyncblock import BlockingInAsyncRule
-from repro.analysis.rules.eventschema import EventSchemaRule
 from repro.analysis.rules.exceptions import SilentExceptRule
 from repro.analysis.rules.locks import LockDisciplineRule
 
 __all__ = [
     "DEFAULT_RULES",
     "BlockingInAsyncRule",
-    "EventSchemaRule",
     "LockDisciplineRule",
     "SessionAffinityRule",
     "SilentExceptRule",
@@ -19,6 +17,5 @@ DEFAULT_RULES = (
     LockDisciplineRule(),
     SessionAffinityRule(),
     BlockingInAsyncRule(),
-    EventSchemaRule(),
     SilentExceptRule(),
 )

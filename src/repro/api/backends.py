@@ -119,15 +119,16 @@ class ParallelBackend:
 Backend = SerialBackend | ParallelBackend
 
 
-def coerce_backend(backend: Backend | str | None, num_workers: int = 2) -> Backend:
-    """Resolve a backend argument: an instance, a name, or ``None`` (serial)."""
+def coerce_backend(backend: Backend | str | None) -> Backend:
+    """Resolve a backend argument: an instance, a name, or ``None`` (serial).
+    ``"parallel"`` is ``ParallelBackend()``, with its default two workers."""
     if backend is None:
         return SerialBackend()
     if isinstance(backend, str):
         if backend == "serial":
             return SerialBackend()
         if backend == "parallel":
-            return ParallelBackend(num_workers=num_workers)
+            return ParallelBackend()
         raise ValueError(f"unknown backend {backend!r}; expected 'serial' or 'parallel'")
     if not isinstance(backend, Backend):
         raise TypeError(

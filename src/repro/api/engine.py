@@ -831,7 +831,7 @@ class Engine:
         the sweep completes.
         """
         batch = list(tasks)
-        chosen = coerce_backend(backend) if backend is not None else self.backend
+        chosen = self.coerce(backend)
         store = self.resources.clause_store
         if schedule is None:
             schedule = "reuse" if store is not None else "fifo"
@@ -966,8 +966,7 @@ def _reuse_sort_key(task: Task) -> tuple:
 
 
 def _run_payload(payload: tuple) -> Result:
-    task, backend = payload[0], payload[1]
-    store_dir = payload[2] if len(payload) > 2 else None
+    task, backend, store_dir = payload
     engine = Engine(backend=backend, clause_store=store_dir)
     try:
         return engine.run(task)

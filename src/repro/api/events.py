@@ -14,17 +14,24 @@ or :class:`JobFailed`) ends every job's stream.
 Stability policy: within one ``schema_version`` the emitted fields of every
 event type only ever *gain* optional members; renaming or removing a field,
 changing a type, or changing terminal-event semantics bumps the major
-version.  One exception: an optional-when-zero counter whose producer is
-gone may be dropped without a bump, since consumers already handle its
-absence (``SolverStats.family_absorbed``/``store_absorbed`` went this way;
-the validator below now flags an old stream that still carries them).
+version.  One exception: an optional counter whose producer is gone may be
+dropped without a bump, since consumers already handle its absence
+(``SolverStats.family_absorbed``/``store_absorbed`` went this way; the
+validator below now flags an old stream that still carries them).
 Consumers should ignore unknown event types and unknown fields.
+
+Each dataclass is the only declaration of its wire payload.  An *optional*
+member is one field declared with :func:`optional`: it is serialized only
+while it differs from its default, and the validator accepts its absence
+(but never ``null``).  Adding one is one line on the event class, e.g.
+``phases: dict | None = optional(None)``.  The validator's schema is
+derived from the fields' annotations at import.
 
 The module doubles as the stream validator used in CI::
 
     python -m repro sweep --stream | python -m repro.api.events
 
-reads NDJSON from stdin and checks every line against the declared schemas
+reads NDJSON from stdin and checks every line against the derived schemas
 (field presence, types, per-job ``seq`` contiguity, exactly one terminal
 event per completed job), exiting non-zero on the first violation class.
 """
@@ -33,10 +40,10 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar, Mapping
-
-from repro.smt.solver import nonzero
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -51,7 +58,7 @@ __all__ = [
     "JobCancelled",
     "JobFailed",
     "EVENT_TYPES",
-    "EVENT_SCHEMAS",
+    "optional",
     "event_from_dict",
     "deterministic_view",
     "validate_event",
@@ -64,6 +71,14 @@ SCHEMA_VERSION = "1.0"
 #: Fields whose values depend on wall-clock measurement; strip them (via
 #: :func:`deterministic_view`) when comparing event streams for determinism.
 TIMING_FIELDS = frozenset({"elapsed_seconds", "compile_seconds"})
+
+_OPTIONAL = "optional"
+
+
+def optional(default):
+    """Declare an optional member: serialized only while it differs from
+    ``default``, and absent (never ``null``) on the wire otherwise."""
+    return field(default=default, metadata={_OPTIONAL: True})
 
 
 @dataclass
@@ -79,6 +94,9 @@ class Event:
     def to_dict(self) -> dict:
         payload = {"event": self.TYPE, "schema_version": SCHEMA_VERSION}
         payload.update(asdict(self))
+        for member in fields(self):
+            if member.metadata.get(_OPTIONAL) and payload[member.name] == member.default:
+                del payload[member.name]
         return payload
 
     def to_json(self) -> str:
@@ -141,15 +159,9 @@ class DistanceProbe(Event):
     conflicts: int = 0
     decisions: int = 0
     elapsed_seconds: float = 0.0
-    resumed_from: dict | None = None
+    resumed_from: dict | None = optional(None)
 
     TYPE: ClassVar[str] = "DistanceProbe"
-
-    def to_dict(self) -> dict:
-        payload = super().to_dict()
-        if payload.get("resumed_from") is None:
-            payload.pop("resumed_from", None)
-        return payload
 
 
 @dataclass
@@ -157,12 +169,12 @@ class SolverStats(Event):
     """Aggregate solver statistics for the job's solving phase.
 
     The search counters and the encoding size are always present.  The
-    other counters are *optional* members, serialized only when nonzero
-    (:func:`~repro.smt.solver.nonzero`): ``blocker_hits`` (watcher visits
-    resolved by the cached blocker literal), ``heap_discards`` (lazily
-    deleted decision-heap entries), ``binary_subsumed`` (learnt-clause
-    literals removed by binary self-subsumption) and ``learnt_evicted``
-    (learnt clauses deleted by clause-database reduction).  ``lane`` (the
+    other counters are *optional* members, serialized only when nonzero:
+    ``blocker_hits`` (watcher visits resolved by the cached blocker
+    literal), ``heap_discards`` (lazily deleted decision-heap entries),
+    ``binary_subsumed`` (learnt-clause literals removed by binary
+    self-subsumption) and ``learnt_evicted`` (learnt clauses deleted by
+    clause-database reduction).  ``lane`` (the
     worker lane that ran the job) is serialized only for jobs dispatched
     through the job executor, never for blocking runs.
     """
@@ -172,25 +184,13 @@ class SolverStats(Event):
     propagations: int = 0
     num_variables: int = 0
     num_clauses: int = 0
-    blocker_hits: int = 0
-    heap_discards: int = 0
-    binary_subsumed: int = 0
-    learnt_evicted: int = 0
-    lane: int = -1
+    blocker_hits: int = optional(0)
+    heap_discards: int = optional(0)
+    binary_subsumed: int = optional(0)
+    learnt_evicted: int = optional(0)
+    lane: int = optional(-1)
 
     TYPE: ClassVar[str] = "SolverStats"
-
-    _OPTIONAL_WHEN_ZERO: ClassVar[tuple[str, ...]] = (
-        "blocker_hits", "heap_discards", "binary_subsumed", "learnt_evicted",
-    )
-
-    def to_dict(self) -> dict:
-        payload = super().to_dict()
-        lane = payload.pop("lane")
-        payload.update(nonzero({name: payload.pop(name) for name in self._OPTIONAL_WHEN_ZERO}))
-        if lane >= 0:
-            payload["lane"] = lane
-        return payload
 
     @classmethod
     def from_counters(cls, counters: Mapping[str, int], **extra) -> "SolverStats":
@@ -213,16 +213,10 @@ class JobCompleted(Event):
 
     verified: bool = False
     elapsed_seconds: float = 0.0
-    resumed_from: dict | None = None
+    resumed_from: dict | None = optional(None)
 
     TYPE: ClassVar[str] = "JobCompleted"
     TERMINAL: ClassVar[bool] = True
-
-    def to_dict(self) -> dict:
-        payload = super().to_dict()
-        if payload.get("resumed_from") is None:
-            payload.pop("resumed_from", None)
-        return payload
 
 
 @dataclass
@@ -248,16 +242,10 @@ class JobFailed(Event):
     """
 
     error: str = ""
-    reason: str = ""
+    reason: str = optional("")
 
     TYPE: ClassVar[str] = "JobFailed"
     TERMINAL: ClassVar[bool] = True
-
-    def to_dict(self) -> dict:
-        payload = super().to_dict()
-        if not payload.get("reason"):
-            payload.pop("reason", None)
-        return payload
 
 
 EVENT_TYPES: dict[str, type[Event]] = {
@@ -274,68 +262,44 @@ EVENT_TYPES: dict[str, type[Event]] = {
     )
 }
 
-_NUMBER = (int, float)
 
-#: Declarative per-type field schemas: name -> (allowed types, required).
-#: The base fields (event, schema_version, job_id, seq) apply to every type.
-EVENT_SCHEMAS: dict[str, dict[str, tuple[tuple[type, ...], bool]]] = {
-    "JobSubmitted": {
-        "task_kind": ((str,), True),
-        "subject": ((str,), True),
-        "priority": ((int,), True),
-        "deadline": (_NUMBER + (type(None),), True),
-    },
-    "TaskCompiled": {
-        "task_kind": ((str,), True),
-        "subject": ((str,), True),
-        "cached": ((bool,), True),
-        "compile_seconds": (_NUMBER, True),
-    },
-    "SubtaskStarted": {
-        "index": ((int,), True),
-        "description": ((str,), True),
-    },
-    "DistanceProbe": {
-        "bound": ((int,), True),
-        "window": ((list, type(None)), True),
-        "sat": ((bool,), True),
-        "witness_weight": ((int, type(None)), True),
-        "conflicts": ((int,), True),
-        "decisions": ((int,), True),
-        "elapsed_seconds": (_NUMBER, True),
-        "resumed_from": ((dict,), False),
-    },
-    "SolverStats": {
-        "conflicts": ((int,), True),
-        "decisions": ((int,), True),
-        "propagations": ((int,), True),
-        "num_variables": ((int,), True),
-        "num_clauses": ((int,), True),
-        "blocker_hits": ((int,), False),
-        "heap_discards": ((int,), False),
-        "binary_subsumed": ((int,), False),
-        "learnt_evicted": ((int,), False),
-        "lane": ((int,), False),
-    },
-    "JobCompleted": {
-        "verified": ((bool,), True),
-        "elapsed_seconds": (_NUMBER, True),
-        "resumed_from": ((dict,), False),
-    },
-    "JobCancelled": {
-        "reason": ((str,), True),
-    },
-    "JobFailed": {
-        "error": ((str,), True),
-        "reason": ((str,), False),
-    },
-}
+def _wire_types(hint, is_optional: bool) -> tuple[type, ...]:
+    """The JSON value types a field annotated ``hint`` may carry: ``float``
+    also takes ints, a generic maps to its container, and ``None`` is
+    allowed only on a required member."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    allowed: list[type] = []
+    for arg in typing.get_args(hint) if union else (hint,):
+        if arg is type(None):
+            if not is_optional:
+                allowed.append(arg)
+        elif arg is float:
+            allowed += [int, float]
+        else:
+            allowed.append(typing.get_origin(arg) or arg)
+    return tuple(allowed)
+
+
+def _schema(cls: type[Event]) -> dict[str, tuple[tuple[type, ...], bool]]:
+    """``cls``'s payload fields: name -> (allowed types, required).  The
+    base fields (event, schema_version, job_id, seq) are checked apart."""
+    hints = typing.get_type_hints(cls)
+    base = {member.name for member in fields(Event)}
+    schema = {}
+    for member in fields(cls):
+        if member.name not in base:
+            is_optional = bool(member.metadata.get(_OPTIONAL))
+            schema[member.name] = (_wire_types(hints[member.name], is_optional), not is_optional)
+    return schema
+
+
+_SCHEMAS = {name: _schema(cls) for name, cls in EVENT_TYPES.items()}
 
 
 def event_from_dict(payload: dict) -> Event:
     """Reconstruct a typed event from its serialized form."""
     name = payload.get("event")
-    cls = EVENT_TYPES.get(name)
+    cls = EVENT_TYPES.get(name) if isinstance(name, str) else None
     if cls is None:
         raise ValueError(f"unknown event type {name!r}")
     known = {f.name for f in fields(cls)}
@@ -358,7 +322,7 @@ def validate_event(payload) -> list[str]:
         return [f"event is not an object: {type(payload).__name__}"]
     errors: list[str] = []
     name = payload.get("event")
-    schema = EVENT_SCHEMAS.get(name)
+    schema = _SCHEMAS.get(name) if isinstance(name, str) else None
     if schema is None:
         return [f"unknown event type {name!r}"]
     if payload.get("schema_version") != SCHEMA_VERSION:

@@ -117,6 +117,9 @@ class CodeContext:
         #: canonical clause -> the LBD the store is known to hold for it at
         #: most: clauses this context loaded from, or wrote to, the store.
         self._persisted: dict[tuple[int, ...], int] = {}
+        #: the session's (conflicts, erased clauses) when a save last left
+        #: nothing unsaved; learnt clauses only change when one of them moves.
+        self._saved_mark: tuple[int, int] | None = None
         #: Cumulative exact-fingerprint warm-start counters: warm_hits /
         #: warm_misses / warm_absorbed.
         self.counters: Counter = Counter()
@@ -236,9 +239,15 @@ class CodeContext:
         A clause counts as written once the store merged it, at the LBD it
         was written with; it is written again only if the session now holds
         it at a lower LBD (the store keeps the lowest).  Clauses whose write
-        failed stay unwritten, so the next call retries them.
+        failed stay unwritten, so the next call retries them.  A session
+        that has neither learnt (no new conflicts) nor erased clauses since
+        a save that left nothing unsaved has nothing new, and is skipped.
         """
         if self.clause_store is None or not self._warm_attempted:
+            return
+        counters = self.session.counters()
+        mark = (counters["conflicts"], counters["erased_clauses"])
+        if mark == self._saved_mark:
             return
         persisted = self._persisted
         unsaved: dict[tuple[int, ...], int] = {}
@@ -250,8 +259,9 @@ class CodeContext:
             if lbd < min(persisted.get(key, math.inf), unsaved.get(key, math.inf)):
                 unsaved[key] = lbd
         # LBDs ride along for the store's eviction ranking.
-        if unsaved and self.clause_store.store_meta(self._warm_fingerprint, unsaved.items()):
+        if not unsaved or self.clause_store.store_meta(self._warm_fingerprint, unsaved.items()):
             persisted.update(unsaved)
+            self._saved_mark = mark
 
 
 class ResourceManager:

@@ -15,7 +15,6 @@ CASES = [
     ("lock_bad.py", "lock_clean.py", "REPRO-LOCK", 4),
     ("affinity_bad.py", "affinity_clean.py", "REPRO-SESSION", 3),
     ("async_bad.py", "async_clean.py", "REPRO-ASYNC", 3),
-    ("events_bad.py", "events_clean.py", "REPRO-EVENT", 3),
     ("exc_bad.py", "exc_clean.py", "REPRO-EXC", 3),
 ]
 

@@ -499,6 +499,26 @@ class TestDeltaSaves:
         assert faulted_warm.conflicts == clean_warm.conflicts
 
 
+    def test_a_save_with_no_solve_since_canonicalizes_nothing(self, tmp_path, monkeypatch):
+        import repro.api.resources as resources
+
+        engine = _store_engine(tmp_path)
+        engine.run(DistanceTask(code="steane"))
+        engine.resources.save_warm()
+        calls = []
+        canonical = resources._canonical_clause
+        monkeypatch.setattr(
+            resources, "_canonical_clause",
+            lambda clause: calls.append(clause) or canonical(clause),
+        )
+        engine.resources.save_warm()
+        assert calls == []
+        engine.run(CorrectionTask(code="steane"))
+        engine.resources.save_warm()
+        assert calls  # new conflicts: the next save looks again
+        engine.close()
+
+
 class TestReuseSchedule:
     def test_results_come_back_in_input_order(self, tmp_path):
         keys = ["surface-5", "five-qubit", "hgp-hamming", "surface-3", "hgp-repetition"]

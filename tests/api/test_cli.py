@@ -225,6 +225,21 @@ class TestValidateEventsCommand:
         assert main(["validate-events", str(stream)]) == 1
         assert "invalid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", [["JobCompleted"], {"type": "JobCompleted"}])
+    def test_unhashable_event_name_is_an_unknown_type(self, tmp_path, name):
+        stream = tmp_path / "odd.ndjson"
+        line = {"event": name, "schema_version": "1.0", "job_id": "j", "seq": 0}
+        stream.write_text(json.dumps(line) + "\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "validate-events", str(stream)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "unknown event type" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_rejects_empty_input(self, tmp_path, capsys):
         stream = tmp_path / "empty.ndjson"
         stream.write_text("")

@@ -1,11 +1,12 @@
 """The typed event schema: serialization, validation, stream contracts."""
 
 import json
+import typing
+from dataclasses import fields
 
 import pytest
 
 from repro.api.events import (
-    EVENT_SCHEMAS,
     EVENT_TYPES,
     SCHEMA_VERSION,
     DistanceProbe,
@@ -56,21 +57,10 @@ class TestSerialization:
         terminal = {name for name, cls in EVENT_TYPES.items() if cls.TERMINAL}
         assert terminal == {"JobCompleted", "JobCancelled", "JobFailed"}
 
-    def test_schemas_cover_every_type_and_field(self):
-        assert set(EVENT_SCHEMAS) == set(EVENT_TYPES)
-        base = {"event", "schema_version", "job_id", "seq"}
-        for name, cls in EVENT_TYPES.items():
-            payload = _sample(cls).to_dict()
-            declared = set(EVENT_SCHEMAS[name]) | base
-            # Optional members (e.g. SolverStats' only-when-nonzero hot-path
-            # counters) may be absent from a default payload, but nothing
-            # undeclared may ever appear, and every required field must.
-            assert set(payload) <= declared, name
-            required = {
-                field for field, (_, is_required) in EVENT_SCHEMAS[name].items()
-                if is_required
-            } | base
-            assert required <= set(payload), name
+    @pytest.mark.parametrize("name", [["JobCompleted"], {"type": "JobCompleted"}])
+    def test_unhashable_event_name_rejected(self, name):
+        with pytest.raises(ValueError):
+            event_from_dict({"event": name})
 
     def test_solver_stats_hotpath_counters_only_when_nonzero(self):
         quiet = _sample(SolverStats)
@@ -128,6 +118,13 @@ class TestValidation:
         assert validate_event(payload) == []
         payload[name] = 3
         assert any("unexpected field" in error for error in validate_event(payload))
+
+    @pytest.mark.parametrize("name", [["JobCompleted"], {"type": "JobCompleted"}])
+    def test_unhashable_event_name_is_an_unknown_type(self, name):
+        line = {"event": name, "schema_version": "1.0", "job_id": "j", "seq": 0}
+        count, _, errors = validate_stream([json.dumps(line)])
+        assert count == 1
+        assert any("unknown event type" in error for error in errors)
 
     def test_rejects_missing_identity(self):
         payload = _sample(JobSubmitted).to_dict()
@@ -214,3 +211,85 @@ class TestDeterministicView:
         view = deterministic_view(event.to_dict())
         assert "lane" not in view
         assert view["conflicts"] == 3 and view["seq"] == 4
+
+
+_BASE = {"event", "schema_version", "job_id", "seq"}
+
+
+def _member_value(hint):
+    """A non-default value of the field type ``hint`` (``X | None`` -> X)."""
+    args = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    hint = args[0] if args else hint
+    container = typing.get_origin(hint) or hint
+    return {bool: True, int: 3, float: 1.5, str: "x", list: [1, 2],
+            dict: {"lo": 1, "hi": 2, "probes": 3}}[container]
+
+
+def _full_payload(cls):
+    """Every field set to a non-default value, so optional members appear."""
+    event = _sample(cls)
+    hints = typing.get_type_hints(cls)
+    for member in fields(cls):
+        if member.name not in _BASE:
+            setattr(event, member.name, _member_value(hints[member.name]))
+    return event.to_dict()
+
+
+def _members(cls):
+    """(required, optional) payload members: optional ones are those a
+    default-valued event leaves off the wire."""
+    declared = {member.name for member in fields(cls)} - _BASE
+    emitted = set(_sample(cls).to_dict()) - _BASE
+    return emitted, declared - emitted
+
+
+class TestSchemaFollowsTheDataclasses:
+    """The validator's view of every event type, from the event classes
+    alone: what they emit validates, and each deviation is caught."""
+
+    @pytest.mark.parametrize("name", sorted(EVENT_TYPES))
+    def test_accepts_full_payload_and_each_optional_member_dropped(self, name):
+        cls = EVENT_TYPES[name]
+        payload = _full_payload(cls)
+        _, optional = _members(cls)
+        assert set(payload) == {member.name for member in fields(cls)} | {"event", "schema_version"}
+        assert validate_event(payload) == []
+        for member in optional:
+            dropped = dict(payload)
+            del dropped[member]
+            assert validate_event(dropped) == [], member
+        # JSON has one number type: a float member also takes an integer.
+        for member, hint in typing.get_type_hints(cls).items():
+            if float in (typing.get_args(hint) or (hint,)):
+                assert validate_event({**payload, member: 2}) == [], member
+
+    @pytest.mark.parametrize("name", sorted(EVENT_TYPES))
+    def test_rejects_a_missing_required_field(self, name):
+        required, _ = _members(EVENT_TYPES[name])
+        for member in required:
+            payload = _full_payload(EVENT_TYPES[name])
+            del payload[member]
+            assert any(f"missing field {member!r}" in e for e in validate_event(payload)), member
+
+    @pytest.mark.parametrize("name", sorted(EVENT_TYPES))
+    def test_rejects_wrong_types_bools_and_nulls(self, name):
+        cls = EVENT_TYPES[name]
+        _, optional = _members(cls)
+        full = _full_payload(cls)
+        for member in set(full) - _BASE:
+            payload = dict(full)
+            payload[member] = 7 if isinstance(full[member], str) else "wrong"
+            assert any(repr(member) in e for e in validate_event(payload)), member
+            if type(full[member]) is int:
+                payload[member] = True
+                assert any(repr(member) in e for e in validate_event(payload)), member
+        for member in optional:
+            payload = dict(full)
+            payload[member] = None
+            assert any(repr(member) in e for e in validate_event(payload)), member
+
+    @pytest.mark.parametrize("name", sorted(EVENT_TYPES))
+    def test_rejects_an_unknown_field(self, name):
+        payload = _full_payload(EVENT_TYPES[name])
+        payload["surprise"] = 1
+        assert any("unexpected field 'surprise'" in e for e in validate_event(payload))
