@@ -511,7 +511,7 @@ class Engine:
         compiled, cached = self._compile_cached(task)
         if emit is not None:
             emit(TaskCompiled(
-                task_kind=compiled.kind, subject=compiled.subject,
+                task_kind=compiled.kind, subject=task.subject,
                 cached=cached, compile_seconds=compiled.compile_seconds,
             ))
         session = self.resources.session_for(task, compiled) if chosen.wants_session else None
@@ -637,7 +637,7 @@ class Engine:
         strategy = self._distance_strategy(task, code, limit)
         if emit is not None:
             emit(TaskCompiled(
-                task_kind=task.kind, subject=code.name,
+                task_kind=task.kind, subject=task.subject,
                 cached=False, compile_seconds=compile_seconds,
             ))
 

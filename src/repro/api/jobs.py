@@ -419,9 +419,7 @@ class ShardedJobExecutor:
             job.emit(
                 JobSubmitted(
                     task_kind=getattr(type(job.task), "kind", type(job.task).__name__),
-                    subject=getattr(
-                        job.task, "code_name", getattr(job.task, "subject", "")
-                    ),
+                    subject=getattr(job.task, "subject", ""),
                     priority=job.priority,
                     deadline=job.deadline,
                 )

@@ -154,11 +154,18 @@ class CodeContext:
         """Release ``task``'s guarded formula from the shared session.
 
         Called for cancelled (and LRU-evicted) tasks: the task's selector is
-        negated at the root and the solver erases the now-satisfied clauses,
-        so a long-lived context does not accumulate the encodings of tasks
-        that will never be re-selected.  Re-running the task later simply
-        re-asserts its formula under a fresh selector (a context miss).
-        Returns whether the task actually held a guard.
+        negated at the root, which satisfies every clause the task added
+        beyond the shared encodings of its conjuncts (each holds the
+        selector, see
+        :meth:`~repro.smt.encoder.FormulaEncoder.assert_formula_if`).  The
+        solver erases them in batches, once the guards retired since its
+        last sweep are half the live ones (see
+        :meth:`~repro.smt.interface.SolveSession.retire_guard`), so a
+        long-lived context neither accumulates the encodings of tasks that
+        will never be re-selected nor rescans its clauses per retirement.
+        Re-running the task later simply re-asserts its formula under a
+        fresh selector (a context miss).  Returns whether the task actually
+        held a guard.
         """
         entry = self._task_guards.pop(task, None)
         if entry is None:
@@ -379,7 +386,7 @@ class ResourceManager:
         shared infrastructure other tasks rely on.
 
         Code tasks drop their guarded formula from the per-code context
-        (root-negated selector + clause erasure); code-less tasks drop their
+        (root-negated selector, batched clause erasure); code-less tasks drop their
         dedicated session.  Detection bases and weight guards are left in
         place — they are complete, sound, and exactly what makes the next
         run on the same context cheap.
@@ -474,6 +481,7 @@ class ResourceManager:
         context_hits = 0
         context_misses = 0
         retired_guards = 0
+        guard_sweeps = 0
         solver: Counter = Counter()
         transfer: Counter = Counter()
         store = self.clause_store
@@ -490,6 +498,7 @@ class ResourceManager:
             context_hits += context.hits
             context_misses += context.misses
             retired_guards += context.retired
+            guard_sweeps += context.session.guard_sweeps
         stats = {
             "contexts": num_contexts,
             "context_hits": context_hits,
@@ -505,6 +514,7 @@ class ResourceManager:
         erased_clauses = solver.pop("erased_clauses", 0)
         if retired_guards:
             stats["retired_guards"] = retired_guards
+            stats["guard_sweeps"] = guard_sweeps
             stats["erased_clauses"] = erased_clauses
         for name in SEARCH_COUNTERS:
             del solver[name]

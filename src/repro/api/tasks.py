@@ -66,6 +66,15 @@ class Task:
         """
         return True
 
+    @property
+    def subject(self) -> str:
+        """What a job's events call this task's subject.
+
+        Known without building or compiling anything, so the job's first
+        event (``JobSubmitted``) and its ``TaskCompiled`` name it alike.
+        """
+        return ""
+
     def describe(self) -> str:
         parts = ", ".join(
             f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)
@@ -86,6 +95,10 @@ class CodeTask(Task):
     @property
     def code_name(self) -> str:
         return self.code if isinstance(self.code, str) else self.code.name
+
+    @property
+    def subject(self) -> str:
+        return self.code_name
 
     def build(self) -> StabilizerCode:
         return resolve_code(self.code)

@@ -84,9 +84,25 @@ class FormulaEncoder:
         return self.cnf.var_for(("sel", name))
 
     def assert_formula_if(self, name: str, expr: BoolExpr) -> int:
-        """Constrain ``selector(name) -> expr`` and return the selector literal."""
+        """Constrain ``selector(name) -> expr`` and return the selector literal.
+
+        Conjunctions at the top of ``expr`` are flattened, Plaisted–Greenbaum
+        style: ``sel -> (c1 and c2 ...)`` is ``(-sel or c1) and (-sel or c2)
+        ...``, so each leaf conjunct gets its own guarded clause and the
+        top-level ``And`` nodes get no gate variable and no cache entry.  Every
+        clause the guard adds beyond the (shared, cached) encodings of its
+        conjuncts therefore holds ``-sel``: retiring the selector lets the
+        solver erase all of them, and the encoder cache does not keep the
+        guarded formula alive.
+        """
         guard = self.selector(name)
-        self.cnf.add_clause([-guard, self.encode(expr)])
+        pending = [expr]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, And):
+                pending.extend(reversed(node.operands))
+            else:
+                self.cnf.add_clause([-guard, self.encode(node)])
         return guard
 
     def assert_le_if(self, name: str, left: IntExpr, right: IntExpr) -> int:

@@ -333,6 +333,27 @@ class TestDeterminism:
         assert first == second
 
 
+class TestSubjects:
+    @pytest.mark.parametrize("task", [
+        DistanceTask(code="surface-5", max_trial=3),
+        CorrectionTask(code="surface-3"),
+    ])
+    def test_one_subject_across_submit_and_compile(self, task):
+        """A job's events name its code one way: the registry key the task
+        was submitted with, not the built code's display name."""
+        from repro.api.events import JobSubmitted, TaskCompiled
+
+        engine = Engine()
+        job = engine.submit(task)
+        result = job.result(timeout=120)
+        subjects = [event.subject for event in job.events()
+                    if isinstance(event, (JobSubmitted, TaskCompiled))]
+        assert subjects == [task.code] * 2
+        # The result keeps the compiled code's name.
+        assert result.subject == task.build().name
+        engine.close()
+
+
 class TestConsumers:
     """Job-level behaviour every stream consumer relies on (the service's
     event-loop bridge included): live streams and results agree, and a

@@ -401,6 +401,87 @@ class TestGuardGarbageCollection:
         assert engine.release_task(CorrectionTask(code="steane")) is False
 
 
+class TestGuardRetirementCost:
+    """Retiring task guards frees what the tasks added, in batched sweeps,
+    without changing a verdict."""
+
+    @staticmethod
+    def _locality_task(seed, max_errors=None):
+        from repro.api import ConstrainedTask
+
+        return ConstrainedTask(code="steane", locality=True, seed=seed, max_errors=max_errors)
+
+    def test_verdicts_match_one_shot_checks_under_guard_churn(self):
+        from repro.api.resources import CodeContext
+        from repro.classical.expr import evaluate
+
+        engine = Engine()
+        context = CodeContext("steane", max_task_guards=4)
+        statuses = set()
+        for seed in range(20):
+            # Two errors on three allowed qubits defeat steane; one never does.
+            task = self._locality_task(seed, max_errors=1 + seed % 2)
+            formula = engine.compile_task(task).formula
+            check = context.task_view(task, formula).check()
+            assert check.status == check_formula(formula).status, seed
+            if check.is_sat:
+                assert evaluate(formula, check.model) is True, seed
+            statuses.add(check.status)
+        assert statuses == {"sat", "unsat"}
+        assert context.retired == 16
+        assert context.session.guard_sweeps >= 1
+
+    def test_fresh_tasks_leave_the_context_bounded(self, monkeypatch):
+        from repro.api.resources import CodeContext
+        from repro.smt.solver import SATSolver
+
+        sweeps = []
+        erase_satisfied = SATSolver.erase_satisfied
+
+        def counted(solver):
+            sweeps.append(solver)
+            return erase_satisfied(solver)
+
+        monkeypatch.setattr(SATSolver, "erase_satisfied", counted)
+        limit = 4
+        engine = Engine()
+        context = CodeContext("steane", max_task_guards=limit)
+        encoder = context.session.encoder
+
+        def run(seed):
+            task = self._locality_task(seed)
+            before = encoder.cnf.num_clauses
+            assert context.task_view(task, engine.compile_task(task).formula).check().is_unsat
+            return encoder.cnf.num_clauses - before
+
+        run(0)  # encodes the shared base
+        added = max(run(seed) for seed in range(1, limit))
+        solver = context.session._solver
+        clauses_at_fill = solver.num_problem_clauses
+        cache_at_fill = len(encoder._cache)
+        peak_clauses = clauses_at_fill
+        for seed in range(limit, 4 * limit):
+            added = max(added, run(seed))
+            peak_clauses = max(peak_clauses, solver.num_problem_clauses)
+        retirements = context.retired
+        assert retirements == 3 * limit
+        # Between sweeps at most limit/2 retired tasks' clauses await erasure;
+        # each sweep erases every clause a retired task added.
+        assert peak_clauses <= clauses_at_fill + (limit // 2) * added
+        # Only a locality constraint's per-qubit literals can be new subterms.
+        assert len(encoder._cache) <= cache_at_fill + build_code("steane").num_qubits
+        assert len(sweeps) <= retirements // (limit // 2) + 1
+
+    def test_stats_report_guard_sweeps_once_a_guard_retired(self):
+        engine = Engine()
+        task = CorrectionTask(code="steane")
+        assert "guard_sweeps" not in engine.run(task).details["resources"]
+        assert engine.release_task(task)
+        stats = engine.resources.stats()
+        assert stats["retired_guards"] == stats["guard_sweeps"] == 1
+        assert stats["erased_clauses"] >= 1
+
+
 class TestPoolWorkerWarmCache:
     def test_pool_workers_absorb_and_contribute_learnt_clauses(self, tmp_path):
         directory = str(tmp_path / "store")

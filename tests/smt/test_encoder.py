@@ -227,3 +227,45 @@ class TestWidthBoundedCounters:
         wide.assert_formula(IntLe(sum_of(indicators), IntConst(10)))
         # O(n * width): the weight-1 bound costs a fraction of the weight-10 one.
         assert 4 * narrow.cnf.num_clauses < wide.cnf.num_clauses
+
+
+class TestGuardedConjunctions:
+    """``assert_formula_if`` guards each top-level conjunct on its own."""
+
+    def test_guarded_conjunction_allocates_only_its_selector(self):
+        a, b, c = BoolVar("a"), BoolVar("b"), BoolVar("c")
+        encoder = FormulaEncoder()
+        literals = [encoder.encode(var) for var in (a, b, c)]
+        inner = And((Not(b), c))
+        formula = And((a, inner))
+        before = encoder.cnf.num_vars
+        selector = encoder.assert_formula_if("g", formula)
+        assert encoder.cnf.num_vars == before + 1
+        assert encoder.cnf.clauses[-3:] == [
+            [-selector, literals[0]], [-selector, -literals[1]], [-selector, literals[2]],
+        ]
+        assert formula not in encoder._cache and inner not in encoder._cache
+
+    def test_guarded_conjunction_keeps_its_meaning(self):
+        a, b, c = BoolVar("a"), BoolVar("b"), BoolVar("c")
+        session = SolveSession(Or((a, b)))
+        session.add_guard("g", And((Not(a), Implies(b, c), Xor((a, c)))))
+        check = session.check(select=("g",))
+        assert check.is_sat
+        assert check.model == {"a": False, "b": True, "c": True}
+        session.add_guard("h", And((Not(a), Not(b))))
+        assert session.check(select=("h",)).is_unsat
+        assert session.check(select=("g",)).is_sat
+
+    def test_retired_conjunction_leaves_no_clause_with_its_selector(self):
+        a, b, c = BoolVar("a"), BoolVar("b"), BoolVar("c")
+        session = SolveSession(Or((a, b, c)))
+        session.add_guard("g", And((a, Not(b), Implies(b, c), Xor((a, c)))))
+        assert session.check(select=("g",)).model == {"a": True, "b": False, "c": False}
+        selector = session.encoder.selector("g")
+        # The session's only guard: retiring it sweeps at once.
+        assert session.retire_guard("g") >= 4
+        assert session.guard_sweeps == 1
+        assert not any(-selector in clause for clause in session._solver.clauses)
+        assert session.check().is_sat
+

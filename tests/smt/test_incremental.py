@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.classical.expr import IntConst
+from repro.classical.expr import And, BoolVar, IntConst, Not, Or
 from repro.codes.registry import CODE_REGISTRY
 from repro.smt.cnf import CNF
 from repro.smt.interface import SolveSession, check_formula
@@ -453,3 +453,21 @@ class TestGuardRetirement:
         got = solver.solve([assumption]).satisfiable
         want = fresh_verdict(num_vars, clauses + [[sign * unit]], [assumption])
         assert got == want
+
+
+class TestBatchedGuardSweeps:
+    def test_sweep_waits_for_half_the_live_guards(self):
+        names = [f"g{i}" for i in range(8)]
+        session = SolveSession(Or(tuple(BoolVar(name) for name in names)))
+        for name in names:
+            session.add_guard(name, And((BoolVar(name), Not(BoolVar(f"x{name}")))))
+        assert session.check(select=("g0",)).is_sat
+        erased = [session.retire_guard(name) for name in names[:4]]
+        # Sweep when retired-since-last-sweep >= half the live guards:
+        # 1 < 7/2, 2 < 6/2, then 3 >= 5/2.
+        assert erased[:2] == [0, 0] and erased[2] >= 6 and erased[3] == 0
+        assert session.guard_sweeps == 1
+        # A retired selector is false at the root before any sweep erased its
+        # clauses, so selecting it again is contradictory.
+        assert session.check(select=("g3",)).is_unsat
+        assert session.check(select=("g5", "g6")).is_sat
