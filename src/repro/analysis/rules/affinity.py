@@ -1,8 +1,9 @@
 """REPRO-SESSION — solver sessions touched outside claim-mediated modules.
 
 Concurrency safety in this codebase is the per-code claim, not locking a
-session: a ``SolveSession`` (or the ``CodeContext`` that owns one) may only
-be driven through the resource/engine/job layer, where every execution
+session: a ``SolveSession`` (or the ``CodeContext`` that owns one, or the
+``split_check`` that solves on one) may only be driven through the
+resource/engine/job layer, where every execution
 holds its task's claimed code.  Any other module calling session methods
 directly — importing the classes, constructing them, or reaching through a
 ``.session`` attribute — bypasses the claim and can race a live solve.
@@ -22,7 +23,7 @@ from repro.analysis.core import Finding, Rule, SourceFile
 
 __all__ = ["SESSION_TYPES", "SessionAffinityRule"]
 
-SESSION_TYPES = frozenset({"SolveSession", "CodeContext", "IncrementalSplitSession"})
+SESSION_TYPES = frozenset({"SolveSession", "CodeContext", "split_check"})
 
 #: posix path suffixes/fragments of modules allowed to touch sessions.
 ALLOWED_PATHS = (
@@ -39,7 +40,8 @@ ALLOWED_PATHS = (
 class SessionAffinityRule(Rule):
     rule_id = "REPRO-SESSION"
     description = (
-        "direct SolveSession/CodeContext use outside the claim-mediated modules"
+        "direct SolveSession/CodeContext/split_check use outside the "
+        "claim-mediated modules"
     )
 
     def check_file(self, source: SourceFile) -> Iterator[Finding]:

@@ -5,10 +5,11 @@ the property is verified.  The paper decides a VC in one of two ways, and
 so does the engine:
 
 * :class:`SerialBackend`   — one SAT query on a :class:`~repro.smt.interface.SolveSession`;
-* :class:`ParallelBackend` — enumeration-based task splitting across a worker
-  pool through :class:`repro.smt.parallel.IncrementalSplitSession`
-  (Appendix D.4): one pool per check, each worker holding one incremental
-  session across its subtasks, warm-started from the engine's clause store.
+* :class:`ParallelBackend` — enumeration-based task splitting (Appendix D.4)
+  through one :func:`repro.smt.parallel.split_check` call: across a worker
+  pool built for that check, each worker holding one incremental session
+  across its subtasks and warm-started from the engine's clause store, or
+  in process on the engine's session.
 
 :data:`Backend` is their union; nothing else plugs in.  Both take the same
 ``check(compiled, *, session, resources, control)`` call: ``session`` is a
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.smt.interface import SMTCheck, SolveSession
-from repro.smt.parallel import IncrementalSplitSession
+from repro.smt.parallel import generate_split_assumptions, split_check
 from repro.smt.solver import SolveControl
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -61,13 +62,20 @@ class SerialBackend:
 class ParallelBackend:
     """Task-splitting backend (the paper's parallel strategy).
 
-    ``heuristic_weight`` and ``threshold`` override the per-task hints the
-    compiler attaches (``2 * d`` and the qubit count); leave them ``None`` to
-    use the hints.  ``max_subtasks`` bounds the enumeration so large codes
-    cannot explode the split tree.  With ``num_workers <= 1`` the subtasks
-    still split but run sequentially on one in-process session, which is also
-    what happens inside batch worker processes (daemonic workers cannot spawn
-    a nested pool); a provided ``session`` is reused on that sequential path.
+    The backend enumerates the compiled task's split variables into subtasks
+    and decides them in one :func:`~repro.smt.parallel.split_check`; its
+    fields are the only split defaults.  ``heuristic_weight`` and
+    ``threshold`` override the per-task hints the compiler attaches
+    (``2 * d`` and the qubit count); leave them ``None`` to use the hints.
+    ``max_subtasks`` bounds the enumeration so large codes cannot explode
+    the split tree.  With ``num_workers >= 2`` and more than one subtask the
+    subtasks run on a process pool built for the check, whose workers
+    warm-start from and save to the clause store.  With ``num_workers <= 1``
+    they run in process on the engine's session for the task (its code's
+    shared context, which loads and saves the store itself), which is also
+    what happens inside batch worker processes (daemonic workers cannot
+    spawn a nested pool).  A task without split variables (the program
+    route) on more workers runs in process on a throwaway session.
     """
 
     num_workers: int = 2
@@ -91,27 +99,23 @@ class ParallelBackend:
         resources: "ResourceManager | None" = None,
         control: SolveControl | None = None,
     ) -> SMTCheck:
-        heuristic_weight = self.heuristic_weight or compiled.split_weight
-        threshold = self.threshold if self.threshold is not None else compiled.split_threshold
-        store = resources.clause_store if resources is not None else None
-        with IncrementalSplitSession(
-            compiled.formula,
-            split_variables=list(compiled.split_variables),
-            heuristic_weight=heuristic_weight,
-            threshold=threshold,
-            num_workers=self.num_workers,
+        assumption_sets = generate_split_assumptions(
+            list(compiled.split_variables),
+            self.heuristic_weight or compiled.split_weight,
+            self.threshold if self.threshold is not None else compiled.split_threshold,
             max_subtasks=self.max_subtasks,
-            session=session if self.num_workers <= 1 else None,
+        )
+        store = resources.clause_store if resources is not None else None
+        check = split_check(
+            compiled.formula,
+            assumption_sets,
+            num_workers=self.num_workers,
+            session=session,
             warm_dir=store.directory if store is not None else None,
-        ) as split:
-            check = split.check(control=control)
-            if check.conflicts:
-                # Persist before the pool closes: the next process (a fresh
-                # CLI engine) starts its split workers warm from these
-                # clauses.  A conflict-free check learnt nothing to add.
-                split.save_warm()
+            control=control,
+        )
         if resources is not None:
-            resources.record_split_warm(split.warm_absorbed)
+            resources.record_split_warm(check.metadata["session"].get("warm_absorbed", 0))
         return check
 
 

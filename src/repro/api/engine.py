@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import threading
 import time
 from collections import Counter, OrderedDict
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
@@ -44,6 +42,7 @@ from repro.api.tasks import (
 from repro.classical.expr import BoolExpr, BoolVar, Not
 from repro.codes.base import StabilizerCode
 from repro.codes.registry import CODE_REGISTRY, family_of
+from repro.smt.parallel import pool_results
 from repro.smt.solver import SolveControl, SolverInterrupted
 from repro.verifier.constraints import discreteness_constraint, locality_constraint
 from repro.verifier.encodings import (
@@ -811,7 +810,10 @@ class Engine:
         pool; each worker runs its task serially end-to-end (a nested
         :class:`ParallelBackend` pool is forced sequential because pool
         workers are daemonic).  Tasks must be picklable for the pool path,
-        which every registry-key task is.
+        which every registry-key task is.  The pool comes from
+        :func:`~repro.smt.parallel.pool_results`: when a worker dies, the
+        pool is rebuilt once and the unfinished tasks run again; a second
+        death raises :class:`RuntimeError`.
 
         ``schedule`` controls *execution* order — results always come back
         in input order.  ``"fifo"`` runs tasks as given; ``"reuse"`` orders
@@ -853,20 +855,20 @@ class Engine:
         results: list[Result | None] = [None] * len(batch)
         for index, result in completed.items():
             results[index] = result
-        use_pool = bool(processes and processes > 1 and len(batch) > 1 and remaining)
-        with multiprocessing.Pool(processes) if use_pool else nullcontext() as pool:
-            if pool is not None:
-                store_dir = store.directory if store is not None else None
-                outcomes = pool.imap(_run_payload, [
-                    (batch[index], _worker_backend(chosen), store_dir) for index in remaining
-                ])
-            else:
-                outcomes = (self.run(batch[index], backend=chosen) for index in remaining)
+        if processes and processes > 1 and len(batch) > 1 and remaining:
+            store_dir = store.directory if store is not None else None
+            payloads = [(batch[index], _worker_backend(chosen), store_dir) for index in remaining]
+            outcomes = pool_results(_run_payload, payloads, processes, ordered=True)
+        else:
+            outcomes = (self.run(batch[index], backend=chosen) for index in remaining)
+        try:
             for index, result in zip(remaining, outcomes):
                 results[index] = result
                 if manifest is not None:
                     manifest["results"][str(index)] = _manifest_entry(result)
                     store.checkpoint_save(manifest_key, manifest)
+        finally:
+            outcomes.close()  # tears a pool down, however the loop ended
         if manifest_key is not None:
             store.checkpoint_delete(manifest_key)
         return results  # type: ignore[return-value]

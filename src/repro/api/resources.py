@@ -20,9 +20,8 @@ This module centralizes those resources *per code*:
   together, with hit/miss counters surfaced in ``Result.session_stats()``.
   Its optional ``clause_store`` (:class:`~repro.store.ClauseStore`, the
   CLI's ``--clause-store``) is the one warm-start cache: contexts and the
-  parallel backend's one-shot split workers restore and persist learnt
-  clauses keyed by a fingerprint of the exact CNF, so stale state can never
-  be absorbed.
+  parallel backend's pool workers restore and persist learnt clauses keyed
+  by a fingerprint of the exact CNF, so stale state can never be absorbed.
 """
 
 from __future__ import annotations
@@ -445,8 +444,8 @@ class ResourceManager:
             return store
 
     def record_split_warm(self, absorbed: int) -> None:
-        """Count clauses a one-shot split session's workers absorbed from the
-        store (the split sessions themselves do not outlive their check)."""
+        """Count clauses a split check's pool workers absorbed from the
+        store (the workers do not outlive their check)."""
         with self._lock:
             self._split_warm_absorbed += absorbed
 

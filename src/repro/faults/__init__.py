@@ -11,8 +11,9 @@ place in the stack where the plan can deterministically misbehave:
 ``lane.crash``      a dispatcher lane thread dies mid-job (BaseException
                     that escapes the per-job guard, exercising the lane
                     supervisor)
-``pool.kill``       every worker of a live split-session pool is SIGKILLed
-                    (exercising the pool rebuild-and-retry path)
+``pool.kill``       every worker of a live process pool (split check or
+                    ``run_many``) is SIGKILLed (exercising the pool
+                    rebuild-and-retry path)
 ``socket.reset``    the server aborts a chunked NDJSON stream mid-flight
 ``socket.truncate`` the server closes a chunked stream without the final
                     ``0\\r\\n\\r\\n`` chunk

@@ -237,18 +237,11 @@ class SolveSession:
             digest.update(b";")
         return digest.hexdigest()
 
-    def learnt_clauses(self, max_var: int | None = None) -> list[list[int]]:
-        """Learnt clauses of the live solver (empty before the first check)."""
-        if self._solver is None:
-            return []
-        return self._solver.learnt_clauses(max_var)
-
     def learnt_clauses_meta(self, max_var: int | None = None) -> list[tuple[list[int], int]]:
         """Learnt clauses paired with their LBD (empty before the first check).
 
         The ``ClauseStore`` keeps the LBD so eviction can rank entries by
-        usefulness; :meth:`learnt_clauses` serves callers that need only the
-        literals (split-session store merges).
+        usefulness.
         """
         if self._solver is None:
             return []

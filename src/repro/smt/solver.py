@@ -399,28 +399,20 @@ class SATSolver:
         return index is not None
 
     def learnt_clauses(self, max_var: int | None = None) -> list[list[int]]:
-        """The current learnt clauses, optionally restricted to ``var <= max_var``.
+        """The literals of :meth:`learnt_clauses_meta`, without their LBDs."""
+        return [clause for clause, _lbd in self.learnt_clauses_meta(max_var)]
+
+    def learnt_clauses_meta(self, max_var: int | None = None) -> list[tuple[list[int], int]]:
+        """The current learnt clauses paired with their LBDs, optionally
+        restricted to ``var <= max_var``.
 
         The restriction is what makes serialization safe for sessions whose
         encoding keeps growing: clauses over variables that a fresh session
         will allocate identically (the base encoding) round-trip; clauses over
-        later auxiliary variables are filtered out.
-        """
-        result = []
-        for index, clause in enumerate(self.clauses):
-            if not self.clause_is_learnt[index]:
-                continue
-            if max_var is not None and any(abs(lit) > max_var for lit in clause):
-                continue
-            result.append(list(clause))
-        return result
-
-    def learnt_clauses_meta(self, max_var: int | None = None) -> list[tuple[list[int], int]]:
-        """Like :meth:`learnt_clauses`, but paired with each clause's LBD.
-
-        The clause store persists the LBD alongside the literals so its
-        size-bounded eviction can drop the least valuable clauses (worst LBD,
-        then oldest) instead of evicting blindly.
+        later auxiliary variables are filtered out.  The clause store
+        persists the LBD alongside the literals so its size-bounded eviction
+        can drop the least valuable clauses (worst LBD, then oldest) instead
+        of evicting blindly.
         """
         result = []
         for index, clause in enumerate(self.clauses):

@@ -501,6 +501,7 @@ def load_clauses(directory: str, fingerprint: str) -> list[list[int]] | None:
     return _worker_store(directory).load(fingerprint)
 
 
-def merge_clauses(directory: str, fingerprint: str, clauses) -> None:
-    """Merge a worker's learnt clauses back into the shared store."""
-    _worker_store(directory).store(fingerprint, clauses)
+def merge_clauses(directory: str, fingerprint: str, clauses) -> bool:
+    """Merge a worker's ``(clause, lbd)`` pairs into the shared store;
+    returns whether they are stored (see :meth:`ClauseStore.store_meta`)."""
+    return _worker_store(directory).store_meta(fingerprint, clauses)

@@ -13,7 +13,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 CASES = [
     ("lock_bad.py", "lock_clean.py", "REPRO-LOCK", 4),
-    ("affinity_bad.py", "affinity_clean.py", "REPRO-SESSION", 3),
+    ("affinity_bad.py", "affinity_clean.py", "REPRO-SESSION", 4),
     ("async_bad.py", "async_clean.py", "REPRO-ASYNC", 3),
     ("exc_bad.py", "exc_clean.py", "REPRO-EXC", 3),
 ]

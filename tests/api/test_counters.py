@@ -17,7 +17,7 @@ from repro.api.backends import ParallelBackend, SerialBackend
 from repro.api.events import SolverStats
 from repro.codes import steane_code
 from repro.smt.interface import SolveSession
-from repro.smt.parallel import IncrementalSplitSession
+from repro.smt.parallel import split_check
 from repro.smt.solver import SEARCH_COUNTERS, SATSolver
 from repro.verifier.encodings import accurate_correction_formula
 
@@ -83,26 +83,26 @@ def test_pool_solver_stats_carry_every_worker_counter(monkeypatch):
     finally:
         engine.close()
     summed: Counter = Counter()
-    for _status, _model, stats in chunks:
+    for _index, (_status, _model, stats) in chunks:
         summed.update(stats["counters"])
     assert len(chunks) > 1 and summed["propagations"] > 0
     assert counters == reported(summed)
 
 
 class TestSplitSessionClauseDatabaseCounters:
-    """The split session carries eviction and erasure like every other
-    counter (they used to stop at the session below it)."""
+    """A one-shot in-process split on a shared session carries eviction and
+    erasure like every other counter (they used to stop at the session
+    below it)."""
 
     def test_sequential_split_reports_eviction(self):
         formula = accurate_correction_formula(steane_code(), max_errors=2)
         session = SolveSession(formula)
-        split = IncrementalSplitSession(formula, session=session)
-        split.check()
+        split_check(formula, [{}], session=session)
         session._solver.max_learnt = 5  # the next solve must reduce
-        check = split.check()
+        check = split_check(formula, [{}], session=session)
         evicted = check.counters["learnt_evicted"]
         assert evicted > 0
-        assert split.stats()["learnt_evicted"] == evicted
+        assert check.metadata["session"]["learnt_evicted"] == evicted
 
     def test_sequential_split_reports_erased_clauses(self):
         code = steane_code()
@@ -110,8 +110,7 @@ class TestSplitSessionClauseDatabaseCounters:
         session = SolveSession(formula)
         session.add_guard("stale", accurate_correction_formula(code, max_errors=1))
         session.check(select=("stale",))
-        split = IncrementalSplitSession(formula, session=session)
-        split.check()
         erased = session.retire_guard("stale")
         assert erased >= 1
-        assert split.stats()["erased_clauses"] == erased
+        check = split_check(formula, [{}], session=session)
+        assert check.metadata["session"]["erased_clauses"] == erased

@@ -239,6 +239,21 @@ class TestBackends:
         )
         assert not result.verified
 
+    def test_sweep_verdicts_agree_across_backends(self):
+        # The 15 Table 3 sweep tasks: one query, the split in process, and
+        # the split across a two-worker pool decide them identically.
+        tasks = registry_sweep_tasks()
+        assert len(tasks) == 15
+        verdicts = {}
+        for backend in (SerialBackend(), ParallelBackend(num_workers=1),
+                        ParallelBackend(num_workers=2)):
+            engine = Engine(backend=backend)
+            verdicts[backend] = [engine.run(task).verified for task in tasks]
+            engine.close()
+        [serial, *split] = verdicts.values()
+        assert all(verdict is not None for verdict in serial)
+        assert all(other == serial for other in split), verdicts
+
     def test_only_in_tree_backends_are_accepted(self):
         class CustomBackend:
             name = "custom"

@@ -278,42 +278,43 @@ class TestCancellation:
 
 
 class TestPoolInterruption:
-    def test_expired_control_interrupts_pool_and_pool_survives(self):
-        from repro.smt.parallel import IncrementalSplitSession
+    def test_interrupted_pool_check_raises_its_reason_and_leaves_no_pool(self):
+        from repro.smt.parallel import _LIVE_POOLS, generate_split_assumptions, split_check
 
         engine = Engine()
         compiled = engine.compile_task(CorrectionTask(code="steane"))
-        session = IncrementalSplitSession(
-            compiled.formula,
-            split_variables=list(compiled.split_variables),
-            heuristic_weight=compiled.split_weight,
-            threshold=compiled.split_threshold,
-            num_workers=2,
+        assumption_sets = generate_split_assumptions(
+            list(compiled.split_variables), compiled.split_weight,
+            compiled.split_threshold, max_subtasks=256,
         )
+        assert len(assumption_sets) > 1
+        before = set(_LIVE_POOLS)
+
+        def check(control=None):
+            return split_check(
+                compiled.formula, assumption_sets, num_workers=2, control=control
+            )
+
         try:
-            # The conflict budget is enforced inside the workers.  This must
-            # run FIRST, against the fresh pool: once the worker sessions
-            # have accumulated learnt clauses from a completed check, later
-            # subtasks can be refuted with zero conflicts and a
-            # conflict_budget=0 control would (legitimately) never fire —
-            # which made this assertion flaky when it ran after the others.
-            tight = SolveControl(conflict_budget=0, check_interval=1)
-            with pytest.raises(SolverInterrupted) as budget_info:
-                session.check(control=tight)
-            assert budget_info.value.reason == "budget"
-            expired = SolveControl(deadline=time.monotonic() - 1.0)
-            with pytest.raises(SolverInterrupted) as excinfo:
-                session.check(control=expired)
-            # The parent control's verdict wins over the worker-relayed
-            # cancel event, so the reason names the true cause.
-            assert excinfo.value.reason == "deadline"
-            # The pool (and every worker's live session) survived both
-            # interruptions and decides the formula correctly afterwards.
-            assert session.check().is_unsat
-            assert session.check().is_unsat
+            # The conflict budget is enforced inside the workers, each of
+            # which starts cold: every check builds its own pool.
+            for control, reason in (
+                (SolveControl(conflict_budget=0, check_interval=1), "budget"),
+                # The parent control's verdict wins over the worker-relayed
+                # cancel event, so the reason names the true cause.
+                (SolveControl(deadline=time.monotonic() - 1.0), "deadline"),
+                (SolveControl(cancelled=lambda: True), "cancelled"),
+            ):
+                with pytest.raises(SolverInterrupted) as excinfo:
+                    check(control)
+                assert excinfo.value.reason == reason
+                assert set(_LIVE_POOLS) == before, reason
+            # Interruptions leave nothing behind: the next check decides the
+            # formula correctly, and its pool is gone too.
+            assert check().is_unsat
+            assert set(_LIVE_POOLS) == before
         finally:
-            session.close()
-        engine.close()
+            engine.close()
 
 
 class TestDeterminism:

@@ -506,3 +506,18 @@ class TestPoolWorkerWarmCache:
         assert second.verified == first.verified
         assert second.details["session"]["warm_absorbed"] > 0
         assert stats["warm_absorbed"] > 0
+
+    def test_pool_workers_store_their_clauses_lbds(self, tmp_path):
+        import sqlite3
+
+        directory = str(tmp_path / "store")
+        engine = Engine(backend=ParallelBackend(num_workers=2), clause_store=directory)
+        result = engine.run(CorrectionTask(code="surface-3"))
+        engine.close()
+        assert result.verified and result.details["num_subtasks"] > 1
+        with sqlite3.connect(ClauseStore(directory).path) as conn:
+            rows = conn.execute("SELECT lbd, size FROM clauses").fetchall()
+        # Rows carry the LBD each clause was learnt with, not its length:
+        # a surface-3 solve learns clauses with LBD below their size.
+        assert rows and all(lbd <= size for lbd, size in rows)
+        assert any(lbd < size for lbd, size in rows)

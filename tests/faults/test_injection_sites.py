@@ -2,15 +2,22 @@
 
 Each test arms a targeted plan and checks the *recovery* path, not just
 the failure: the store's circuit breaker opens and re-closes, a crashed
-lane is supervised back to life with its in-flight job failed loudly, and
-an interrupted sweep resumes from its manifest instead of re-running.
+lane is supervised back to life with its in-flight job failed loudly, an
+interrupted sweep resumes from its manifest instead of re-running, and a
+process pool whose workers die is rebuilt without losing a verdict.
 """
+
+import threading
 
 import pytest
 
 from repro import faults
-from repro.api import CorrectionTask, Engine
-from repro.api.engine import _sweep_manifest_key, _sweep_manifest_payload
+from repro.api import CorrectionTask, Engine, ParallelBackend
+from repro.api.engine import (
+    _sweep_manifest_key,
+    _sweep_manifest_payload,
+    registry_sweep_tasks,
+)
 from repro.api.result import Result
 from repro.store import ClauseStore
 
@@ -231,3 +238,64 @@ class TestSweepResume:
         assert saved == [["0"], ["0", "1"], ["0", "1", "2"]]
         assert len(serialized) == 3
         engine.close()
+
+
+def run_bounded(work, timeout: float = 120.0):
+    """Run ``work`` in a thread joined with a generous bound, so a pool that
+    never returns fails the test instead of hanging the suite."""
+    outcome = {}
+
+    def target() -> None:
+        try:
+            outcome["value"] = work()
+        except BaseException as exc:  # re-raised in the test thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"pooled work did not return within {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class TestDeadPoolWorkers:
+    """``pool.kill`` SIGKILLs every worker of a new pool: the pool is
+    rebuilt once and the unfinished payloads re-dispatched, so the run
+    returns the clean verdicts."""
+
+    KILL_ONCE = {"faults": [{"point": "pool.kill", "times": 1}]}
+
+    def test_split_check_survives_killed_workers(self):
+        from repro.smt.parallel import _LIVE_POOLS
+
+        task = CorrectionTask(code="steane", error_model="Y")
+        clean = Engine().run(task)
+        before = set(_LIVE_POOLS)
+        plan = faults.install(self.KILL_ONCE)
+        engine = Engine(backend=ParallelBackend(num_workers=2))
+        try:
+            result = run_bounded(lambda: engine.run(task))
+        finally:
+            engine.close()
+        assert result.details["num_workers"] == 2 and result.details["num_subtasks"] > 1
+        assert result.verified == clean.verified
+        assert [rule.fired for rule in plan.rules] == [1]
+        assert set(_LIVE_POOLS) == before
+
+    def test_pooled_sweep_survives_killed_workers(self):
+        from repro.smt.parallel import _LIVE_POOLS
+
+        tasks = registry_sweep_tasks(["steane", "five-qubit", "shor"])
+        clean = [result.verified for result in Engine().run_many(tasks)]
+        before = set(_LIVE_POOLS)
+        plan = faults.install(self.KILL_ONCE)
+        engine = Engine()
+        try:
+            results = run_bounded(lambda: engine.run_many(tasks, processes=2))
+        finally:
+            engine.close()
+        assert [result.verified for result in results] == clean
+        assert [rule.fired for rule in plan.rules] == [1]
+        assert set(_LIVE_POOLS) == before

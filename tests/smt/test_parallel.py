@@ -5,17 +5,22 @@ import threading
 from repro.classical.expr import And, BoolVar, IntConst, IntLe, Not, Or, sum_of
 from repro.smt.interface import SolveSession
 from repro.smt.parallel import (
-    IncrementalSplitSession,
     _pool_context,
     _terminate_pool,
     generate_split_assumptions,
+    split_check,
 )
 
 
-def check_once(formula, **kwargs):
-    """One check on a throwaway split session (ParallelBackend's one-shot path)."""
-    with IncrementalSplitSession(formula, **kwargs) as session:
-        return session.check()
+def check_once(formula, split_variables=(), threshold=None, num_workers=1, session=None):
+    """One split check, its subtasks enumerated as ParallelBackend does
+    (weight 2, threshold defaulting to the number of split variables)."""
+    if threshold is None:
+        threshold = max(len(split_variables), 1)
+    assumption_sets = generate_split_assumptions(
+        list(split_variables), 2, threshold, max_subtasks=256
+    )
+    return split_check(formula, assumption_sets, num_workers=num_workers, session=session)
 
 
 class TestSplitting:
@@ -103,10 +108,10 @@ class TestStatisticsAggregation:
         assert result.metadata["num_workers"] == 2
 
 
-class TestIncrementalSplitSession:
+class TestOneShotSplit:
     def test_one_shot_splits_match_guarded_session(self):
         """Each weight bound, decided by a one-shot split of ``base AND
-        weight <= bound`` (sequential and pooled), agrees with the
+        weight <= bound`` (in process and pooled), agrees with the
         selector-guarded answer of one SolveSession over the base."""
         e = [BoolVar(f"e{i}") for i in range(5)]
         base = And((e[0], e[1]))
@@ -124,6 +129,18 @@ class TestIncrementalSplitSession:
                 assert result.status == expected[bound], (bound, workers)
         assert expected == {1: "unsat", 2: "sat", 3: "sat"}
         assert guarded.stats()["checks"] == 3
+
+    def test_in_process_split_solves_on_the_given_session(self):
+        e = [BoolVar(f"e{i}") for i in range(4)]
+        formula = And((IntLe(sum_of(e), IntConst(1)), e[0], e[1]))
+        session = SolveSession(formula)
+        result = check_once(formula, split_variables=["e2", "e3"], session=session)
+        assert result.is_unsat
+        # Every subtask ran on the handed session, and the check's own
+        # statistics describe that one check.
+        assert session.stats()["checks"] == result.metadata["num_subtasks"] > 1
+        assert result.metadata["session"]["checks"] == 1
+        assert result.metadata["session"]["learnt_kept"] == session.stats()["learnt_kept"]
 
 
 class TestPoolTeardown:

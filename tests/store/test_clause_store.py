@@ -279,10 +279,13 @@ class TestConcurrency:
 
 class TestWorkerHelpers:
     def test_load_and_merge_round_trip(self, tmp_path):
-        ClauseStore(str(tmp_path))
-        merge_clauses(str(tmp_path), "fp", [[5, -1]])
-        assert load_clauses(str(tmp_path), "fp") == [[-1, 5]]
+        store = ClauseStore(str(tmp_path))
+        assert merge_clauses(str(tmp_path), "fp", [([5, -1, 3], 2)])
+        assert load_clauses(str(tmp_path), "fp") == [[-1, 3, 5]]
         assert load_clauses(str(tmp_path), "other") is None
+        # The pair's LBD is stored, not the clause length.
+        with _db(store) as conn:
+            assert conn.execute("SELECT lbd, size FROM clauses").fetchall() == [(2, 3)]
 
 
 class TestChecksumHelper:
