@@ -7,7 +7,10 @@
    distance-discovery job, streaming both NDJSON event streams to disk;
 4. validate the captured streams with ``python -m repro validate-events``
    (the schema_version 1.0 wire contract);
-5. SIGTERM the server and require a graceful drain: exit code 0 and a
+5. submit the steane correction again: its ``TaskCompiled`` must report
+   ``cached: true`` (the code context kept the compiled task) and
+   ``GET /stats`` must count it in ``engine.hits``;
+6. SIGTERM the server and require a graceful drain: exit code 0 and a
    ``drained`` line reporting no orphaned jobs.
 
 With ``--fault-plan`` the script runs the chaos smoke instead: the same
@@ -351,6 +354,20 @@ def main() -> int:
         )
         if validate.returncode != 0:
             print("FAIL: event-stream validation", file=sys.stderr)
+            return 1
+
+        client = ServiceClient("127.0.0.1", port, api_key="ci-smoke")
+        repeat = client.submit(dict(workload[0]))
+        compiled = [
+            event for event in client.events(repeat["id"])
+            if event.get("event") == "TaskCompiled"
+        ]
+        engine_stats = client.stats().get("engine", {})
+        if [event.get("cached") for event in compiled] != [True]:
+            print(f"FAIL: repeated steane correction not cached: {compiled}", file=sys.stderr)
+            return 1
+        if engine_stats.get("hits", 0) < 1:
+            print(f"FAIL: GET /stats engine counts no hit: {engine_stats}", file=sys.stderr)
             return 1
 
         server.send_signal(signal.SIGTERM)

@@ -12,7 +12,8 @@ The package layers, bottom to top:
 * ``repro.hoare``, ``repro.vc`` -- the proof system of Fig. 3 and the
   verification-condition reduction of Section 5;
 * ``repro.api`` -- the task-based verification engine: frozen task objects,
-  the serial and parallel backends, an LRU compile cache, batch execution
+  the serial and parallel backends, one shared solver context per code
+  (which also keeps each task's compile), batch execution
   (``Engine.run_many``) and the ``python -m repro`` CLI;
 * ``repro.verifier`` -- the refutation encodings, error constraints and
   correctness-formula generators the engine compiles tasks with.

@@ -1,9 +1,9 @@
 """REPRO-LOCK — registered shared structures mutated outside their lock.
 
-The engine's shared registries (compile cache, code claims and the job
-queue, context registries, admission counters) are each guarded by a named
-lock; every mutation must
-happen lexically inside ``with self.<lock>``.  The registry below names
+The engine's shared registries (code claims and the job queue, job ids,
+the context registry and its counters, admission counters) are each
+guarded by a named lock; every mutation must happen lexically inside
+``with self.<lock>``.  The registry below names
 the (class, attributes, lock) triples the project has declared shared —
 this is the machine-readable form of the comments in ``Engine.__init__``
 and the ``ResourceManager`` docstring.
@@ -25,7 +25,6 @@ __all__ = ["GUARDED_CLASSES", "LockDisciplineRule"]
 #: class name -> list of (guarded attribute names, lock attribute name).
 GUARDED_CLASSES: dict[str, list[tuple[frozenset[str], str]]] = {
     "Engine": [
-        (frozenset({"_cache", "_hits", "_misses", "_uncacheable"}), "_cache_lock"),
         (frozenset({"_job_counter", "_executor"}), "_submit_lock"),
         (frozenset({"_claimed"}), "_claims"),
     ],
@@ -35,7 +34,7 @@ GUARDED_CLASSES: dict[str, list[tuple[frozenset[str], str]]] = {
     "ResourceManager": [
         (
             frozenset({
-                "_contexts", "_task_sessions", "_retired", "_split_warm_absorbed",
+                "_contexts", "_retired", "_split_warm_absorbed", "task_compiles",
             }),
             "_lock",
         ),

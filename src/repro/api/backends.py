@@ -15,7 +15,8 @@ so does the engine:
 ``check(compiled, *, session, resources, control)`` call: ``session`` is a
 live session already holding the compiled formula (the engine builds one,
 shared per code, when the backend's ``wants_session`` is true), so learnt
-clauses carry over to the next run of the same task; ``resources`` is the
+clauses carry over to the next run of the same task, and ``compiled``
+then carries no formula of its own; ``resources`` is the
 engine's :class:`~repro.api.resources.ResourceManager` (the clause store);
 ``control`` bounds the solve (deadline, cancellation).  Backends are plain
 frozen dataclasses so they can be pickled into the batch executor's worker

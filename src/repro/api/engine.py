@@ -4,8 +4,9 @@
 ``python -m repro`` CLI, the job executor and the service all drive it:
 
 * :meth:`Engine.compile_task` lowers a task to its refutation formula (one
-  place for every encoding decision), memoised in an LRU cache keyed on the
-  task value;
+  place for every encoding decision); a run compiles a task once per live
+  guard on its code's :class:`~repro.api.resources.CodeContext`, the only
+  cache of compiled tasks;
 * :meth:`Engine.run` decides one task on a :class:`~repro.api.backends.SerialBackend`
   or :class:`~repro.api.backends.ParallelBackend` and returns the unified
   :class:`~repro.api.result.Result`;
@@ -20,7 +21,7 @@ import hashlib
 import json
 import threading
 import time
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
@@ -61,12 +62,15 @@ Emit = Callable[[object], object]
 
 @dataclass
 class CompiledTask:
-    """A task lowered to its refutation formula plus backend hints."""
+    """A task lowered to its refutation formula plus backend hints.
+
+    The copy a code context keeps has ``formula=None``: its session already
+    holds the formula's clauses."""
 
     task: Task
     kind: str
     subject: str
-    formula: BoolExpr
+    formula: BoolExpr | None
     split_variables: tuple[str, ...] = ()
     split_weight: int = 2
     split_threshold: int | None = None
@@ -126,7 +130,6 @@ class Engine:
     def __init__(
         self,
         backend: Backend | str | None = None,
-        cache_size: int = 128,
         session_cache_size: int = 32,
         lanes: int = 4,
         clause_store: str | None = None,
@@ -139,22 +142,18 @@ class Engine:
         if fault_plan is not None:
             faults.install(fault_plan)
         self.backend: Backend = coerce_backend(backend)
-        self.cache_size = cache_size
         self.session_cache_size = session_cache_size
         self.lanes = max(1, int(lanes))
-        self._cache: OrderedDict[Task, CompiledTask] = OrderedDict()
         # Engine-owned solver resources: one shared live session per *code*
         # (correction, detection and distance queries on a code share learnt
-        # clauses through task-selector guards).
+        # clauses through task-selector guards), which is also the cache of
+        # compiled tasks.
         self.resources = ResourceManager(max_contexts=session_cache_size)
         # The persistent clause store (``repro.store``): durable learnt
         # clauses and distance-walk checkpoints shared across every worker,
         # split worker and process using the directory.
         if clause_store is not None:
             self.resources.enable_clause_store(clause_store)
-        self._hits = 0
-        self._misses = 0
-        self._uncacheable = 0
         # The job layer: created lazily on the first submit().
         self._executor: ShardedJobExecutor | None = None
         self._job_counter = 0
@@ -167,10 +166,6 @@ class Engine:
         self._claim_lock = threading.RLock()
         self._claims = threading.Condition(self._claim_lock)
         self._claimed: set = set()
-        # Guards the compile cache (shared across workers) separately from
-        # execution, so a worker compiling a new task never blocks another
-        # worker's solve.
-        self._cache_lock = threading.Lock()
         # Guards submit-time state only (job ids, lazy executor creation);
         # never held across a solve, so submitting stays non-blocking.
         self._submit_lock = threading.Lock()
@@ -179,23 +174,16 @@ class Engine:
     # Compilation
     # ------------------------------------------------------------------
     def compile_task(self, task: Task) -> CompiledTask:
-        """Lower ``task`` to its formula, memoised on the task value."""
-        compiled, _ = self._compile_cached(task)
-        return compiled
+        """Lower ``task`` to its formula (uncached: runs hit the task's code
+        context instead)."""
+        return self._compile(task)
 
     def cache_info(self) -> dict:
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "uncacheable": self._uncacheable,
-            "size": len(self._cache),
-            "max_size": self.cache_size,
-            "sessions": self.resources.num_contexts(),
-        }
+        """Task compiles served from a code context's live guard (``hits``)
+        or run for one (``misses``), and the live contexts (``sessions``)."""
+        return {**self.resources.task_compiles, "sessions": self.resources.num_contexts()}
 
     def clear_cache(self) -> None:
-        with self._cache_lock:
-            self._cache.clear()
         self.resources.clear_contexts()
 
     def close(self) -> None:
@@ -210,38 +198,6 @@ class Engine:
     def coerce(self, backend: Backend | str | None) -> Backend:
         """Resolve a backend argument against this engine's default."""
         return coerce_backend(backend) if backend is not None else self.backend
-
-    def _compile_cached(self, task: Task) -> tuple[CompiledTask, bool]:
-        if not task.deterministic:
-            with self._cache_lock:
-                self._uncacheable += 1
-            return self._compile(task), False
-        with self._cache_lock:
-            try:
-                cached = self._cache.get(task)
-            except TypeError:  # unhashable payload (e.g. an ad-hoc triple)
-                cached = None
-                hashable = False
-            else:
-                hashable = True
-            if cached is not None:
-                self._hits += 1
-                self._cache.move_to_end(task)
-                return cached, True
-            if hashable:
-                self._misses += 1
-            else:
-                self._uncacheable += 1
-        # Compile outside the lock: two workers may compile the same task
-        # concurrently (harmless duplicate work), but a slow compile never
-        # stalls cache hits on other workers.
-        compiled = self._compile(task)
-        if hashable:
-            with self._cache_lock:
-                self._cache[task] = compiled
-                while len(self._cache) > self.cache_size:
-                    self._cache.popitem(last=False)
-        return compiled, False
 
     def _compile(self, task: Task) -> CompiledTask:
         start = time.perf_counter()
@@ -507,13 +463,19 @@ class Engine:
         if isinstance(task, DistanceTask):
             return self._run_distance(task, chosen, control=control, emit=emit)
         start = time.perf_counter()
-        compiled, cached = self._compile_cached(task)
+        # The code context compiles and asserts the task once per live guard;
+        # without a session (nondeterministic task, unhashable payload, a
+        # pooled split) the task compiles afresh.
+        found = self.resources.session_for(task, self._compile) if chosen.wants_session else None
+        if found is None:
+            session, compiled, cached = None, self._compile(task), False
+        else:
+            session, compiled, cached = found
         if emit is not None:
             emit(TaskCompiled(
                 task_kind=compiled.kind, subject=task.subject,
                 cached=cached, compile_seconds=compiled.compile_seconds,
             ))
-        session = self.resources.session_for(task, compiled) if chosen.wants_session else None
         if emit is not None:
             emit(SubtaskStarted(index=0, description=f"solve:{compiled.kind}"))
         check = chosen.check(

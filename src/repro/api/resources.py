@@ -6,13 +6,15 @@ correction and detection on the same code re-learnt everything from scratch.
 This module centralizes those resources *per code*:
 
 * :class:`CodeContext` — ONE live :class:`~repro.smt.interface.SolveSession`
-  per code.  Every task's refutation formula is asserted under a
-  task-selector guard literal, so correction, detection, constrained and
-  distance queries all solve against one clause database and share learnt
-  clauses across task kinds.  The shared error/syndrome sub-encoding is
-  emitted once: the encoder's expression cache maps the identical error
-  variables, syndrome parities and weight counters of later task formulas
-  onto the literals the first task allocated.
+  per code (code-less program tasks share the one keyed ``None``).  Every
+  task is compiled and its refutation formula asserted once, under a
+  task-selector guard literal (the engine's only compile cache), so
+  correction, detection, constrained and distance queries all solve against
+  one clause database and share learnt clauses across task kinds.  The
+  shared error/syndrome sub-encoding is emitted once: the encoder's
+  expression cache maps the identical error variables, syndrome parities
+  and weight counters of later task formulas onto the literals the first
+  task allocated.
 * :class:`ContextView` — a task's window onto its context: ``check`` solves
   the shared session under the task's selector, which is the session surface
   the backends already expect.
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import Counter, OrderedDict
+from dataclasses import replace
 
 from repro import sanitize
 from repro.classical.expr import free_variables
@@ -84,10 +87,11 @@ class ContextView:
 class CodeContext:
     """Shared solver resources for one code: one session, many task guards.
 
-    Task formulas are asserted exactly once each, guarded by a fresh selector
-    keyed on the task value; re-running a task re-selects its guard on the
-    live solver (a context *hit*), and different task kinds on the same code
-    share every learnt clause the session has accumulated.
+    Tasks are compiled and their formulas asserted exactly once each,
+    guarded by a fresh selector keyed on the task value; re-running a task
+    re-selects its guard on the live solver (a context *hit*), and different
+    task kinds on the same code share every learnt clause the session has
+    accumulated.
     """
 
     def __init__(
@@ -107,7 +111,8 @@ class CodeContext:
         self.misses = 0
         self.retired = 0
         self._guard_counter = 0
-        self._task_guards: OrderedDict[object, tuple[str, frozenset[str]]] = OrderedDict()
+        #: task -> (guard, formula variables, compiled task without formula)
+        self._task_guards: OrderedDict[object, tuple[str, frozenset[str], object]] = OrderedDict()
         self._detection_bases: dict[str, tuple[object, str, frozenset[str]]] = {}
         self._weight_guards: set[str] = set()
         self._warm_attempted = False
@@ -125,28 +130,33 @@ class CodeContext:
 
     # ------------------------------------------------------------------
     @sanitize.entry_guarded
-    def task_view(self, task, formula) -> ContextView:
-        """The guarded view for ``task``, asserting ``formula`` on first use."""
+    def task_view(self, task, compile) -> tuple[ContextView, object, bool]:
+        """``(view, compiled, hit)``: ``task``'s guarded view, its compiled
+        task and whether its guard was live.  On a miss ``compile(task)``
+        runs and its formula is asserted under a fresh guard; the entry keeps
+        the compiled task with ``formula=None`` (the session holds it)."""
         entry = self._task_guards.get(task)
-        if entry is None:
+        hit = entry is not None
+        if hit:
+            self.hits += 1
+            self._task_guards.move_to_end(task)
+        else:
             self.misses += 1
+            compiled = compile(task)
             # A monotonic counter, not len(): retired guards free their slot
             # in the dict but their selector names must never be reused (a
             # retired selector is root-false forever).
             guard = f"task:{self._guard_counter}"
             self._guard_counter += 1
-            self.session.add_guard(guard, formula)
-            entry = (guard, free_variables(formula))
+            self.session.add_guard(guard, compiled.formula)
+            entry = (guard, free_variables(compiled.formula), replace(compiled, formula=None))
             self._task_guards[task] = entry
             while len(self._task_guards) > self.max_task_guards:
-                _, (stale_guard, _) = self._task_guards.popitem(last=False)
+                _, (stale_guard, _, _) = self._task_guards.popitem(last=False)
                 self.session.retire_guard(stale_guard)
                 self.retired += 1
-        else:
-            self.hits += 1
-            self._task_guards.move_to_end(task)
-        guard, variables = entry
-        return ContextView(self, (guard,), variables=variables)
+        guard, variables, compiled = entry
+        return ContextView(self, (guard,), variables=variables), compiled, hit
 
     @sanitize.entry_guarded
     def retire_task(self, task) -> bool:
@@ -169,8 +179,7 @@ class CodeContext:
         entry = self._task_guards.pop(task, None)
         if entry is None:
             return False
-        guard, _ = entry
-        self.session.retire_guard(guard)
+        self.session.retire_guard(entry[0])
         self.retired += 1
         return True
 
@@ -273,8 +282,8 @@ class CodeContext:
 class ResourceManager:
     """The engine's solver-resource facade: contexts and the clause store.
 
-    The internal lock only guards the manager's own dict bookkeeping
-    (context/session registries, the retire list).  Sessions themselves are
+    The internal lock only guards the manager's own bookkeeping (context
+    registry, retire list, counters).  Sessions themselves are
     deliberately unlocked: every execution holds its code's claim (see
     :meth:`Engine.run <repro.api.engine.Engine.run>`), so each one is driven
     by one thread at a time.
@@ -285,11 +294,9 @@ class ResourceManager:
         #: the persistent warm-start cache, attached by :meth:`enable_clause_store`
         self.clause_store: ClauseStore | None = None
         self._contexts: OrderedDict[object, CodeContext] = OrderedDict()
-        # Deterministic tasks WITHOUT a code to key a context on (the
-        # program-logic route) still get a persistent per-task session, so
-        # repeated runs reuse learnt clauses as they did before the
-        # per-code contexts existed.
-        self._task_sessions: OrderedDict[object, SolveSession] = OrderedDict()
+        #: task compiles served from a context's live guard (hits) or run
+        #: for one (misses), see :meth:`session_for`.
+        self.task_compiles = {"hits": 0, "misses": 0}
         self._lock = threading.RLock()
         self._executor = None
         #: contexts discarded unsaved after a lane crash (see
@@ -309,8 +316,9 @@ class ResourceManager:
     def context_for(self, key) -> CodeContext:
         """The live context for a code key (LRU, created on first use).
 
-        ``key`` is a task's code: a registry key or a built
-        :class:`~repro.codes.base.StabilizerCode`, which hashes by identity."""
+        ``key`` is a task's code: a registry key, a built
+        :class:`~repro.codes.base.StabilizerCode`, which hashes by identity,
+        or ``None`` for the code-less program tasks."""
         with self._lock:
             context = self._contexts.get(key)
             if context is None:
@@ -349,58 +357,39 @@ class ResourceManager:
     def absorb_from_store(self, code_key, context, selectors) -> int:
         return 0
 
-    def session_for(self, task, compiled) -> ContextView | SolveSession | None:
-        """A persistent session for ``task``: a guarded shared-context view
-        for code tasks, a dedicated per-task session for code-less tasks
-        (the program-logic route), or None when the task cannot safely share
-        (nondeterministic compile, unhashable payload)."""
+    def session_for(self, task, compile) -> tuple[ContextView, object, bool] | None:
+        """``(view, compiled, hit)`` for ``task`` from its code's context
+        (see :meth:`CodeContext.task_view`), or None when the task cannot
+        safely share (nondeterministic compile, unhashable payload).
+
+        Code-less program tasks share the context keyed ``None``, which is
+        also their claim key."""
         if not getattr(task, "deterministic", False):
             return None
-        code_key = getattr(task, "code", None)
-        if code_key is None:
-            return self._task_session_for(task, compiled)
-        context = self.context_for(code_key)
         try:
-            return context.task_view(task, compiled.formula)
-        except TypeError:  # unhashable task payload
+            hash(task)
+        except TypeError:  # unhashable payload (e.g. an ad-hoc triple)
             return None
-
-    def _task_session_for(self, task, compiled) -> SolveSession | None:
+        found = self.context_for(getattr(task, "code", None)).task_view(task, compile)
         with self._lock:
-            try:
-                session = self._task_sessions.get(task)
-            except TypeError:  # unhashable payload
-                return None
-            if session is None:
-                session = SolveSession(compiled.formula)
-                self._task_sessions[task] = session
-                while len(self._task_sessions) > self.max_contexts:
-                    self._task_sessions.popitem(last=False)
-            else:
-                self._task_sessions.move_to_end(task)
-            return session
+            self.task_compiles["hits" if found[2] else "misses"] += 1
+        return found
 
     def retire_task(self, task) -> bool:
         """Release a (cancelled) task's solver state without touching the
         shared infrastructure other tasks rely on.
 
-        Code tasks drop their guarded formula from the per-code context
-        (root-negated selector, batched clause erasure); code-less tasks drop their
-        dedicated session.  Detection bases and weight guards are left in
-        place — they are complete, sound, and exactly what makes the next
-        run on the same context cheap.
+        The task's guarded formula is dropped from its code's context
+        (root-negated selector, batched clause erasure).  Detection bases
+        and weight guards are left in place — they are complete, sound, and
+        exactly what makes the next run on the same context cheap.
         """
-        code_key = getattr(task, "code", None)
+        try:
+            hash(task)
+        except TypeError:  # an unhashable task never held a guard
+            return False
         with self._lock:
-            if code_key is None:
-                try:
-                    return self._task_sessions.pop(task, None) is not None
-                except TypeError:
-                    return False
-            try:
-                context = self._contexts.get(code_key)
-            except TypeError:
-                return False
+            context = self._contexts.get(getattr(task, "code", None))
         if context is None:
             return False
         return context.retire_task(task)
@@ -415,18 +404,11 @@ class ResourceManager:
         next execution on the same code.  Returns whether anything was
         dropped.
         """
-        code_key = getattr(task, "code", None)
         with self._lock:
-            if code_key is None:
-                try:
-                    dropped = self._task_sessions.pop(task, None) is not None
-                except TypeError:
-                    return False
-            else:
-                try:
-                    dropped = self._contexts.pop(code_key, None) is not None
-                except TypeError:
-                    return False
+            try:
+                dropped = self._contexts.pop(getattr(task, "code", None), None) is not None
+            except TypeError:
+                return False
             if dropped:
                 self.quarantined += 1
             return dropped
@@ -458,20 +440,17 @@ class ResourceManager:
     # ------------------------------------------------------------------
     def num_contexts(self) -> int:
         with self._lock:
-            return len(self._contexts) + len(self._task_sessions)
+            return len(self._contexts)
 
     def clear_contexts(self) -> None:
         with self._lock:
             self._contexts.clear()
-            self._task_sessions.clear()
 
     def close(self) -> None:
         for context in self.take_retired():
             context.save_warm()
         self.save_warm()
-        with self._lock:
-            self._contexts.clear()
-            self._task_sessions.clear()
+        self.clear_contexts()
 
     def stats(self) -> dict:
         """Resource counters surfaced through ``Result.session_stats()``."""

@@ -62,7 +62,8 @@ class Task:
         """Whether compiling this task twice yields the same formula.
 
         Nondeterministic tasks (e.g. locality constraints with an unseeded
-        random qubit subset) are never served from the engine's compile cache.
+        random qubit subset) get no guard on their code's context, so every
+        run compiles them afresh.
         """
         return True
 

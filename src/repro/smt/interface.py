@@ -81,10 +81,8 @@ class SolveSession:
     :meth:`add_weight_guard` (the trial-distance mechanism).
     """
 
-    def __init__(self, formula: BoolExpr | None = None, encoder: FormulaEncoder | None = None,
-                 max_conflicts: int | None = None):
+    def __init__(self, formula: BoolExpr | None = None, encoder: FormulaEncoder | None = None):
         self.encoder = encoder or FormulaEncoder()
-        self.max_conflicts = max_conflicts
         # Armed only under REPRO_SANITIZE: detects two threads driving this
         # session at once (the race the per-code claim must rule out).
         self._entry_guard = sanitize.new_entry_guard("SolveSession")
@@ -170,7 +168,7 @@ class SolveSession:
     def _sync_solver(self) -> SATSolver:
         cnf = self.encoder.cnf
         if self._solver is None:
-            self._solver = SATSolver(cnf, max_conflicts=self.max_conflicts)
+            self._solver = SATSolver(cnf)
             self._synced_vars = cnf.num_vars
             self._synced_clauses = cnf.num_clauses
             return self._solver

@@ -24,10 +24,12 @@ once when one of its workers dies.
 from __future__ import annotations
 
 import atexit
+import functools
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
-import signal
+import socket
 import threading
 import time
 import weakref
@@ -86,19 +88,24 @@ def _pool_context():
 _LIVE_POOLS: "weakref.WeakSet" = weakref.WeakSet()
 
 
-def _terminate_pool(pool, timeout: float = 5.0) -> None:
+def _terminate_pool(pool, timeout: float = 5.0, kill: bool = False) -> None:
     """Terminate ``pool`` without risking a caller deadlock.
 
     Both halves can block forever.  ``Pool.terminate`` joins the pool's task
     handler, whose final sentinel ``put`` on the result queue never gets the
     queue's write lock when a worker was killed mid-way through posting a
     result (the sat path terminates while other chunks are still reporting).
-    ``Pool.join`` after ``terminate`` blocks when an ``imap_unordered``
-    iteration was abandoned mid-flight (its result-handler thread waits on a
-    queue nobody drains; the workers are already defunct).  Running both in
-    a bounded watchdog thread converts those rare deadlocks into a short
-    delay — the daemon thread and the atexit hook below still reap whatever
-    is left at interpreter shutdown.
+    ``Pool.join`` after ``terminate`` blocks when results were abandoned
+    mid-flight (its result-handler thread waits on a queue nobody drains;
+    the workers are already defunct).  Running both in a bounded watchdog
+    thread converts those rare deadlocks into a short delay — the daemon
+    thread and the atexit hook below still reap whatever is left at
+    interpreter shutdown.
+
+    ``kill`` is for a dead pool: once ``terminate`` stops it replacing
+    workers, they are SIGKILLed and the task queue's read lock, which a
+    killed worker can die holding, is released for it, so the teardown
+    does not wait out the watchdog.
     """
 
     _LIVE_POOLS.discard(pool)
@@ -112,6 +119,16 @@ def _terminate_pool(pool, timeout: float = 5.0) -> None:
 
     watchdog = threading.Thread(target=terminate_and_join, daemon=True)
     watchdog.start()
+    if kill:
+        pool._worker_handler.join(timeout)
+        for worker in pool._pool:
+            worker.kill()
+        for worker in pool._pool:  # none may take the lock once it is freed
+            worker.join(timeout)
+        try:
+            pool._inqueue._rlock.release()
+        except ValueError:  # not held
+            pass
     watchdog.join(timeout)
 
 
@@ -123,11 +140,6 @@ def _terminate_live_pools() -> None:
 atexit.register(_terminate_live_pools)
 
 
-def _call_indexed(item):
-    func, index, payload = item
-    return index, func(payload)
-
-
 def pool_results(func, payloads, processes: int, *, initializer=None, initargs=(),
                  ordered: bool = False):
     """Run ``func`` on every payload across a fresh process pool; yield the
@@ -135,41 +147,62 @@ def pool_results(func, payloads, processes: int, *, initializer=None, initargs=(
 
     The pool is torn down when the generator finishes or is closed (a
     consumer that stops early, as the split does at its first
-    counterexample).  Results are read in bounded 5-s waits.  The pool
-    counts as dead once any worker of its *original* set is gone: ``Pool``
-    replaces a dead worker, but the task or queue lock that worker held dies
-    with it, so the replacement can wait forever.  A dead pool is rebuilt
-    once and the payloads whose results have not arrived are dispatched
-    again (``func`` must be deterministic); a second death raises
+    counterexample).  The consumer blocks in one wait on a result arriving
+    or on a worker of the pool's *original* set exiting; the pool counts as
+    dead at that exit: ``Pool`` replaces a dead worker, but the task or
+    queue lock that worker held dies with it, so the replacement can wait
+    forever.  A dead pool's workers are SIGKILLed, it is rebuilt once and
+    the payloads whose results have not arrived are dispatched again
+    (``func`` must be deterministic); a second death raises
     :class:`RuntimeError`.  The ``pool.kill`` fault point SIGKILLs every
     worker of a new pool, firing in this process so the rebuilt pool does
     not re-trip it.
     """
     pending = dict(enumerate(payloads))
+    arrived: dict = {}
     fault = faults.hook("pool")
     for _attempt in range(2):
         pool = _pool_context().Pool(processes, initializer=initializer, initargs=initargs)
         _LIVE_POOLS.add(pool)
-        workers = list(pool._pool)
+        sentinels = [worker.sentinel for worker in pool._pool]
+        # A self-pipe: the pool's result thread writes a byte after each
+        # outcome, so one wait covers results and worker exits alike.
+        wake, waker = socket.socketpair()
+        waker.setblocking(False)
+
+        def deliver(index, outcome, waker=waker) -> None:
+            arrived[index] = outcome
+            try:
+                waker.send(b"\0")
+            except OSError:  # buffer full (the consumer is awake anyway) or closed
+                pass
+
+        dead = False
         try:
             if fault is not None and fault.fire("kill") is not None:
-                for worker in workers:
-                    os.kill(worker.pid, signal.SIGKILL)
-            imap = pool.imap if ordered else pool.imap_unordered
-            iterator = imap(
-                _call_indexed, [(func, index, payload) for index, payload in pending.items()]
-            )
-            while pending:
-                try:
-                    index, result = iterator.next(5.0)
-                except multiprocessing.TimeoutError:
-                    if all(worker.is_alive() for worker in workers):
-                        continue
-                    break
-                del pending[index]
-                yield result
+                for worker in pool._pool:
+                    worker.kill()
+            for index, payload in pending.items():
+                if index not in arrived:
+                    pool.apply_async(func, (payload,), callback=functools.partial(deliver, index),
+                                     error_callback=functools.partial(deliver, "error"))
+            while pending and not dead:
+                fired = multiprocessing.connection.wait([wake, *sentinels])
+                dead = any(handle is not wake for handle in fired)
+                if wake in fired:
+                    wake.recv(4096)
+                if "error" in arrived:
+                    raise arrived.pop("error")
+                for index in list(pending):
+                    if index in arrived:
+                        del pending[index]
+                        yield arrived.pop(index)
+                    elif ordered:
+                        break
         finally:
-            _terminate_pool(pool)
+            _terminate_pool(pool, kill=dead)
+            wake.close()
+            waker.close()
         if not pending:
             return
     raise RuntimeError("worker pool died twice without returning results")
@@ -418,26 +451,34 @@ def generate_split_assumptions(
 
     ``max_subtasks`` bounds the enumeration on large codes (the paper's
     ``E_T`` with threshold ``n`` explodes combinatorially past a few dozen
-    qubits): once the budget is reached, remaining branches are emitted as-is,
-    each leaf covering its whole residual subspace — the cover stays exact,
-    only coarser.
+    qubits): a branch splits only while the leaves emitted so far, the
+    branches still open and its own two halves fit in the budget; otherwise
+    it is emitted as-is, one leaf covering its whole residual subspace.  So
+    at most ``max(1, max_subtasks)`` leaves come back and the cover stays
+    exact, only coarser.
     """
     if not variables:
         return [{}]
     leaves: list[dict[str, bool]] = []
+    # Branches pushed for later expansion (each true half waiting on its
+    # false sibling); every one of them will emit at least one leaf.
+    open_branches = 0
 
     def expand(index: int, assignment: dict[str, bool], ones: int) -> None:
+        nonlocal open_branches
         bits = len(assignment)
         if (
             index >= len(variables)
             or heuristic_weight * ones + bits > threshold
-            or len(leaves) >= max_subtasks
+            or len(leaves) + open_branches + 2 > max_subtasks
         ):
             leaves.append(dict(assignment))
             return
         name = variables[index]
         assignment[name] = False
+        open_branches += 1
         expand(index + 1, assignment, ones)
+        open_branches -= 1
         assignment[name] = True
         expand(index + 1, assignment, ones + 1)
         del assignment[name]

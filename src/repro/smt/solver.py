@@ -210,11 +210,9 @@ class SATSolver:
     def __init__(
         self,
         cnf,
-        max_conflicts: int | None = None,
         max_learnt: int | None = None,
     ):
         self.clauses: list[list[int]] = []
-        self.max_conflicts = max_conflicts
         # Learnt-clause budget: None derives the classic len(clauses)/3 floor
         # per solve call; an explicit value (used by tests and by callers that
         # keep sessions alive for very long) fixes the reduction trigger.
@@ -1352,12 +1350,6 @@ class SATSolver:
             if conflict is not None:
                 self.conflicts += 1
                 conflicts_since_restart += 1
-                if (
-                    self.max_conflicts is not None
-                    and self.conflicts - start_conflicts > self.max_conflicts
-                ):
-                    self._exit_backtrack()
-                    raise RuntimeError("conflict budget exhausted")
                 if control is not None:
                     events_since_check += 8
                     if events_since_check >= check_interval:

@@ -5,23 +5,22 @@ import threading
 
 class Engine:
     def __init__(self):
-        self._cache_lock = threading.Lock()
+        self._claim_lock = threading.RLock()
+        self._claims = threading.Condition(self._claim_lock)
         self._submit_lock = threading.Lock()
-        self._cache = {}
-        self._hits = 0
-        self._misses = 0
-        self._uncacheable = 0
+        self._claimed = set()
         self._job_counter = 0
 
-    def lookup(self, key):
-        with self._cache_lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._hits += 1
-                return cached
-            self._misses += 1
-            self._cache[key] = object()
-            return self._cache[key]
+    def claim(self, key):
+        with self._claims:
+            if key in self._claimed:
+                return False
+            self._claimed.add(key)
+            return True
+
+    def release(self, key):
+        with self._claims:
+            self._claimed.discard(key)
 
     def next_job_id(self):
         with self._submit_lock:
@@ -33,8 +32,12 @@ class ResourceManager:
     def __init__(self):
         self._lock = threading.RLock()
         self._contexts = {}
-        self._task_sessions = {}
+        self.task_compiles = {"hits": 0}
 
     def evict(self, key):
         with self._lock:
             self._contexts.pop(key, None)
+
+    def record_hit(self):
+        with self._lock:
+            self.task_compiles["hits"] += 1

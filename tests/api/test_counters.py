@@ -6,7 +6,6 @@ did: the sum of the deltas every ``solve`` call returned, on the serial
 path, on the sequential split-session path and on a worker pool.
 """
 
-import multiprocessing.pool
 from collections import Counter
 from dataclasses import fields
 
@@ -16,6 +15,7 @@ from repro.api import CorrectionTask, DistanceTask, Engine
 from repro.api.backends import ParallelBackend, SerialBackend
 from repro.api.events import SolverStats
 from repro.codes import steane_code
+from repro.smt import parallel
 from repro.smt.interface import SolveSession
 from repro.smt.parallel import split_check
 from repro.smt.solver import SEARCH_COUNTERS, SATSolver
@@ -68,14 +68,19 @@ def test_solver_stats_event_equals_the_summed_solve_deltas(backend, monkeypatch)
 
 def test_pool_solver_stats_carry_every_worker_counter(monkeypatch):
     chunks = []
-    original = multiprocessing.pool.IMapIterator.next
+    original = parallel.pool_results
 
-    def recording_next(self, timeout=None):
-        item = original(self, timeout)
-        chunks.append(item)
-        return item
+    def recording(*args, **kwargs):
+        # Every chunk result the split consumes, as it reaches the parent.
+        results = original(*args, **kwargs)
+        try:
+            for item in results:
+                chunks.append(item)
+                yield item
+        finally:
+            results.close()
 
-    monkeypatch.setattr(multiprocessing.pool.IMapIterator, "next", recording_next)
+    monkeypatch.setattr(parallel, "pool_results", recording)
     engine = Engine()
     try:
         job = engine.submit(CorrectionTask(code="steane"), backend=ParallelBackend(num_workers=2))
@@ -83,7 +88,7 @@ def test_pool_solver_stats_carry_every_worker_counter(monkeypatch):
     finally:
         engine.close()
     summed: Counter = Counter()
-    for _index, (_status, _model, stats) in chunks:
+    for _status, _model, stats in chunks:
         summed.update(stats["counters"])
     assert len(chunks) > 1 and summed["propagations"] > 0
     assert counters == reported(summed)

@@ -1,4 +1,4 @@
-"""The engine: compile cache, batch execution, backend agreement."""
+"""The engine: compile reuse through code contexts, batch execution, backend agreement."""
 
 import pytest
 
@@ -20,15 +20,36 @@ from repro.smt.solver import SolveControl
 from repro.verifier.programs import correction_triple
 
 
+def count_compiles(monkeypatch, engine) -> list:
+    """Record every task ``engine`` compiles (the context's misses included)."""
+    compiled = []
+    compile_ = engine._compile
+
+    def counting(task):
+        compiled.append(task)
+        return compile_(task)
+
+    monkeypatch.setattr(engine, "_compile", counting)
+    return compiled
+
+
 class TestCompileCache:
-    def test_identical_tasks_hit_the_cache(self):
+    """The code context is the only cache of compiled tasks: a run reuses a
+    task's compile while the task's guard is live on its context."""
+
+    def test_identical_tasks_hit_the_cache(self, monkeypatch):
+        engine = Engine()
+        compiled = count_compiles(monkeypatch, engine)
+        engine.run(CorrectionTask(code="steane"))
+        engine.run(CorrectionTask(code="steane"))
+        assert len(compiled) == 1
+        assert engine.cache_info() == {"hits": 1, "misses": 1, "sessions": 1}
+
+    def test_compile_task_is_uncached(self):
         engine = Engine()
         task = CorrectionTask(code="steane")
-        first = engine.compile_task(task)
-        second = engine.compile_task(CorrectionTask(code="steane"))
-        assert second is first
-        info = engine.cache_info()
-        assert info["hits"] == 1 and info["misses"] == 1 and info["size"] == 1
+        assert engine.compile_task(task) is not engine.compile_task(task)
+        assert engine.cache_info() == {"hits": 0, "misses": 0, "sessions": 0}
 
     def test_run_marks_cache_hits(self):
         engine = Engine()
@@ -37,35 +58,85 @@ class TestCompileCache:
 
     def test_different_tasks_miss(self):
         engine = Engine()
-        engine.compile_task(CorrectionTask(code="steane"))
-        engine.compile_task(CorrectionTask(code="steane", max_errors=2))
+        engine.run(CorrectionTask(code="steane"))
+        engine.run(CorrectionTask(code="steane", max_errors=2))
         assert engine.cache_info()["misses"] == 2
-
-    def test_cache_eviction_respects_size(self):
-        engine = Engine(cache_size=1)
-        engine.compile_task(CorrectionTask(code="steane"))
-        engine.compile_task(CorrectionTask(code="five-qubit"))
-        assert engine.cache_info()["size"] == 1
 
     def test_clear_cache(self):
         engine = Engine()
-        engine.compile_task(CorrectionTask(code="steane"))
+        engine.run(CorrectionTask(code="steane"))
         engine.clear_cache()
-        assert engine.cache_info()["size"] == 0
+        assert engine.cache_info()["sessions"] == 0
+        assert engine.run(CorrectionTask(code="steane")).cached is False
 
     def test_distance_task_has_no_single_formula(self):
         with pytest.raises(TypeError):
             Engine().compile_task(DistanceTask(code="steane"))
 
-    def test_unseeded_locality_is_never_cached(self):
+    def test_unseeded_locality_is_never_cached(self, monkeypatch):
         # An unseeded locality constraint samples a fresh random subset per
         # compile; serving a cached formula would silently reuse one sample.
         engine = Engine()
+        compiled = count_compiles(monkeypatch, engine)
         task = ConstrainedTask(code="surface-3", locality=True, error_model="Y")
         assert task.deterministic is False
-        engine.run(task)
         assert engine.run(task).cached is False
-        assert engine.cache_info()["uncacheable"] == 2
+        assert engine.run(task).cached is False
+        assert compiled == [task, task]
+        assert engine.cache_info() == {"hits": 0, "misses": 0, "sessions": 0}
+
+    def test_pooled_split_recompiles_every_run(self, monkeypatch):
+        # Pool workers hold their own sessions, so there is no context to
+        # keep the compile in.
+        engine = Engine(backend=ParallelBackend(num_workers=2))
+        compiled = count_compiles(monkeypatch, engine)
+        task = CorrectionTask(code="steane", error_model="Y")
+        try:
+            verdicts = [engine.run(task) for _ in range(2)]
+        finally:
+            engine.close()
+        assert [result.cached for result in verdicts] == [False, False]
+        assert [result.verified for result in verdicts] == [True, True]
+        assert compiled == [task, task]
+        assert engine.cache_info()["hits"] == 0
+
+    def test_repeat_is_cached_only_while_its_guard_is_live(self):
+        engine = Engine()
+        task = ConstrainedTask(code="steane", locality=True, seed=3, max_errors=2)
+        first = engine.run(task)
+        assert first.cached is False
+        assert engine.run(task).cached is True
+        # A released guard: the next run compiles and asserts afresh.
+        assert engine.release_task(task) is True
+        again = engine.run(task)
+        assert again.cached is False and again.verified == first.verified
+        # A guard that fell out of the context's guard LRU: likewise.
+        engine.resources.context_for("steane").max_task_guards = 2
+        for seed in (4, 5):
+            engine.run(ConstrainedTask(code="steane", locality=True, seed=seed))
+        evicted = engine.run(task)
+        assert evicted.cached is False and evicted.verified == first.verified
+        assert engine.run(task).cached is True
+
+    def test_finished_runs_keep_no_formula_alive(self, monkeypatch):
+        import gc
+        import weakref
+
+        engine = Engine()
+        formulas = []
+        compile_ = engine._compile
+
+        def tracking(task):
+            compiled = compile_(task)
+            formulas.append(weakref.ref(compiled.formula))
+            return compiled
+
+        monkeypatch.setattr(engine, "_compile", tracking)
+        for seed in range(5):
+            engine.run(ConstrainedTask(code="steane", locality=True, seed=seed))
+        gc.collect()
+        assert len(formulas) == 5
+        assert [ref for ref in formulas if ref() is not None] == []
 
     def test_seeded_locality_is_cached(self):
         engine = Engine()

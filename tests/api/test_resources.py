@@ -104,6 +104,36 @@ class TestCrossTaskSharing:
         assert second.session_stats()["checks"] == 2
         assert second.conflicts == 0
 
+    def test_program_tasks_share_the_codeless_context(self):
+        """Program tasks are guarded on the one context keyed ``None`` (their
+        claim key): a repeat hits it, and a counterexample found there is a
+        real model of the task's own formula."""
+        from repro.api import ProgramTask
+        from repro.classical.expr import free_variables
+        from repro.codes import steane_code
+        from repro.verifier.programs import correction_triple
+
+        engine = Engine()
+        results = {}
+        for max_errors in (1, 2, 1, 2):
+            scenario = correction_triple(steane_code(), error="Y", max_errors=max_errors)
+            task = ProgramTask(triple=scenario.triple,
+                               decoder_condition=scenario.decoder_condition)
+            result = engine.run(task)
+            assert result.cached is (max_errors in results)
+            assert result.verified == (max_errors == 1)
+            results[max_errors] = (task, result)
+        assert list(engine.resources._contexts) == [None]
+        assert engine.cache_info() == {"hits": 2, "misses": 2, "sessions": 1}
+        task, refuted = results[2]
+        formula = engine.compile_task(task).formula
+        # The witness names exactly the formula's own variables, and extends
+        # to a model of that formula alone (the decoder is uninterpreted, so
+        # a fresh solve under the witness stands in for ``evaluate``).
+        assert set(refuted.counterexample) == free_variables(formula)
+        assert check_formula(formula, refuted.counterexample).is_sat
+        assert Engine().run(task).verified == refuted.verified
+
     def test_session_stats_prefers_per_session_learnt_counters(self):
         engine = Engine()
         engine.run(CorrectionTask(code="five-qubit"))
@@ -356,6 +386,16 @@ class TestFamilyWarmStartRemoved:
         assert callers == []
 
 
+def view_of(context, task, formula):
+    """``context``'s guarded view for ``task``, asserting ``formula`` on a miss."""
+    from repro.api.engine import CompiledTask
+
+    view, _compiled, _hit = context.task_view(
+        task, lambda task: CompiledTask(task=task, kind="test", subject="", formula=formula)
+    )
+    return view
+
+
 class TestGuardGarbageCollection:
     def test_task_guard_lru_retires_stale_guards(self):
         from repro.api.resources import CodeContext
@@ -367,7 +407,7 @@ class TestGuardGarbageCollection:
         verdicts = {}
         for trial in (2, 3, 4):
             formula = precise_detection_formula(code, trial, error_model=ErrorModel("any"))
-            view = context.task_view(("trial", trial), formula)
+            view = view_of(context, ("trial", trial), formula)
             verdicts[trial] = view.check().status
         assert len(context._task_guards) == 2
         assert context.retired == 1
@@ -376,7 +416,7 @@ class TestGuardGarbageCollection:
         # verdict; survivors keep theirs.
         for trial in (2, 3, 4):
             formula = precise_detection_formula(code, trial, error_model=ErrorModel("any"))
-            view = context.task_view(("trial", trial), formula)
+            view = view_of(context, ("trial", trial), formula)
             assert view.check().status == verdicts[trial], trial
 
     def test_selector_names_never_reused_after_retirement(self):
@@ -387,9 +427,9 @@ class TestGuardGarbageCollection:
         code = build_code("five-qubit")
         context = CodeContext("five-qubit")
         formula = precise_detection_formula(code, 2, error_model=ErrorModel("any"))
-        first = context.task_view("t", formula)
+        first = view_of(context, "t", formula)
         context.retire_task("t")
-        second = context.task_view("t", formula)
+        second = view_of(context, "t", formula)
         assert first.selectors != second.selectors
         assert second.check().status in ("sat", "unsat")
 
@@ -422,7 +462,7 @@ class TestGuardRetirementCost:
             # Two errors on three allowed qubits defeat steane; one never does.
             task = self._locality_task(seed, max_errors=1 + seed % 2)
             formula = engine.compile_task(task).formula
-            check = context.task_view(task, formula).check()
+            check = view_of(context, task, formula).check()
             assert check.status == check_formula(formula).status, seed
             if check.is_sat:
                 assert evaluate(formula, check.model) is True, seed
@@ -451,7 +491,7 @@ class TestGuardRetirementCost:
         def run(seed):
             task = self._locality_task(seed)
             before = encoder.cnf.num_clauses
-            assert context.task_view(task, engine.compile_task(task).formula).check().is_unsat
+            assert view_of(context, task, engine.compile_task(task).formula).check().is_unsat
             return encoder.cnf.num_clauses - before
 
         run(0)  # encodes the shared base

@@ -399,12 +399,12 @@ class TestCodeClaims:
         entered, release = threading.Event(), threading.Event()
         original_session_for = ResourceManager.session_for
 
-        def held(resources, task, compiled):
-            session = original_session_for(resources, task, compiled)
+        def held(resources, task, compile):
+            found = original_session_for(resources, task, compile)
             if task.code == "steane":  # hold with the context resolved
                 entered.set()
                 assert release.wait(120)
-            return session
+            return found
 
         monkeypatch.setattr(ResourceManager, "session_for", held)
         try:
@@ -434,12 +434,12 @@ class TestCodeClaims:
         entered, release = threading.Event(), threading.Event()
         original_session_for = ResourceManager.session_for
 
-        def held(resources, task, compiled):
-            session = original_session_for(resources, task, compiled)
+        def held(resources, task, compile):
+            found = original_session_for(resources, task, compile)
             if task.code == "steane":  # hold with the context resolved
                 entered.set()
                 assert release.wait(120)
-            return session
+            return found
 
         monkeypatch.setattr(ResourceManager, "session_for", held)
         try:

@@ -266,6 +266,10 @@ class TestDeadPoolWorkers:
     returns the clean verdicts."""
 
     KILL_ONCE = {"faults": [{"point": "pool.kill", "times": 1}]}
+    #: A dead pool is seen when its worker exits, and torn down without the
+    #: watchdog wait: recovery takes well under a second, so any 5-s timer
+    #: on the path would overrun this bound.
+    RECOVERY_S = 4.0
 
     def test_split_check_survives_killed_workers(self):
         from repro.smt.parallel import _LIVE_POOLS
@@ -276,7 +280,7 @@ class TestDeadPoolWorkers:
         plan = faults.install(self.KILL_ONCE)
         engine = Engine(backend=ParallelBackend(num_workers=2))
         try:
-            result = run_bounded(lambda: engine.run(task))
+            result = run_bounded(lambda: engine.run(task), timeout=self.RECOVERY_S)
         finally:
             engine.close()
         assert result.details["num_workers"] == 2 and result.details["num_subtasks"] > 1
@@ -293,7 +297,7 @@ class TestDeadPoolWorkers:
         plan = faults.install(self.KILL_ONCE)
         engine = Engine()
         try:
-            results = run_bounded(lambda: engine.run_many(tasks, processes=2))
+            results = run_bounded(lambda: engine.run_many(tasks, processes=2), timeout=self.RECOVERY_S)
         finally:
             engine.close()
         assert [result.verified for result in results] == clean

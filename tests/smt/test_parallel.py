@@ -48,6 +48,45 @@ class TestSplitting:
     def test_empty_variable_list(self):
         assert generate_split_assumptions([], 2, 5) == [{}]
 
+    @staticmethod
+    def assert_exact_cover(variables, leaves):
+        """Every full assignment of ``variables`` extends exactly one leaf."""
+        for bits in range(2 ** len(variables)):
+            assignment = {name: bool((bits >> i) & 1) for i, name in enumerate(variables)}
+            matches = sum(
+                all(assignment[name] == value for name, value in leaf.items())
+                for leaf in leaves
+            )
+            assert matches == 1, (assignment, leaves)
+
+    def test_budget_caps_leaves_and_keeps_an_exact_cover(self):
+        for size in range(1, 7):
+            variables = [f"e{i}" for i in range(size)]
+            for weight, threshold in ((2, size), (1, 2 * size), (3, 4)):
+                unbounded = generate_split_assumptions(variables, weight, threshold, 2 ** size)
+                for max_subtasks in range(1, 2 ** size + 2):
+                    leaves = generate_split_assumptions(
+                        variables, weight, threshold, max_subtasks=max_subtasks
+                    )
+                    assert len(leaves) <= max_subtasks
+                    self.assert_exact_cover(variables, leaves)
+                    if max_subtasks >= len(unbounded):
+                        # A budget the full tree fits in leaves it untouched.
+                        assert leaves == unbounded
+
+    def test_large_code_split_stays_within_the_parallel_cap(self):
+        from repro.api.backends import ParallelBackend
+        from repro.api.engine import Engine
+        from repro.api.tasks import DetectionTask
+
+        compiled = Engine().compile_task(DetectionTask(code="hgp-hamming"))
+        cap = ParallelBackend().max_subtasks
+        leaves = generate_split_assumptions(
+            list(compiled.split_variables), compiled.split_weight,
+            compiled.split_threshold, max_subtasks=cap,
+        )
+        assert len(leaves) <= cap
+
 
 class TestChecker:
     def test_sequential_unsat(self):
