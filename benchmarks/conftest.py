@@ -1,8 +1,9 @@
 """Benchmark configuration: in-tree imports plus shared fixtures and helpers.
 
 Every benchmark prints the rows/series of the table or figure it reproduces
-(paper scale is noted in EXPERIMENTS.md; the distances here are scaled down
-to laptop size, preserving the shape of the results).
+(a figure's paper scale is noted in its benchmark's docstring, and the
+Fig. 4 curve's targets in ROADMAP.md; the distances here are scaled down to
+laptop size, preserving the shape of the results).
 """
 
 import pathlib

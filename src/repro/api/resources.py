@@ -348,8 +348,8 @@ class ResourceManager:
 
     # ------------------------------------------------------------------
     # Inert names kept for ``perfbench/tracer.py``, which wraps them by name
-    # and is their only reader; nothing in ``src/`` calls them.  ROADMAP
-    # item 1 (phase spans) deletes them together with the name-wrapping.
+    # and is their only reader; nothing in ``src/`` calls them.  They go
+    # together with the name-wrapping once jobs carry their own phase spans.
     # ------------------------------------------------------------------
     def absorb_from_family(self, code_key, context, selectors) -> int:
         return 0

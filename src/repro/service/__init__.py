@@ -22,7 +22,7 @@ lanes mapped onto the dispatcher's priorities, bounded submit queues with
 SIGTERM (:mod:`repro.service.drain`), and structured NDJSON access logging.
 
 :mod:`repro.service.client` is the stdlib blocking client the tests and the
-load benchmark use.
+``service-mixed`` benchmark workload use.
 """
 
 from repro.service.admission import AdmissionController, AdmissionDecision, TokenBucket

@@ -2,9 +2,9 @@
 
 Built on :mod:`http.client` (which transparently decodes chunked transfer
 encoding, so the NDJSON event stream reads as a plain line iterator).  This
-is the client the test suite and the load benchmark drive; it is also a
-reasonable starting point for real integrations that do not want an async
-stack::
+is the client the test suite and the ``service-mixed`` benchmark workload
+(``perfbench/service.py``) drive; it is also a reasonable starting point for
+real integrations that do not want an async stack::
 
     client = ServiceClient("127.0.0.1", 8080, api_key="team-a")
     job = client.submit({"kind": "correction", "code": "steane"})

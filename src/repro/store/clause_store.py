@@ -1,6 +1,6 @@
 """A persistent, concurrency-safe learnt-clause store over sqlite.
 
-Design (ROADMAP item 4 — durable shared verification state):
+Design (durable verification state shared across runs and processes):
 
 * **Keying.**  Exact reuse is keyed by the session's CNF fingerprint
   (sha256 over variable count + clause list): a learnt clause is only a
@@ -365,8 +365,8 @@ class ClauseStore:
 
     # ------------------------------------------------------------------
     # Inert name kept for ``perfbench/tracer.py``, which wraps it by name and
-    # is its only reader; nothing in ``src/`` calls it.  ROADMAP item 1
-    # (phase spans) deletes it together with the name-wrapping.
+    # is its only reader; nothing in ``src/`` calls it.  It goes together
+    # with the name-wrapping once jobs carry their own phase spans.
     # ------------------------------------------------------------------
     def family_candidates(self, family, exclude_fingerprint="", limit=256) -> list:
         return []

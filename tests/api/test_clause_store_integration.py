@@ -133,9 +133,8 @@ class TestStoreWarmStart:
         # One fingerprint per verified code, nothing shared between them.
         assert len({fp for fp, _, _ in rows}) == 2
 
-    def test_store_and_json_cache_layouts_coexist(self, tmp_path):
-        # The store directory holds the sqlite database only, never
-        # per-fingerprint JSON files.
+    def test_store_directory_holds_only_the_sqlite_database(self, tmp_path):
+        # No per-fingerprint JSON files next to ``clauses.sqlite``.
         engine = _store_engine(tmp_path)
         engine.run(CorrectionTask(code="steane"))
         engine.resources.save_warm()
@@ -182,11 +181,18 @@ class TestStoreNeverChangesVerdicts:
 
     def test_corrupted_store_sweep_equals_cold(self, tmp_path):
         tasks = registry_sweep_tasks()
-        cold = [_verdict(result) for result in Engine().run_many(tasks)]
+        cold_results = Engine().run_many(tasks)
+        cold = [_verdict(result) for result in cold_results]
 
         populate = _store_engine(tmp_path)
         populate.run_many(tasks)
         populate.resources.save_warm()
+
+        # The clean store first: a fresh engine over it reaches the cold
+        # verdicts with strictly less search.
+        warm_results = _store_engine(tmp_path).run_many(tasks)
+        assert [_verdict(result) for result in warm_results] == cold
+        assert sum(r.conflicts for r in warm_results) < sum(r.conflicts for r in cold_results)
 
         # Mutation 1: flip the leading literal of every stored clause
         # behind the checksums' back (bit-rot / torn writes).

@@ -2,10 +2,10 @@
 
 The harness runs one :class:`VerificationService` on an ephemeral port in a
 background thread (its own event loop); tests drive it with the blocking
-:class:`ServiceClient` — the same stack the load benchmark and the CI smoke
-job use.  Streams are asserted against the ``schema_version 1.0`` contract
-via :func:`repro.api.events.validate_stream`, i.e. the wire format is held
-to the already-pinned NDJSON schema.
+:class:`ServiceClient` — the same stack the ``service-mixed`` benchmark
+workload and the CI smoke job use.  Streams are asserted against the
+``schema_version 1.0`` contract via :func:`repro.api.events.validate_stream`,
+i.e. the wire format is held to the already-pinned NDJSON schema.
 """
 
 import socket
