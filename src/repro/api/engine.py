@@ -45,6 +45,7 @@ from repro.codes.base import StabilizerCode
 from repro.codes.registry import CODE_REGISTRY, family_of
 from repro.smt.parallel import pool_results
 from repro.smt.solver import SolveControl, SolverInterrupted
+from repro.store import ClauseStore
 from repro.verifier.constraints import discreteness_constraint, locality_constraint
 from repro.verifier.encodings import (
     ErrorModel,
@@ -132,7 +133,7 @@ class Engine:
         backend: Backend | str | None = None,
         session_cache_size: int = 32,
         lanes: int = 4,
-        clause_store: str | None = None,
+        clause_store: str | ClauseStore | None = None,
         fault_plan=None,
     ):
         # Arm fault injection before any resource (store, executor) is
@@ -148,12 +149,16 @@ class Engine:
         # (correction, detection and distance queries on a code share learnt
         # clauses through task-selector guards), which is also the cache of
         # compiled tasks.
-        self.resources = ResourceManager(max_contexts=session_cache_size)
         # The persistent clause store (``repro.store``): durable learnt
         # clauses and distance-walk checkpoints shared across every worker,
-        # split worker and process using the directory.
-        if clause_store is not None:
-            self.resources.enable_clause_store(clause_store)
+        # split worker and process using the directory.  It is fixed here,
+        # before any context exists: a context takes its CNF fingerprint
+        # before its first check and cannot take it later.
+        if clause_store is not None and not isinstance(clause_store, ClauseStore):
+            clause_store = ClauseStore(str(clause_store))
+        self.resources = ResourceManager(
+            max_contexts=session_cache_size, clause_store=clause_store
+        )
         # The job layer: created lazily on the first submit().
         self._executor: ShardedJobExecutor | None = None
         self._job_counter = 0

@@ -20,15 +20,16 @@ This module centralizes those resources *per code*:
   the backends already expect.
 * :class:`ResourceManager` — the engine-facing facade tying the above
   together, with hit/miss counters surfaced in ``Result.session_stats()``.
-  Its optional ``clause_store`` (:class:`~repro.store.ClauseStore`, the
-  CLI's ``--clause-store``) is the one warm-start cache: contexts and the
-  parallel backend's pool workers restore and persist learnt clauses keyed
-  by a fingerprint of the exact CNF, so stale state can never be absorbed.
+  Its ``clause_store`` (:class:`~repro.store.ClauseStore`, the CLI's
+  ``--clause-store``) is fixed when the manager is built and is the one
+  warm-start cache: each context holds a :class:`~repro.store.WarmStart`
+  (as does each of the parallel backend's pool workers), which restores and
+  persists learnt clauses keyed by a fingerprint of the exact CNF taken
+  before the session's first check, so stale state can never be absorbed.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import replace
@@ -37,8 +38,7 @@ from repro import sanitize
 from repro.classical.expr import free_variables
 from repro.smt.interface import SMTCheck, SolveSession
 from repro.smt.solver import SEARCH_COUNTERS, nonzero
-from repro.store import ClauseStore
-from repro.store.clause_store import _canonical_clause
+from repro.store import ClauseStore, WarmStart
 
 __all__ = [
     "CodeContext",
@@ -105,7 +105,8 @@ class CodeContext:
         # entered under the code's claim, exactly like the session they drive.
         self._entry_guard = sanitize.new_entry_guard(f"CodeContext({key!r})")
         self.session = SolveSession()
-        self.clause_store = clause_store
+        #: the session's round trip through the clause store, if any
+        self.warm = WarmStart(clause_store) if clause_store is not None else None
         self.max_task_guards = max_task_guards
         self.hits = 0
         self.misses = 0
@@ -115,18 +116,6 @@ class CodeContext:
         self._task_guards: OrderedDict[object, tuple[str, frozenset[str], object]] = OrderedDict()
         self._detection_bases: dict[str, tuple[object, str, frozenset[str]]] = {}
         self._weight_guards: set[str] = set()
-        self._warm_attempted = False
-        self._warm_fingerprint: str | None = None
-        self._warm_vars = 0
-        #: canonical clause -> the LBD the store is known to hold for it at
-        #: most: clauses this context loaded from, or wrote to, the store.
-        self._persisted: dict[tuple[int, ...], int] = {}
-        #: the session's (conflicts, erased clauses) when a save last left
-        #: nothing unsaved; learnt clauses only change when one of them moves.
-        self._saved_mark: tuple[int, int] | None = None
-        #: Cumulative exact-fingerprint warm-start counters: warm_hits /
-        #: warm_misses / warm_absorbed.
-        self.counters: Counter = Counter()
 
     # ------------------------------------------------------------------
     @sanitize.entry_guarded
@@ -225,58 +214,19 @@ class CodeContext:
 
     # ------------------------------------------------------------------
     # Warm start: learnt clauses round-trip through the clause store, keyed
-    # on the CNF fingerprint at the moment of the first check (the point
-    # identical CLI invocations reach with an identical encoding).
+    # on the CNF fingerprint at the first check (see WarmStart).
     @sanitize.entry_guarded
     def maybe_warm_load(self) -> None:
-        if self.clause_store is None or self._warm_attempted:
-            return
-        self._warm_attempted = True
-        self._warm_fingerprint = self.session.fingerprint()
-        self._warm_vars = self.session.encoder.cnf.num_vars
-        learnt = self.clause_store.load(self._warm_fingerprint)
-        if learnt:
-            self.counters.update(warm_hits=1, warm_absorbed=self.session.absorb_learnt(learnt))
-            # Loaded clauses are canonical.  The session scores each by its
-            # length, which is no lower than the LBD it was learnt with, so
-            # the store already holds it at that LBD or better (except a
-            # clause stripped by guard retirement, which keeps the LBD of
-            # its longer self).
-            for clause in learnt:
-                self._persisted[tuple(clause)] = len(clause)
-        else:
-            self.counters["warm_misses"] += 1
+        """Absorb the stored clauses for this session; called before every
+        check, it acts only before the first."""
+        if self.warm is not None:
+            self.warm.load(self.session)
 
     @sanitize.entry_guarded
     def save_warm(self) -> None:
-        """Write the learnt clauses this context has not written yet.
-
-        A clause counts as written once the store merged it, at the LBD it
-        was written with; it is written again only if the session now holds
-        it at a lower LBD (the store keeps the lowest).  Clauses whose write
-        failed stay unwritten, so the next call retries them.  A session
-        that has neither learnt (no new conflicts) nor erased clauses since
-        a save that left nothing unsaved has nothing new, and is skipped.
-        """
-        if self.clause_store is None or not self._warm_attempted:
-            return
-        counters = self.session.counters()
-        mark = (counters["conflicts"], counters["erased_clauses"])
-        if mark == self._saved_mark:
-            return
-        persisted = self._persisted
-        unsaved: dict[tuple[int, ...], int] = {}
-        for clause, lbd in self.session.learnt_clauses_meta(max_var=self._warm_vars):
-            try:
-                key = tuple(_canonical_clause(clause))
-            except ValueError:
-                continue
-            if lbd < min(persisted.get(key, math.inf), unsaved.get(key, math.inf)):
-                unsaved[key] = lbd
-        # LBDs ride along for the store's eviction ranking.
-        if not unsaved or self.clause_store.store_meta(self._warm_fingerprint, unsaved.items()):
-            persisted.update(unsaved)
-            self._saved_mark = mark
+        """Write the learnt clauses this context has not written yet."""
+        if self.warm is not None:
+            self.warm.save(self.session)
 
 
 class ResourceManager:
@@ -289,10 +239,10 @@ class ResourceManager:
     by one thread at a time.
     """
 
-    def __init__(self, max_contexts: int = 32):
+    def __init__(self, max_contexts: int = 32, clause_store: ClauseStore | None = None):
         self.max_contexts = max_contexts
-        #: the persistent warm-start cache, attached by :meth:`enable_clause_store`
-        self.clause_store: ClauseStore | None = None
+        #: the persistent warm-start cache every context shares, if any
+        self.clause_store = clause_store
         self._contexts: OrderedDict[object, CodeContext] = OrderedDict()
         #: task compiles served from a context's live guard (hits) or run
         #: for one (misses), see :meth:`session_for`.
@@ -326,7 +276,7 @@ class ResourceManager:
                 self._contexts[key] = context
                 while len(self._contexts) > self.max_contexts:
                     _, evicted = self._contexts.popitem(last=False)
-                    if evicted.clause_store is not None:
+                    if evicted.warm is not None:
                         # save_warm touches the evicted session, which a job
                         # may still be driving: the engine saves it under
                         # that code's claim once this execution releases.
@@ -414,17 +364,6 @@ class ResourceManager:
             return dropped
 
     # ------------------------------------------------------------------
-    def enable_clause_store(self, directory: "str | ClauseStore") -> ClauseStore:
-        """Attach the persistent sqlite clause store: exact-fingerprint warm
-        starts with LBD-ranked eviction and distance checkpoints."""
-        store = directory if isinstance(directory, ClauseStore) else ClauseStore(str(directory))
-        with self._lock:
-            self.clause_store = store
-            for context in self._contexts.values():
-                if context.clause_store is None:
-                    context.clause_store = store
-            return store
-
     def record_split_warm(self, absorbed: int) -> None:
         """Count clauses a split check's pool workers absorbed from the
         store (the workers do not outlive their check)."""
@@ -460,8 +399,8 @@ class ResourceManager:
         context_misses = 0
         retired_guards = 0
         guard_sweeps = 0
+        warm_absorbed = 0
         solver: Counter = Counter()
-        transfer: Counter = Counter()
         store = self.clause_store
         with self._lock:
             contexts = list(self._contexts.values())
@@ -472,7 +411,8 @@ class ResourceManager:
             learnt_kept += session_stats["learnt_kept"]
             learnt_deleted += session_stats["learnt_deleted"]
             solver.update(context.session.counters())
-            transfer.update(context.counters)
+            if context.warm is not None:
+                warm_absorbed += context.warm.absorbed
             context_hits += context.hits
             context_misses += context.misses
             retired_guards += context.retired
@@ -502,7 +442,7 @@ class ResourceManager:
         if store is not None:
             stats["warm_hits"] = store.hits
             stats["warm_misses"] = store.misses
-            stats["warm_absorbed"] = transfer["warm_absorbed"] + split_warm_absorbed
+            stats["warm_absorbed"] = warm_absorbed + split_warm_absorbed
             if store.evictions:
                 stats["store_evictions"] = store.evictions
             stats["store"] = store.stats()

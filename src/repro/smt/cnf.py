@@ -3,6 +3,10 @@
 Literals follow the DIMACS convention: variable ``v >= 1`` appears positively
 as ``v`` and negatively as ``-v``.  The CNF object owns the variable counter
 so encoders can allocate auxiliary (Tseitin) variables without clashing.
+
+``clauses`` holds the clauses added and not yet handed to a solver: a
+:class:`~repro.smt.interface.SolveSession` empties it each time it syncs its
+solver, while ``num_clauses`` counts every clause ever added.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ class CNF:
 
     def __init__(self) -> None:
         self.num_vars = 0
+        self.num_clauses = 0
         self.clauses: list[list[int]] = []
         self._names: dict[object, int] = {}
         self._reverse: dict[int, object] = {}
@@ -61,22 +66,21 @@ class CNF:
                 seen.add(lit)
                 clause.append(lit)
         self.clauses.append(clause)
+        self.num_clauses += 1
 
     def add_clauses(self, clauses) -> None:
         for clause in clauses:
             self.add_clause(clause)
 
     # ------------------------------------------------------------------
-    @property
-    def num_clauses(self) -> int:
-        return len(self.clauses)
-
     def to_dimacs(self) -> str:
-        """Serialise in DIMACS format (useful for debugging and external cross-checks)."""
+        """Serialise in DIMACS format (useful for debugging and external
+        cross-checks); complete only while no session has drained ``clauses``,
+        i.e. before its first check."""
         lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
         for clause in self.clauses:
             lines.append(" ".join(map(str, clause)) + " 0")
         return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
-        return f"CNF(vars={self.num_vars}, clauses={len(self.clauses)})"
+        return f"CNF(vars={self.num_vars}, clauses={self.num_clauses})"

@@ -87,8 +87,6 @@ class SolveSession:
         # session at once (the race the per-code claim must rule out).
         self._entry_guard = sanitize.new_entry_guard("SolveSession")
         self._solver: SATSolver | None = None
-        self._synced_clauses = 0
-        self._synced_vars = 0
         #: selector names added and not yet retired, and the retirements the
         #: solver has not swept yet (see :meth:`retire_guard`).
         self._live_guards: set[str] = set()
@@ -166,18 +164,20 @@ class SolveSession:
     # Solving
     # ------------------------------------------------------------------
     def _sync_solver(self) -> SATSolver:
+        """The live solver, holding every clause encoded so far.
+
+        The encoder's pending clauses are handed over and dropped from
+        ``encoder.cnf.clauses``: the solver is then their only copy, and
+        ``cnf.num_clauses`` keeps counting every clause ever added.
+        """
         cnf = self.encoder.cnf
         if self._solver is None:
             self._solver = SATSolver(cnf)
-            self._synced_vars = cnf.num_vars
-            self._synced_clauses = cnf.num_clauses
-            return self._solver
-        if cnf.num_vars > self._synced_vars:
+        else:
             self._solver.grow_variables(cnf.num_vars)
-            self._synced_vars = cnf.num_vars
-        while self._synced_clauses < cnf.num_clauses:
-            self._solver.add_clause(cnf.clauses[self._synced_clauses])
-            self._synced_clauses += 1
+            for clause in cnf.clauses:
+                self._solver.add_clause(clause)
+        cnf.clauses.clear()
         return self._solver
 
     @sanitize.entry_guarded
@@ -225,8 +225,12 @@ class SolveSession:
         Two sessions whose encodings were built identically (same formulas,
         same order) share a fingerprint, which is the safety condition for
         re-absorbing serialized learnt clauses: a learnt clause is only a
-        consequence of *this exact* clause database.
+        consequence of *this exact* clause database.  Only defined before
+        the first check: from then on the solver holds the clauses and the
+        encoder no longer does, so a later call raises ``RuntimeError``.
         """
+        if self._solver is not None:
+            raise RuntimeError("fingerprint() is only defined before the session's first check")
         cnf = self.encoder.cnf
         digest = hashlib.sha256()
         digest.update(f"v{cnf.num_vars}".encode())

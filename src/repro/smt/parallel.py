@@ -18,17 +18,18 @@ counterexample.
 
 :func:`pool_results` is the one process-pool lifecycle: it builds, feeds and
 tears down the split's pools and ``Engine.run_many``'s, and rebuilds a pool
-once when one of its workers dies.
+once when one of its workers dies.  With a clause store, each split worker
+holds one :class:`~repro.store.WarmStart`, the same round trip the engine's
+code contexts use: it loads before the worker's first solve and saves after
+every chunk the worker refutes.
 """
 
 from __future__ import annotations
 
 import atexit
 import functools
-import math
 import multiprocessing
 import multiprocessing.connection
-import os
 import socket
 import threading
 import time
@@ -39,44 +40,13 @@ from repro import faults
 from repro.classical.expr import BoolExpr
 from repro.smt.interface import SMTCheck, SolveSession
 from repro.smt.solver import SEARCH_COUNTERS, SolveControl, SolverInterrupted, nonzero
-from repro.store import load_clauses, merge_clauses
-from repro.store.clause_store import _canonical_clause
+from repro.store import ClauseStore, WarmStart
 
 __all__ = [
     "generate_split_assumptions",
     "pool_results",
     "split_check",
 ]
-
-
-def _pool_context():
-    """The multiprocessing context worker pools are created from.
-
-    The default (fork on Linux) is fastest, but a pool-heavy process
-    accumulates helper threads (result handlers, teardown watchdogs, control
-    watchers) and forking a worker from such a parent can inherit a lock
-    held mid-operation — the child dies or deadlocks before posting a
-    result.  ``REPRO_MP_CONTEXT=forkserver`` switches to a clean forkserver
-    (immune to parent thread state); it is not the library default because
-    forkserver re-imports ``__main__``, which breaks interactive/stdin
-    callers.  The benchmark harness — the heaviest pool cycler — opts in.
-    The in-pool safety net for the default context is the liveness check
-    and one-shot rebuild in :func:`pool_results`.
-    """
-    name = os.environ.get("REPRO_MP_CONTEXT")
-    if name:
-        try:
-            return multiprocessing.get_context(name)
-        except ValueError:
-            import warnings
-
-            warnings.warn(
-                f"REPRO_MP_CONTEXT={name!r} is not a valid multiprocessing "
-                "start method; falling back to the platform default",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return multiprocessing.get_context()
 
 
 # Every live worker pool is tracked here until ``_terminate_pool`` takes it
@@ -162,7 +132,7 @@ def pool_results(func, payloads, processes: int, *, initializer=None, initargs=(
     arrived: dict = {}
     fault = faults.hook("pool")
     for _attempt in range(2):
-        pool = _pool_context().Pool(processes, initializer=initializer, initargs=initargs)
+        pool = multiprocessing.Pool(processes, initializer=initializer, initargs=initargs)
         _LIVE_POOLS.add(pool)
         sentinels = [worker.sentinel for worker in pool._pool]
         # A self-pipe: the pool's result thread writes a byte after each
@@ -282,7 +252,7 @@ def _check_in_process(session, assumption_sets, control) -> SMTCheck:
 
 def _check_pool(formula, assumption_sets, num_workers, warm_dir, control):
     """The pooled split: returns ``(check, clauses the workers absorbed)``."""
-    cancel = _pool_context().Event()
+    cancel = multiprocessing.Event()
     # Chunk the subtasks so a worker takes several per round trip; it stops
     # inside its chunk at the first counterexample.  The deadline and
     # conflict budget ship inside the payloads so each worker enforces them
@@ -356,50 +326,23 @@ def _check_pool(formula, assumption_sets, num_workers, warm_dir, control):
 # afterwards is an incremental solve under assumptions on the live solver.
 _WORKER_SESSION: SolveSession | None = None
 _WORKER_CANCEL = None
-_WORKER_WARM_DIR: str | None = None
-_WORKER_FINGERPRINT: str = ""
-_WORKER_BASE_VARS: int = 0
+#: the worker session's round trip through the clause store, if any.
+_WORKER_WARM: WarmStart | None = None
+#: clauses absorbed from the store and not yet reported to the parent.
 _WORKER_WARM_ABSORBED: int = 0
-#: canonical clause -> the LBD this worker loaded it at or stored it with.
-_WORKER_SAVED: dict[tuple[int, ...], int] = {}
 
 
 def _worker_init(formula: BoolExpr, warm_dir: str | None = None, cancel_event=None) -> None:
-    global _WORKER_SESSION, _WORKER_CANCEL, _WORKER_WARM_DIR
-    global _WORKER_FINGERPRINT, _WORKER_BASE_VARS, _WORKER_WARM_ABSORBED, _WORKER_SAVED
+    global _WORKER_SESSION, _WORKER_CANCEL, _WORKER_WARM, _WORKER_WARM_ABSORBED
     _WORKER_SESSION = SolveSession(formula)
     _WORKER_CANCEL = cancel_event
-    _WORKER_WARM_DIR = warm_dir
-    _WORKER_FINGERPRINT = ""
-    _WORKER_BASE_VARS = 0
+    _WORKER_WARM = None
     _WORKER_WARM_ABSORBED = 0
-    _WORKER_SAVED = {}
     if warm_dir is not None:
-        # The fingerprint/variable watermark are taken before the first
-        # solve, mirroring CodeContext's "first check" snapshot — the point
-        # identical runs can agree on.
-        _WORKER_BASE_VARS = _WORKER_SESSION.encoder.cnf.num_vars
-        _WORKER_FINGERPRINT = _WORKER_SESSION.fingerprint()
-        learnt = load_clauses(warm_dir, _WORKER_FINGERPRINT)
-        if learnt:
-            _WORKER_WARM_ABSORBED = _WORKER_SESSION.absorb_learnt(learnt)
-            # Loaded clauses are canonical and scored by their length, which
-            # is no lower than the LBD the store holds them at.
-            _WORKER_SAVED = {tuple(clause): len(clause) for clause in learnt}
-
-
-def _save_warm_in_worker() -> None:
-    """Merge the learnt clauses this worker has not stored yet (or now holds
-    at a lower LBD) into the clause store, with their LBDs."""
-    if not _WORKER_FINGERPRINT:
-        return
-    unsaved: dict[tuple[int, ...], int] = {}
-    for clause, lbd in _WORKER_SESSION.learnt_clauses_meta(max_var=_WORKER_BASE_VARS):
-        key = tuple(_canonical_clause(clause))
-        if lbd < min(_WORKER_SAVED.get(key, math.inf), unsaved.get(key, math.inf)):
-            unsaved[key] = lbd
-    if unsaved and merge_clauses(_WORKER_WARM_DIR, _WORKER_FINGERPRINT, unsaved.items()):
-        _WORKER_SAVED.update(unsaved)
+        # The init payload carries only the store directory, so each worker
+        # opens its own store, and loads before its first solve.
+        _WORKER_WARM = WarmStart(ClauseStore(warm_dir))
+        _WORKER_WARM_ABSORBED = _WORKER_WARM.load(_WORKER_SESSION)
 
 
 def _solve_chunk_in_worker(payload) -> tuple[str, dict | str | None, dict]:
@@ -433,8 +376,8 @@ def _solve_chunk_in_worker(payload) -> tuple[str, dict | str | None, dict]:
         stats["num_clauses"] = max(stats["num_clauses"], check.num_clauses)
         if check.is_sat:
             return "sat", check.model, stats
-    if stats["counters"]["conflicts"]:
-        _save_warm_in_worker()
+    if _WORKER_WARM is not None:
+        _WORKER_WARM.save(_WORKER_SESSION)
     return "unsat", None, stats
 
 

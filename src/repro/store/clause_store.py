@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sqlite3
 import threading
@@ -45,7 +46,7 @@ import time
 
 from repro import faults
 
-__all__ = ["STORE_FILENAME", "ClauseStore", "load_clauses", "merge_clauses"]
+__all__ = ["STORE_FILENAME", "ClauseStore", "WarmStart"]
 
 STORE_FILENAME = "clauses.sqlite"
 
@@ -480,28 +481,82 @@ class ClauseStore:
         return stats
 
 
-# ----------------------------------------------------------------------
-# Worker-side helpers: the process-pool init payload carries only the store
-# *directory* (a string), so each worker process opens its own ClauseStore.
-# ----------------------------------------------------------------------
-_WORKER_STORES: dict[tuple[int, str], ClauseStore] = {}
+class WarmStart:
+    """One session's round trip through a :class:`ClauseStore`.
 
+    The one implementation of the exact-reuse gate, held by each of the
+    engine's code contexts and by each split pool worker.  :meth:`load`
+    runs once, before the session's first check (the point identical runs
+    reach with an identical encoding): it takes the CNF fingerprint and the
+    variable watermark and absorbs the clauses the store holds for that
+    fingerprint.  :meth:`save` writes back the learnt clauses over the
+    watermark's variables that the store does not hold yet, or holds at a
+    higher LBD.  ``session`` is any
+    :class:`~repro.smt.interface.SolveSession`; the package imports nothing
+    from the solver layers.
+    """
 
-def _worker_store(directory: str) -> ClauseStore:
-    key = (os.getpid(), os.path.realpath(directory))
-    store = _WORKER_STORES.get(key)
-    if store is None:
-        store = ClauseStore(directory)
-        _WORKER_STORES[key] = store
-    return store
+    def __init__(self, store: ClauseStore):
+        self.store = store
+        #: the CNF fingerprint taken by :meth:`load`; None until it runs.
+        self.fingerprint: str | None = None
+        #: learnt clauses :meth:`load` absorbed into the session.
+        self.absorbed = 0
+        #: the session's variable count at load; clauses over later
+        #: variables mention encodings other runs may not share.
+        self.max_var = 0
+        #: canonical clause -> the LBD the store is known to hold for it at
+        #: most: clauses loaded from, or written to, the store.
+        self._saved: dict[tuple[int, ...], int] = {}
+        #: the session's (conflicts, erased clauses) when a save last left
+        #: nothing unsaved; learnt clauses only change when one of them moves.
+        self._mark: tuple[int, int] | None = None
 
+    def load(self, session) -> int:
+        """Absorb the stored clauses for ``session``'s CNF; returns how many
+        were absorbed.  Only the first call does anything."""
+        if self.fingerprint is not None:
+            return 0
+        self.fingerprint = session.fingerprint()
+        self.max_var = session.encoder.cnf.num_vars
+        learnt = self.store.load(self.fingerprint)
+        if not learnt:
+            return 0
+        self.absorbed = session.absorb_learnt(learnt)
+        # Loaded clauses are canonical.  The session scores each by its
+        # length, which is no lower than the LBD it was learnt with, so the
+        # store already holds it at that LBD or better (except a clause
+        # stripped by guard retirement, which keeps the LBD of its longer
+        # self).
+        self._saved = {tuple(clause): len(clause) for clause in learnt}
+        return self.absorbed
 
-def load_clauses(directory: str, fingerprint: str) -> list[list[int]] | None:
-    """Exact-fingerprint load for pool workers (no api-layer imports)."""
-    return _worker_store(directory).load(fingerprint)
+    def save(self, session) -> None:
+        """Write the learnt clauses not written yet, with their LBDs.
 
-
-def merge_clauses(directory: str, fingerprint: str, clauses) -> bool:
-    """Merge a worker's ``(clause, lbd)`` pairs into the shared store;
-    returns whether they are stored (see :meth:`ClauseStore.store_meta`)."""
-    return _worker_store(directory).store_meta(fingerprint, clauses)
+        A clause counts as written once :meth:`ClauseStore.store_meta`
+        merged it, at the LBD it was written with; it is written again only
+        if the session now holds it at a lower LBD (the store keeps the
+        lowest).  Clauses whose write failed stay unwritten, so the next
+        call retries them.  A session that has neither learnt (no new
+        conflicts) nor erased clauses since a save that left nothing unsaved
+        has nothing new, and is skipped.
+        """
+        if self.fingerprint is None:
+            return
+        counters = session.counters()
+        mark = (counters["conflicts"], counters["erased_clauses"])
+        if mark == self._mark:
+            return
+        saved = self._saved
+        unsaved: dict[tuple[int, ...], int] = {}
+        for clause, lbd in session.learnt_clauses_meta(max_var=self.max_var):
+            try:
+                key = tuple(_canonical_clause(clause))
+            except ValueError:
+                continue
+            if lbd < min(saved.get(key, math.inf), unsaved.get(key, math.inf)):
+                unsaved[key] = lbd
+        if not unsaved or self.store.store_meta(self.fingerprint, unsaved.items()):
+            saved.update(unsaved)
+            self._mark = mark

@@ -31,9 +31,7 @@ from repro.store.clause_store import _row_checksum
 
 
 def _store_engine(directory):
-    engine = Engine()
-    engine.resources.enable_clause_store(str(directory))
-    return engine
+    return Engine(clause_store=str(directory))
 
 
 def _verdict(result):
@@ -424,7 +422,7 @@ class TestWalkWriteSchedule:
         assert job.wait(120)
         assert job.status is JobStatus.CANCELLED
         assert len(probes) == 2
-        fingerprint = engine.resources.context_for(task.code)._warm_fingerprint
+        fingerprint = engine.resources.context_for(task.code).warm.fingerprint
         with sqlite3.connect(_db_path(tmp_path)) as conn:
             (checkpoints,) = conn.execute("SELECT COUNT(*) FROM checkpoints").fetchone()
             (clauses,) = conn.execute(
@@ -456,8 +454,8 @@ class TestDeltaSaves:
         store = engine.resources.clause_store
         for context in list(engine.resources._contexts.values()):
             store.store_meta(
-                context._warm_fingerprint,
-                context.session.learnt_clauses_meta(max_var=context._warm_vars),
+                context.warm.fingerprint,
+                context.session.learnt_clauses_meta(max_var=context.warm.max_var),
             )
 
     def test_delta_saves_store_what_full_saves_store(self, tmp_path):
@@ -506,15 +504,15 @@ class TestDeltaSaves:
 
 
     def test_a_save_with_no_solve_since_canonicalizes_nothing(self, tmp_path, monkeypatch):
-        import repro.api.resources as resources
+        import repro.store.clause_store as clause_store
 
         engine = _store_engine(tmp_path)
         engine.run(DistanceTask(code="steane"))
         engine.resources.save_warm()
         calls = []
-        canonical = resources._canonical_clause
+        canonical = clause_store._canonical_clause
         monkeypatch.setattr(
-            resources, "_canonical_clause",
+            clause_store, "_canonical_clause",
             lambda clause: calls.append(clause) or canonical(clause),
         )
         engine.resources.save_warm()

@@ -259,15 +259,13 @@ class TestOneShotSplitPools:
 class TestWarmCache:
     def test_round_trip_skips_relearning(self, tmp_path):
         cache = str(tmp_path / "warm")
-        cold_engine = Engine()
-        cold_engine.resources.enable_clause_store(cache)
+        cold_engine = Engine(clause_store=cache)
         task = CorrectionTask(code="steane")
         cold = cold_engine.run(task)
         cold_engine.resources.save_warm()
         assert cold.conflicts > 0
 
-        warm_engine = Engine()
-        warm_engine.resources.enable_clause_store(cache)
+        warm_engine = Engine(clause_store=cache)
         warm = warm_engine.run(task)
         stats = warm.session_stats()
         assert stats["warm_hits"] == 1
@@ -278,13 +276,11 @@ class TestWarmCache:
 
     def test_mismatched_fingerprint_misses(self, tmp_path):
         cache = str(tmp_path / "warm")
-        engine = Engine()
-        engine.resources.enable_clause_store(cache)
+        engine = Engine(clause_store=cache)
         engine.run(CorrectionTask(code="steane"))
         engine.resources.save_warm()
 
-        other = Engine()
-        other.resources.enable_clause_store(cache)
+        other = Engine(clause_store=cache)
         result = other.run(CorrectionTask(code="five-qubit"))
         stats = result.session_stats()
         assert stats["warm_hits"] == 0
@@ -293,13 +289,11 @@ class TestWarmCache:
     def test_distance_warm_start(self, tmp_path):
         cache = str(tmp_path / "warm")
         task = DistanceTask(code="surface-3", max_trial=5)
-        cold_engine = Engine()
-        cold_engine.resources.enable_clause_store(cache)
+        cold_engine = Engine(clause_store=cache)
         cold = cold_engine.run(task)
         cold_engine.resources.save_warm()
 
-        warm_engine = Engine()
-        warm_engine.resources.enable_clause_store(cache)
+        warm_engine = Engine(clause_store=cache)
         warm = warm_engine.run(task)
         assert warm.details["distance"] == cold.details["distance"]
         assert warm.conflicts <= cold.conflicts
@@ -511,6 +505,29 @@ class TestGuardRetirementCost:
         # Only a locality constraint's per-qubit literals can be new subterms.
         assert len(encoder._cache) <= cache_at_fill + build_code("steane").num_qubits
         assert len(sweeps) <= retirements // (limit // 2) + 1
+
+    def test_the_solver_holds_the_only_copy_of_the_clauses(self):
+        from repro.api.resources import CodeContext
+
+        class Emitted(list):
+            """The encoder's pending clauses, counting every one appended."""
+
+            count = 0
+
+            def append(self, clause):
+                Emitted.count += 1
+                super().append(clause)
+
+        engine = Engine()
+        context = CodeContext("steane", max_task_guards=4)
+        cnf = context.session.encoder.cnf
+        cnf.clauses = Emitted()
+        for seed in range(16):
+            task = self._locality_task(seed)
+            assert view_of(context, task, engine.compile_task(task).formula).check().is_unsat
+            assert len(cnf.clauses) == 0, seed
+            assert cnf.num_clauses == Emitted.count, seed
+        assert Emitted.count > 0
 
     def test_stats_report_guard_sweeps_once_a_guard_retired(self):
         engine = Engine()

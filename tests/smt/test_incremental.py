@@ -455,6 +455,27 @@ class TestGuardRetirement:
         assert got == want
 
 
+class TestEncoderHandOff:
+    def test_fingerprint_is_only_defined_before_the_first_check(self):
+        a, b = BoolVar("a"), BoolVar("b")
+        session = SolveSession(Or((a, b)))
+        before = session.fingerprint()
+        assert before == SolveSession(Or((a, b))).fingerprint()
+        assert session.check().is_sat
+        with pytest.raises(RuntimeError):
+            session.fingerprint()
+
+    def test_clauses_added_after_the_first_check_reach_the_solver(self):
+        a, b = BoolVar("a"), BoolVar("b")
+        session = SolveSession(Or((a, b)))
+        assert session.check().is_sat
+        session.assert_formula(Not(a))
+        session.assert_formula(Not(b))
+        assert session.encoder.cnf.clauses
+        assert session.check().is_unsat
+        assert session.encoder.cnf.clauses == []
+
+
 class TestBatchedGuardSweeps:
     def test_sweep_waits_for_half_the_live_guards(self):
         names = [f"g{i}" for i in range(8)]

@@ -1,15 +1,11 @@
 """Parallel task-splitting driver tests."""
 
+import multiprocessing
 import threading
 
 from repro.classical.expr import And, BoolVar, IntConst, IntLe, Not, Or, sum_of
 from repro.smt.interface import SolveSession
-from repro.smt.parallel import (
-    _pool_context,
-    _terminate_pool,
-    generate_split_assumptions,
-    split_check,
-)
+from repro.smt.parallel import _terminate_pool, generate_split_assumptions, split_check
 
 
 def check_once(formula, split_variables=(), threshold=None, num_workers=1, session=None):
@@ -184,7 +180,7 @@ class TestOneShotSplit:
 
 class TestPoolTeardown:
     def test_terminate_returns_when_a_dead_worker_holds_the_result_lock(self):
-        pool = _pool_context().Pool(processes=1)
+        pool = multiprocessing.Pool(processes=1)
         # What a worker killed mid-way through posting a result leaves
         # behind: the result queue's write lock, held forever.
         lock = pool._outqueue._wlock

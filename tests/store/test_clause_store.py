@@ -14,12 +14,7 @@ import threading
 
 import pytest
 
-from repro.store import (
-    STORE_FILENAME,
-    ClauseStore,
-    load_clauses,
-    merge_clauses,
-)
+from repro.store import STORE_FILENAME, ClauseStore
 from repro.store.clause_store import _row_checksum
 
 
@@ -280,9 +275,9 @@ class TestConcurrency:
 class TestWorkerHelpers:
     def test_load_and_merge_round_trip(self, tmp_path):
         store = ClauseStore(str(tmp_path))
-        assert merge_clauses(str(tmp_path), "fp", [([5, -1, 3], 2)])
-        assert load_clauses(str(tmp_path), "fp") == [[-1, 3, 5]]
-        assert load_clauses(str(tmp_path), "other") is None
+        assert store.store_meta("fp", [([5, -1, 3], 2)])
+        assert store.load("fp") == [[-1, 3, 5]]
+        assert store.load("other") is None
         # The pair's LBD is stored, not the clause length.
         with _db(store) as conn:
             assert conn.execute("SELECT lbd, size FROM clauses").fetchall() == [(2, 3)]
