@@ -1,12 +1,13 @@
 """REPRO-LOCK — registered shared structures mutated outside their lock.
 
-The engine's shared registries (code claims and the job queue, job ids,
-the context registry and its counters, admission counters) are each
-guarded by a named lock; every mutation must happen lexically inside
-``with self.<lock>``.  The registry below names
-the (class, attributes, lock) triples the project has declared shared —
-this is the machine-readable form of the comments in ``Engine.__init__``
-and the ``ResourceManager`` docstring.
+The engine's shared registries (job ids; the code claims, the context
+registry and its counters; the job queue, which shares the resource
+manager's lock; admission counters) are each guarded by a named lock;
+every mutation must happen lexically inside ``with self.<lock>``.  The
+registry below names the (class, attributes, lock) triples the project has
+declared shared — this is the machine-readable form of the comments in
+``Engine.__init__``, ``ShardedJobExecutor.__init__`` and the
+``ResourceManager`` docstring.
 
 ``__init__`` is exempt (the object is not shared until construction
 returns).  Reads are not flagged: several hot paths read counters
@@ -26,15 +27,14 @@ __all__ = ["GUARDED_CLASSES", "LockDisciplineRule"]
 GUARDED_CLASSES: dict[str, list[tuple[frozenset[str], str]]] = {
     "Engine": [
         (frozenset({"_job_counter", "_executor"}), "_submit_lock"),
-        (frozenset({"_claimed"}), "_claims"),
     ],
     "ShardedJobExecutor": [
-        (frozenset({"_queue", "_shutdown"}), "_claims"),
+        (frozenset({"_queue", "_shutdown"}), "_lock"),
     ],
     "ResourceManager": [
         (
             frozenset({
-                "_contexts", "_retired", "_split_warm_absorbed", "task_compiles",
+                "_claimed", "_contexts", "_split_warm_absorbed", "task_compiles",
             }),
             "_lock",
         ),

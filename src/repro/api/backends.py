@@ -65,9 +65,10 @@ class ParallelBackend:
 
     The backend enumerates the compiled task's split variables into subtasks
     and decides them in one :func:`~repro.smt.parallel.split_check`; its
-    fields are the only split defaults.  ``heuristic_weight`` and
-    ``threshold`` override the per-task hints the compiler attaches
-    (``2 * d`` and the qubit count); leave them ``None`` to use the hints.
+    fields are the only split defaults.  ``threshold`` overrides the split
+    threshold the compiler attaches to each task (its qubit count); leave it
+    ``None`` to use that hint.  The split weight is always the task's own
+    hint (``2 * d``).
     ``max_subtasks`` bounds the enumeration so large codes cannot explode
     the split tree.  With ``num_workers >= 2`` and more than one subtask the
     subtasks run on a process pool built for the check, whose workers
@@ -80,7 +81,6 @@ class ParallelBackend:
     """
 
     num_workers: int = 2
-    heuristic_weight: int | None = None
     threshold: int | None = None
     max_subtasks: int = 256
 
@@ -102,7 +102,7 @@ class ParallelBackend:
     ) -> SMTCheck:
         assumption_sets = generate_split_assumptions(
             list(compiled.split_variables),
-            self.heuristic_weight or compiled.split_weight,
+            compiled.split_weight,
             self.threshold if self.threshold is not None else compiled.split_threshold,
             max_subtasks=self.max_subtasks,
         )

@@ -13,6 +13,10 @@
 * :meth:`Engine.run_many` executes a batch of tasks — optionally across a
   process pool — with per-task timing, which is how whole registry sweeps
   (Table 3 / Table 4 style) are driven.
+
+Every execution, blocking ``run`` or job, holds its code's claim for its
+whole run; the engine's :class:`~repro.api.resources.ResourceManager` owns
+the claims together with the code contexts they protect.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 from repro import faults, sanitize
 from repro.api.backends import Backend, ParallelBackend, coerce_backend
 from repro.api.events import DistanceProbe, SolverStats, SubtaskStarted, TaskCompiled
-from repro.api.jobs import Job, ShardedJobExecutor, claim_key
+from repro.api.jobs import Job, ShardedJobExecutor
 from repro.api.resources import ResourceManager
 from repro.api.result import Result
 from repro.api.tasks import (
@@ -131,7 +135,6 @@ class Engine:
     def __init__(
         self,
         backend: Backend | str | None = None,
-        session_cache_size: int = 32,
         lanes: int = 4,
         clause_store: str | ClauseStore | None = None,
         fault_plan=None,
@@ -143,12 +146,12 @@ class Engine:
         if fault_plan is not None:
             faults.install(fault_plan)
         self.backend: Backend = coerce_backend(backend)
-        self.session_cache_size = session_cache_size
         self.lanes = max(1, int(lanes))
         # Engine-owned solver resources: one shared live session per *code*
         # (correction, detection and distance queries on a code share learnt
         # clauses through task-selector guards), which is also the cache of
-        # compiled tasks.
+        # compiled tasks, and the code claims that keep each session
+        # single-threaded.
         # The persistent clause store (``repro.store``): durable learnt
         # clauses and distance-walk checkpoints shared across every worker,
         # split worker and process using the directory.  It is fixed here,
@@ -156,21 +159,10 @@ class Engine:
         # before its first check and cannot take it later.
         if clause_store is not None and not isinstance(clause_store, ClauseStore):
             clause_store = ClauseStore(str(clause_store))
-        self.resources = ResourceManager(
-            max_contexts=session_cache_size, clause_store=clause_store
-        )
+        self.resources = ResourceManager(clause_store=clause_store)
         # The job layer: created lazily on the first submit().
         self._executor: ShardedJobExecutor | None = None
         self._job_counter = 0
-        # Concurrency safety is one claim per code: whoever executes a task
-        # (a blocking run() caller or an executor worker) holds its
-        # ``claim_key`` in ``_claimed`` for the whole execution, so a
-        # SolveSession is entered by one thread at a time while different
-        # codes run concurrently.  The executor's job queue shares the lock,
-        # so taking a job and claiming its code are one step.
-        self._claim_lock = threading.RLock()
-        self._claims = threading.Condition(self._claim_lock)
-        self._claimed: set = set()
         # Guards submit-time state only (job ids, lazy executor creation);
         # never held across a solve, so submitting stays non-blocking.
         self._submit_lock = threading.Lock()
@@ -351,12 +343,12 @@ class Engine:
 
         The caller claims the task's code for the whole execution, waiting
         while a job or another caller holds it."""
-        key = claim_key(task)
-        self._claim(key)
+        key = self.resources.claim_key(task)
+        self.resources.claim(key)
         try:
             return self._execute(task, self.coerce(backend))
         finally:
-            self._release(key)
+            self.resources.release(key)
 
     def submit(
         self,
@@ -398,48 +390,6 @@ class Engine:
         resources; see :meth:`ResourceManager.retire_task`."""
         return self.resources.retire_task(task)
 
-    # ------------------------------------------------------------------
-    # Code claims
-    # ------------------------------------------------------------------
-    def _try_claim(self, key) -> bool:
-        """Claim ``key`` unless someone holds it; never blocks."""
-        with self._claims:
-            if key in self._claimed:
-                return False
-            self._claimed.add(key)
-            return True
-
-    def _claim(self, key) -> None:
-        """Claim ``key``, waiting while another execution holds it."""
-        with self._claims:
-            while not self._try_claim(key):
-                self._claims.wait()
-
-    def _release(self, key) -> None:
-        """Release ``key``'s claim, then save the contexts LRU-evicted in the
-        meantime, each under its own code's claim (a job still running on an
-        evicted context keeps driving its session until it releases).
-
-        An evicted context whose code is claimed goes back on the retired
-        list instead of being waited for: the put-back happens under
-        ``_claims`` while the holder's claim stands, so the holder's own
-        release, which discards that claim under the same lock first, is
-        bound to take and save it."""
-        with self._claims:
-            self._claimed.discard(key)
-            self._claims.notify_all()
-            if self._executor is not None:
-                self._executor.wake()
-        for context in self.resources.take_retired():
-            with self._claims:
-                if not self._try_claim(context.key):
-                    self.resources.put_back_retired(context)
-                    continue
-            try:
-                context.save_warm()
-            finally:
-                self._release(context.key)
-
     @staticmethod
     def _check_control(control: SolveControl | None) -> None:
         """Between-step interruption point (probe boundaries, pre-solve)."""
@@ -464,7 +414,9 @@ class Engine:
         """
         # The claim requirement crosses the caller/_execute boundary, which
         # the static REPRO-LOCK rule cannot see: check it dynamically.
-        sanitize.assert_claimed(self._claimed, claim_key(task), "Engine._execute")
+        sanitize.assert_claimed(
+            self.resources._claimed, self.resources.claim_key(task), "Engine._execute"
+        )
         if isinstance(task, DistanceTask):
             return self._run_distance(task, chosen, control=control, emit=emit)
         start = time.perf_counter()

@@ -11,7 +11,9 @@ lifecycle:
   claim*: whoever executes a task holds its code's claim for the whole
   execution, so two executions that could touch the same
   :class:`~repro.smt.interface.SolveSession` never overlap, while jobs on
-  unrelated codes run concurrently;
+  unrelated codes run concurrently.  The claims belong to the engine's
+  :class:`~repro.api.resources.ResourceManager`, next to the code contexts
+  they protect, and the queue shares its lock;
 * every observable step is emitted as a typed event
   (:mod:`repro.api.events`): replayable, so a subscriber attached after the
   fact still sees the whole stream, ending in exactly one terminal event;
@@ -57,7 +59,6 @@ __all__ = [
     "JobCancelledError",
     "JobStatus",
     "ShardedJobExecutor",
-    "claim_key",
 ]
 
 
@@ -364,15 +365,6 @@ class Job:
         return f"Job({self.id!r}, {self.task!r}, status={self.status.value})"
 
 
-
-
-def claim_key(task):
-    """The key an execution of ``task`` claims: its code, which is also the
-    key of the code's :class:`~repro.api.resources.CodeContext`.  Every
-    code-less task shares the key ``None``."""
-    return getattr(task, "code", None)
-
-
 class ShardedJobExecutor:
     """One priority queue served by ``lanes`` worker threads.
 
@@ -381,10 +373,11 @@ class ShardedJobExecutor:
     terminal (see :meth:`Engine.run <repro.api.engine.Engine.run>`, which
     claims the same way).  Jobs on one code therefore run one at a time in
     priority order, and jobs on different codes never wait on each other.
-    The queue shares the engine's claim lock, so taking a job and claiming
-    its code are one step.  Idle workers wait on their own condition, so a
-    submission, or a claim released while jobs are queued, wakes one worker
-    rather than every thread waiting on a claim.
+    The queue shares the lock of the engine's
+    :class:`~repro.api.resources.ResourceManager`, which owns the claims, so
+    taking a job and claiming its code are one step.  Idle workers wait on
+    their own condition, so a submission, or a claim released while jobs are
+    queued, wakes one worker rather than every thread waiting on a claim.
 
     Worker threads are named ``repro-lane-<i>`` and start on the first
     submission; ``lanes=1`` gives one serial dispatcher.
@@ -392,13 +385,15 @@ class ShardedJobExecutor:
 
     def __init__(self, engine: "Engine", lanes: int = 4, autostart: bool = True):
         self.engine = engine
+        self.resources = engine.resources
         self.autostart = autostart
         self.lanes = max(1, int(lanes))
-        # Also guards the queue and the shutdown flag: a submission that
-        # loses the race with shutdown raises before emitting JobSubmitted,
-        # and one that wins is queued before the drain sweeps.
-        self._claims = engine._claims
-        self._work = threading.Condition(engine._claim_lock)
+        # The lock that guards the code claims also guards the queue and the
+        # shutdown flag: a submission that loses the race with shutdown
+        # raises before emitting JobSubmitted, and one that wins is queued
+        # before the drain sweeps.
+        self._lock = engine.resources._lock
+        self._work = threading.Condition(self._lock)
         self._queue: list[tuple[int, int, Job]] = []
         self._counter = itertools.count()
         self._shutdown = False
@@ -413,7 +408,7 @@ class ShardedJobExecutor:
 
     # ------------------------------------------------------------------
     def submit(self, job: Job) -> Job:
-        with self._claims:
+        with self._lock:
             if self._shutdown:
                 raise RuntimeError("executor is shut down")
             job.emit(
@@ -432,7 +427,7 @@ class ShardedJobExecutor:
 
     def start(self) -> None:
         """Start every worker thread that is not running."""
-        with self._claims:
+        with self._lock:
             for lane, thread in enumerate(self._threads):
                 if thread is None or not thread.is_alive():
                     thread = threading.Thread(
@@ -446,12 +441,12 @@ class ShardedJobExecutor:
 
     def wake(self) -> None:
         """Wake one idle worker if jobs are queued (a claim was released)."""
-        with self._claims:
+        with self._lock:
             if self._queue:
                 self._work.notify()
 
     def pending(self) -> int:
-        with self._claims:
+        with self._lock:
             return len(self._queue)
 
     def stats(self) -> dict:
@@ -513,12 +508,12 @@ class ShardedJobExecutor:
                     reason="lane_crash",
                 )
             try:
-                self.engine.resources.quarantine_task(job.task)
+                self.resources.quarantine_task(job.task)
             except Exception as discard_error:  # noqa: BLE001 - best effort
                 log.warning("context quarantine failed: %s", discard_error)
-            self.engine._release(claim_key(job.task))
+            self.resources.release(self.resources.claim_key(job.task))
         if not self._shutdown:
-            with self._claims:
+            with self._lock:
                 # This (dying) thread is still alive while the supervisor
                 # runs, so start()'s is_alive() check would keep it; detach
                 # it first.
@@ -528,9 +523,9 @@ class ShardedJobExecutor:
     def _take(self, lane: int) -> Job | None:
         """Dequeue the highest-priority job whose code is unclaimed, claiming
         its code for ``lane``; None when every queued code is claimed."""
-        with self._claims:
+        with self._lock:
             for index, (_, _, job) in enumerate(self._queue):
-                if self.engine._try_claim(claim_key(job.task)):
+                if self.resources.try_claim(self.resources.claim_key(job.task)):
                     del self._queue[index]
                     job.lane = lane
                     self._current[lane] = job
@@ -539,7 +534,7 @@ class ShardedJobExecutor:
 
     def _loop(self, lane: int) -> None:
         while True:
-            with self._claims:
+            with self._lock:
                 job = self._take(lane)
                 while job is None:
                     if self._shutdown:
@@ -555,7 +550,7 @@ class ShardedJobExecutor:
             # ``_current`` must stay set so the supervisor can fail the
             # in-flight job and free its code; both non-crash paths get here.
             self._current[lane] = None
-            self.engine._release(claim_key(job.task))
+            self.resources.release(self.resources.claim_key(job.task))
 
     def _run_job(self, job: Job, lane: int) -> None:
         control = job.control()
@@ -593,8 +588,8 @@ class ShardedJobExecutor:
                 emit=emit,
             )
         except SolverInterrupted as interrupt:
-            # Still under the claim: the lookup finds this job's context (or
-            # none, if an LRU eviction dropped it) and never creates one.
+            # Still under the claim, so no eviction can have dropped this
+            # job's context; the lookup never creates one.
             self.engine.release_task(job.task)
             account()
             job._finish_cancelled(interrupt.reason)
@@ -613,7 +608,7 @@ class ShardedJobExecutor:
         In-flight jobs (one per busy worker) run to completion — interrupting
         them is the caller's business via :meth:`Job.cancel` beforehand.
         """
-        with self._claims:
+        with self._lock:
             self._shutdown = True
             drained = [job for _, _, job in self._queue]
             self._queue.clear()

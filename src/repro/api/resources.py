@@ -20,12 +20,16 @@ This module centralizes those resources *per code*:
   the backends already expect.
 * :class:`ResourceManager` — the engine-facing facade tying the above
   together, with hit/miss counters surfaced in ``Result.session_stats()``.
-  Its ``clause_store`` (:class:`~repro.store.ClauseStore`, the CLI's
-  ``--clause-store``) is fixed when the manager is built and is the one
-  warm-start cache: each context holds a :class:`~repro.store.WarmStart`
-  (as does each of the parallel backend's pool workers), which restores and
-  persists learnt clauses keyed by a fingerprint of the exact CNF taken
-  before the session's first check, so stale state can never be absorbed.
+  It is the one owner of per-code state: under one lock it holds the code
+  claims (an execution holds its code's claim for its whole run, so a
+  session is driven by one thread at a time) and the context registry,
+  whose LRU bound evicts only unclaimed contexts.  Its ``clause_store``
+  (:class:`~repro.store.ClauseStore`, the CLI's ``--clause-store``) is fixed
+  when the manager is built and is the one warm-start cache: each context
+  holds a :class:`~repro.store.WarmStart` (as does each of the parallel
+  backend's pool workers), which restores and persists learnt clauses keyed
+  by a fingerprint of the exact CNF taken before the session's first check,
+  so stale state can never be absorbed.
 """
 
 from __future__ import annotations
@@ -230,13 +234,16 @@ class CodeContext:
 
 
 class ResourceManager:
-    """The engine's solver-resource facade: contexts and the clause store.
+    """The engine's solver-resource facade: code claims, contexts and the
+    clause store.
 
-    The internal lock only guards the manager's own bookkeeping (context
-    registry, retire list, counters).  Sessions themselves are
+    One lock, ``_lock``, guards all of the manager's bookkeeping: the code
+    claims, the context registry and the counters.  Sessions themselves are
     deliberately unlocked: every execution holds its code's claim (see
-    :meth:`Engine.run <repro.api.engine.Engine.run>`), so each one is driven
-    by one thread at a time.
+    :meth:`claim`) for its whole run, so each session is driven by one
+    thread at a time.  The registry's LRU bound runs over *idle* contexts
+    only: a claimed context is never evicted, so an unmapped context is
+    unreachable and its evicting thread saves it without a claim.
     """
 
     def __init__(self, max_contexts: int = 32, clause_store: ClauseStore | None = None):
@@ -247,7 +254,12 @@ class ResourceManager:
         #: task compiles served from a context's live guard (hits) or run
         #: for one (misses), see :meth:`session_for`.
         self.task_compiles = {"hits": 0, "misses": 0}
+        # The job executor's queue shares this lock, so taking a job and
+        # claiming its code are one step.
         self._lock = threading.RLock()
+        #: ``claim_key`` of every execution in flight (see :meth:`claim`).
+        self._claimed: set = set()
+        self._released = threading.Condition(self._lock)
         self._executor = None
         #: contexts discarded unsaved after a lane crash (see
         #: :meth:`quarantine_task`); surfaced in stats when nonzero.
@@ -255,12 +267,46 @@ class ResourceManager:
         #: learnt clauses the parallel backend's split workers absorbed from
         #: the clause store (see :meth:`record_split_warm`).
         self._split_warm_absorbed = 0
-        #: LRU-evicted contexts awaiting ``save_warm`` (see :meth:`take_retired`).
-        self._retired: list[CodeContext] = []
 
     def attach_executor(self, executor) -> None:
-        """Register the job executor so stats can report its worker table."""
+        """Register the job executor: stats report its worker table and a
+        released claim wakes one of its workers."""
         self._executor = executor
+
+    # ------------------------------------------------------------------
+    # Code claims: whoever executes a task (a blocking ``Engine.run`` caller
+    # or an executor worker) holds its ``claim_key`` for the whole execution.
+    # ------------------------------------------------------------------
+    @staticmethod
+    def claim_key(task):
+        """The key an execution of ``task`` claims: its code, which is also
+        the key of the code's :class:`CodeContext`.  Every code-less task
+        shares the key ``None``."""
+        return getattr(task, "code", None)
+
+    def try_claim(self, key) -> bool:
+        """Claim ``key`` unless someone holds it; never blocks."""
+        with self._lock:
+            if key in self._claimed:
+                return False
+            self._claimed.add(key)
+            return True
+
+    def claim(self, key) -> None:
+        """Claim ``key``, waiting while another execution holds it."""
+        with self._lock:
+            while key in self._claimed:
+                self._released.wait()
+            self._claimed.add(key)
+
+    def release(self, key) -> None:
+        """Release ``key``'s claim, waking the callers waiting in
+        :meth:`claim` and one idle executor worker if jobs are queued."""
+        with self._lock:
+            self._claimed.discard(key)
+            self._released.notify_all()
+            if self._executor is not None:
+                self._executor.wake()
 
     # ------------------------------------------------------------------
     def context_for(self, key) -> CodeContext:
@@ -268,33 +314,28 @@ class ResourceManager:
 
         ``key`` is a task's code: a registry key, a built
         :class:`~repro.codes.base.StabilizerCode`, which hashes by identity,
-        or ``None`` for the code-less program tasks."""
+        or ``None`` for the code-less program tasks.  Creating a context
+        past ``max_contexts`` evicts the least recently used *unclaimed*
+        ones; with every other context claimed the registry holds the extras
+        until a later creation finds them idle.  This thread saves the
+        evicted contexts once it has left the lock: unmapped and unclaimed,
+        no other thread can reach them."""
+        evicted: list[CodeContext] = []
         with self._lock:
             context = self._contexts.get(key)
             if context is None:
                 context = CodeContext(key, clause_store=self.clause_store)
                 self._contexts[key] = context
-                while len(self._contexts) > self.max_contexts:
-                    _, evicted = self._contexts.popitem(last=False)
-                    if evicted.warm is not None:
-                        # save_warm touches the evicted session, which a job
-                        # may still be driving: the engine saves it under
-                        # that code's claim once this execution releases.
-                        self._retired.append(evicted)
+                for stale in list(self._contexts)[:-1]:
+                    if len(self._contexts) <= self.max_contexts:
+                        break
+                    if stale not in self._claimed:
+                        evicted.append(self._contexts.pop(stale))
             else:
                 self._contexts.move_to_end(key)
-            return context
-
-    def take_retired(self) -> list[CodeContext]:
-        """Hand over the evicted contexts still to be saved warm."""
-        with self._lock:
-            retired, self._retired = self._retired, []
-        return retired
-
-    def put_back_retired(self, context: CodeContext) -> None:
-        """Return an evicted context whose code is busy to the save list."""
-        with self._lock:
-            self._retired.append(context)
+        for stale_context in evicted:
+            stale_context.save_warm()
+        return context
 
     # ------------------------------------------------------------------
     # Inert names kept for ``perfbench/tracer.py``, which wraps them by name
@@ -320,7 +361,7 @@ class ResourceManager:
             hash(task)
         except TypeError:  # unhashable payload (e.g. an ad-hoc triple)
             return None
-        found = self.context_for(getattr(task, "code", None)).task_view(task, compile)
+        found = self.context_for(self.claim_key(task)).task_view(task, compile)
         with self._lock:
             self.task_compiles["hits" if found[2] else "misses"] += 1
         return found
@@ -339,7 +380,7 @@ class ResourceManager:
         except TypeError:  # an unhashable task never held a guard
             return False
         with self._lock:
-            context = self._contexts.get(getattr(task, "code", None))
+            context = self._contexts.get(self.claim_key(task))
         if context is None:
             return False
         return context.retire_task(task)
@@ -356,7 +397,7 @@ class ResourceManager:
         """
         with self._lock:
             try:
-                dropped = self._contexts.pop(getattr(task, "code", None), None) is not None
+                dropped = self._contexts.pop(self.claim_key(task), None) is not None
             except TypeError:
                 return False
             if dropped:
@@ -386,8 +427,6 @@ class ResourceManager:
             self._contexts.clear()
 
     def close(self) -> None:
-        for context in self.take_retired():
-            context.save_warm()
         self.save_warm()
         self.clear_contexts()
 

@@ -95,9 +95,6 @@ class ParityExpr:
     def is_zero(self) -> bool:
         return not self.atoms and self.constant == 0
 
-    def is_constant(self) -> bool:
-        return not self.atoms
-
     # ------------------------------------------------------------------
     def substitute(self, mapping: dict) -> "ParityExpr":
         """Replace atoms by parities (used by the classical assignment rule).

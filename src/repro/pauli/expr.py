@@ -53,10 +53,6 @@ class PauliTerm:
             return PauliTerm(positive, self.phase.flipped(), self.coefficient)
         return self
 
-    def is_hermitian_pauli(self) -> bool:
-        """Whether the term is (a signed multiple of) a Hermitian Pauli."""
-        return self.operator.is_hermitian()
-
     def evaluate(self, memory) -> np.ndarray:
         """Dense matrix of the term under a classical memory."""
         sign = (-1) ** self.phase.evaluate(memory)
@@ -148,13 +144,6 @@ class PauliExpr:
         return PauliExpr(
             self.num_qubits,
             [PauliTerm(t.operator, t.phase, t.coefficient * coefficient) for t in self.terms],
-        )
-
-    def with_extra_phase(self, phase: ParityExpr) -> "PauliExpr":
-        """Multiply the whole expression by ``(-1)^phase``."""
-        return PauliExpr(
-            self.num_qubits,
-            [PauliTerm(t.operator, t.phase ^ phase, t.coefficient) for t in self.terms],
         )
 
     def collect(self) -> "PauliExpr":
@@ -326,14 +315,6 @@ class PauliExpr:
         for term in self.terms:
             total += term.evaluate(memory)
         return total
-
-    def concrete_terms(self, memory) -> list[tuple[float, PauliOperator]]:
-        """The terms with phases evaluated: a list of (signed coefficient, operator)."""
-        result = []
-        for term in self.terms:
-            sign = (-1) ** term.phase.evaluate(memory)
-            result.append((sign * float(term.coefficient), term.operator))
-        return result
 
     # ------------------------------------------------------------------
     # Queries

@@ -107,10 +107,6 @@ class StabilizerGroup:
             [gen.symplectic_vector() for gen in self.generators], dtype=np.uint8
         )
 
-    def parity_check_matrix(self) -> np.ndarray:
-        """Alias for :meth:`symplectic_matrix`; rows are ``[x | z]`` checks."""
-        return self.symplectic_matrix()
-
     # ------------------------------------------------------------------
     def commutes_with(self, operator: PauliOperator) -> bool:
         """Whether ``operator`` commutes with every generator."""

@@ -108,9 +108,6 @@ class PauliOperator:
         """The global phase as a complex number (one of 1, i, -1, -i)."""
         return 1j ** self.phase
 
-    def is_identity(self) -> bool:
-        return self.weight == 0 and self.phase == 0
-
     def is_hermitian(self) -> bool:
         """Hermitian Paulis have phase +1 or -1 once the Y factors are absorbed."""
         return (self.phase - self._y_count) % 2 == 0

@@ -158,9 +158,6 @@ class StabilizerTableau:
             return 0
         return 1 if self._measure_deterministic(observable) == 0 else -1
 
-    def stabilizer_labels(self) -> list[str]:
-        return [stab.label() for stab in self.stabilizers]
-
     def copy(self) -> "StabilizerTableau":
         clone = StabilizerTableau(self.num_qubits)
         clone.stabilizers = list(self.stabilizers)

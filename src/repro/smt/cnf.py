@@ -22,7 +22,6 @@ class CNF:
         self.num_clauses = 0
         self.clauses: list[list[int]] = []
         self._names: dict[object, int] = {}
-        self._reverse: dict[int, object] = {}
 
     # ------------------------------------------------------------------
     def new_var(self, name: object | None = None) -> int:
@@ -33,7 +32,6 @@ class CNF:
             if name in self._names:
                 raise ValueError(f"variable name {name!r} already allocated")
             self._names[name] = var
-            self._reverse[var] = name
         return var
 
     def var_for(self, name: object) -> int:
@@ -41,12 +39,6 @@ class CNF:
         if name not in self._names:
             return self.new_var(name)
         return self._names[name]
-
-    def has_name(self, name: object) -> bool:
-        return name in self._names
-
-    def name_of(self, var: int) -> object | None:
-        return self._reverse.get(var)
 
     def named_variables(self) -> dict[object, int]:
         return dict(self._names)
@@ -67,10 +59,6 @@ class CNF:
                 clause.append(lit)
         self.clauses.append(clause)
         self.num_clauses += 1
-
-    def add_clauses(self, clauses) -> None:
-        for clause in clauses:
-            self.add_clause(clause)
 
     # ------------------------------------------------------------------
     def to_dimacs(self) -> str:

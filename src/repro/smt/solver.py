@@ -188,12 +188,6 @@ class SolveControl:
             return "deadline"
         return None
 
-    @classmethod
-    def for_deadline(cls, seconds: float | None, **kwargs) -> "SolveControl":
-        """A control whose deadline is ``seconds`` from now (None = no deadline)."""
-        deadline = time.monotonic() + seconds if seconds is not None else None
-        return cls(deadline=deadline, **kwargs)
-
 
 def _luby(index: int) -> int:
     """The Luby restart sequence 1,1,2,1,1,2,4,... (``index`` is 1-based)."""

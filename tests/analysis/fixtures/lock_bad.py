@@ -5,21 +5,8 @@ import threading
 
 class Engine:
     def __init__(self):
-        self._claim_lock = threading.RLock()
-        self._claims = threading.Condition(self._claim_lock)
         self._submit_lock = threading.Lock()
-        self._claimed = set()
         self._job_counter = 0
-
-    def claim(self, key):
-        if key in self._claimed:
-            return False
-        self._claimed.add(key)  # BAD: claim taken outside _claims
-        return True
-
-    def release(self, key):
-        with self._claims:
-            self._claimed.discard(key)
 
     def next_job_id(self):
         self._job_counter += 1  # BAD: outside _submit_lock
@@ -29,8 +16,19 @@ class Engine:
 class ResourceManager:
     def __init__(self):
         self._lock = threading.RLock()
+        self._claimed = set()
         self._contexts = {}
         self.task_compiles = {"hits": 0}
+
+    def try_claim(self, key):
+        if key in self._claimed:
+            return False
+        self._claimed.add(key)  # BAD: claim taken outside _lock
+        return True
+
+    def release(self, key):
+        with self._lock:
+            self._claimed.discard(key)
 
     def evict(self, key):
         self._contexts.pop(key, None)  # BAD: mutating method call, no lock

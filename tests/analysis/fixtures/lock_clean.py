@@ -5,22 +5,8 @@ import threading
 
 class Engine:
     def __init__(self):
-        self._claim_lock = threading.RLock()
-        self._claims = threading.Condition(self._claim_lock)
         self._submit_lock = threading.Lock()
-        self._claimed = set()
         self._job_counter = 0
-
-    def claim(self, key):
-        with self._claims:
-            if key in self._claimed:
-                return False
-            self._claimed.add(key)
-            return True
-
-    def release(self, key):
-        with self._claims:
-            self._claimed.discard(key)
 
     def next_job_id(self):
         with self._submit_lock:
@@ -31,8 +17,20 @@ class Engine:
 class ResourceManager:
     def __init__(self):
         self._lock = threading.RLock()
+        self._claimed = set()
         self._contexts = {}
         self.task_compiles = {"hits": 0}
+
+    def try_claim(self, key):
+        with self._lock:
+            if key in self._claimed:
+                return False
+            self._claimed.add(key)
+            return True
+
+    def release(self, key):
+        with self._lock:
+            self._claimed.discard(key)
 
     def evict(self, key):
         with self._lock:

@@ -7,7 +7,7 @@ class ResourceManager:
     def __init__(self):
         self._lock = threading.RLock()
         self._contexts = {}
-        self._retired = []
+        self._claimed = set()
 
     def reset_before_sharing(self):
         # Sound: called from __init__-time setup before any thread sees us.

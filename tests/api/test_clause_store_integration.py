@@ -413,12 +413,12 @@ class TestWalkWriteSchedule:
         # Hold the code so the job starts only once the callback is
         # subscribed; the callback runs on the worker, so the cancel lands
         # before the walk's next probe.
-        engine._claim(task.code)
+        engine.resources.claim(task.code)
         try:
             job = engine.submit(task)
             job.subscribe(cancel_after_second_probe)
         finally:
-            engine._release(task.code)
+            engine.resources.release(task.code)
         assert job.wait(120)
         assert job.status is JobStatus.CANCELLED
         assert len(probes) == 2

@@ -274,7 +274,8 @@ class TestSessionReuse:
         assert engine.cache_info()["sessions"] == 0
 
     def test_session_cache_is_bounded(self):
-        engine = Engine(session_cache_size=1)
+        engine = Engine()
+        engine.resources.max_contexts = 1
         engine.run(CorrectionTask(code="steane"))
         engine.run(CorrectionTask(code="five-qubit"))
         assert engine.cache_info()["sessions"] == 1

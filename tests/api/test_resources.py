@@ -154,7 +154,8 @@ class TestCrossTaskSharing:
         assert engine.cache_info()["sessions"] == 0
 
     def test_context_lru_bound(self):
-        engine = Engine(session_cache_size=1)
+        engine = Engine()
+        engine.resources.max_contexts = 1
         engine.run(CorrectionTask(code="steane"))
         engine.run(CorrectionTask(code="five-qubit"))
         assert engine.cache_info()["sessions"] == 1

@@ -12,10 +12,13 @@ import pytest
 
 from repro import faults
 from repro.api import CorrectionTask, DetectionTask, DistanceTask, Engine
-from repro.api.jobs import JobStatus, ShardedJobExecutor, claim_key
+from repro.api.jobs import JobStatus, ShardedJobExecutor
+from repro.api.resources import ResourceManager
 from repro.codes.registry import CODE_REGISTRY, family_of
 
 from tests.service.test_sharded_dispatch import _ReentrancyGuard
+
+claim_key = ResourceManager.claim_key
 
 
 class TestFamilyRegistry:
@@ -324,7 +327,7 @@ class TestCodeClaims:
             assert outcome and outcome[0].verified is True
             # No further submit: releasing the run's claim wakes a worker.
             assert queued.result(timeout=120).verified is True
-            assert engine._claimed == set()
+            assert engine.resources._claimed == set()
         finally:
             engine.close()
 
@@ -375,25 +378,31 @@ class TestCodeClaims:
             sys.setswitchinterval(interval)
             engine.close()
         assert overlaps == []
-        assert engine._claimed == set()
+        assert engine.resources._claimed == set()
 
-    def test_evicted_context_is_saved_under_its_own_claim(self, tmp_path, monkeypatch):
-        """A job on five-qubit evicts the context a running steane job still
-        drives; the eviction is saved only once steane's claim is free, by
-        whoever then claims it, never concurrently with the steane job."""
-        from repro.api.resources import CodeContext, ResourceManager
+    def test_busy_context_is_kept_and_saved_once_evicted_idle(self, tmp_path, monkeypatch):
+        """A job on five-qubit under ``max_contexts = 1`` leaves the context
+        a held steane job drives mapped and unsaved.  Once steane's claim is
+        free, the next eviction saves steane exactly once, while no thread
+        can be inside it: its code is unclaimed and it is no longer mapped."""
+        from repro.api.resources import CodeContext
 
-        engine = Engine(backend="serial", lanes=2, session_cache_size=1,
-                        clause_store=str(tmp_path))
+        engine = Engine(backend="serial", lanes=2, clause_store=str(tmp_path))
+        resources = engine.resources
+        resources.max_contexts = 1
         saved = []
-        steane_saved = threading.Event()
         original_save = CodeContext.save_warm
 
         def recording(context):
-            saved.append((context.key, context.key in engine._claimed))
-            if context.key == "steane":
-                steane_saved.set()
+            saved.append((
+                context.key,
+                context.key in resources._claimed,
+                resources._contexts.get(context.key) is context,
+            ))
             return original_save(context)
+
+        def steane_saves():
+            return [entry for entry in saved if entry[0] == "steane"]
 
         monkeypatch.setattr(CodeContext, "save_warm", recording)
         entered, release = threading.Event(), threading.Event()
@@ -413,24 +422,30 @@ class TestCodeClaims:
             try:
                 evicting = engine.submit(CorrectionTask(code="five-qubit"))
                 assert evicting.result(timeout=60).verified is True
-                assert engine.cache_info()["sessions"] == 1  # steane evicted
-                assert ("steane", True) not in saved
+                assert engine.cache_info()["sessions"] == 2  # steane kept
+                assert steane_saves() == []
             finally:
                 release.set()
             assert first.result(timeout=120).verified is True
-            assert steane_saved.wait(60)
-            assert ("steane", True) in saved
+            # Wait until both workers have released their codes.
+            for key in ("steane", "five-qubit"):
+                resources.claim(key)
+                resources.release(key)
+            assert steane_saves() == []  # a release saves nothing
+            assert engine.run(CorrectionTask(code="shor")).verified is True
+            assert engine.cache_info()["sessions"] == 1
         finally:
             engine.close()
+        assert steane_saves() == [("steane", False, False)]
 
     def test_evicting_a_busy_code_never_blocks_the_worker(self, tmp_path, monkeypatch):
-        """The worker whose five-qubit job evicted the context of a held
-        steane job hands that context back to steane's holder and takes the
+        """The worker whose five-qubit job runs past ``max_contexts`` while
+        a steane job is held leaves steane's context alone and takes the
         next queued job: shor completes while steane is still held."""
         from repro.api.resources import ResourceManager
 
-        engine = Engine(backend="serial", lanes=2, session_cache_size=1,
-                        clause_store=str(tmp_path))
+        engine = Engine(backend="serial", lanes=2, clause_store=str(tmp_path))
+        engine.resources.max_contexts = 1
         entered, release = threading.Event(), threading.Event()
         original_session_for = ResourceManager.session_for
 
@@ -472,7 +487,7 @@ class TestCodeClaims:
             retry = engine.submit(CorrectionTask(code="steane"))
             assert retry.result(timeout=60).verified is True
             assert engine._executor.lane_crashes == 1
-            assert engine._claimed == set()
+            assert engine.resources._claimed == set()
         finally:
             engine.close()
             faults.disarm()
