@@ -37,12 +37,12 @@ Hot-path engineering (MiniSat / glucose playbook):
 
 * **Decisions** come from an indexed binary max-heap over variable
   activities (ties broken toward the smaller variable index, which makes the
-  heap pick *identical* to a linear maximum scan).  Assigned variables are
-  removed lazily — they surface at the top and are discarded (counted in
-  ``heap_discards``); a mid-search backtrack reinserts every variable it
-  unassigns, while the end-of-solve backtrack defers reinsertion so the
-  next call refills only the variables its root propagation left
-  unassigned.  A decision costs O(log n) instead of an O(n) scan.
+  heap pick *identical* to a linear maximum scan).  Deletion is lazy and is
+  the heap's only upkeep: assigned variables stay queued until they surface
+  at the top and are discarded (counted in ``heap_discards``), and every
+  backtrack — including the one that ends a solve call — reinserts each
+  variable it unassigns, so every unassigned variable is always in the
+  heap.  A decision costs O(log n) instead of an O(n) scan.
 * **Propagation** uses per-literal watcher arrays of (clause index, blocker
   literal) pairs stored interleaved in flat lists indexed by a literal→slot
   map, with truth values stored literal-indexed so a value check is one
@@ -207,12 +207,18 @@ class SATSolver:
         max_learnt: int | None = None,
     ):
         self.clauses: list[list[int]] = []
-        # Learnt-clause budget: None derives the classic len(clauses)/3 floor
-        # per solve call; an explicit value (used by tests and by callers that
-        # keep sessions alive for very long) fixes the reduction trigger.
+        # Learnt-clause budget: None sets it per solve call to
+        # max(1000, len(self.clauses) // 3), where self.clauses holds the
+        # problem *and* the learnt clauses; an explicit value (used by tests
+        # and by callers that keep sessions alive for very long) fixes the
+        # reduction trigger.
         self.max_learnt = max_learnt
         self.clause_is_learnt: list[bool] = []
         self.clause_lbd: list[int] = []
+        # Problem clauses and learnt clauses interleave once add_clause is
+        # used, so each population is tracked as a count (kept by
+        # _attach_clause), not as a boundary index into self.clauses.
+        self.num_problem_clauses = 0
         self.num_learnt = 0
         self.learnt_deleted = 0
         self.reductions = 0
@@ -221,7 +227,7 @@ class SATSolver:
         self.erased_clauses = 0
 
         # Per-variable state (index 0 unused); every array here is extended
-        # in one place, _ensure_capacity, so the solver cannot grow one array
+        # in one place, grow_variables, so the solver cannot grow one array
         # and forget another.
         self.num_vars = 0
         # Literal truth values, indexed by the *literal itself*: _lit_values
@@ -248,14 +254,10 @@ class SATSolver:
 
         # Decision heap: an indexed binary max-heap of variables ordered by
         # (activity, -var).  _heap_index[var] is the variable's position in
-        # _heap, or -1 when absent.  The end-of-solve backtrack defers
-        # reinsertion (_heap_stale): most of those variables are immediately
-        # re-assigned by the next call's root propagation, so solve() refills
-        # only the genuinely unassigned ones after propagating assumptions.
+        # _heap, or -1 when absent.  Every unassigned variable is present;
+        # assigned ones are discarded lazily when they surface.
         self._heap: list[int] = []
         self._heap_index: list[int] = [-1]
-        self._heap_stale = False
-        self._defer_reinsert = False
 
         # Conflict-analysis scratch, reused across conflicts and cleared via
         # _seen_to_clear so per-conflict cost scales with the clause sizes
@@ -283,46 +285,19 @@ class SATSolver:
         self._activity_decay = 0.95
         self._contradiction = False
 
-        self._ensure_capacity(cnf.num_vars)
-        # Bulk attach: building the clause database and watcher lists with
-        # plain list operations (no per-clause method calls) measurably
-        # shortens session start-up — construction is on the critical path
-        # of a shared context's first check.
-        clauses = self.clauses
-        is_learnt = self.clause_is_learnt
-        lbds = self.clause_lbd
-        long_watchers = self._watchers
-        binary_watchers = self._binary_watchers
+        self.grow_variables(cnf.num_vars)
+        # The input clauses are attached as given: add_clause's root-level
+        # simplification would change the clause database.
         for clause in cnf.clauses:
-            clause = list(clause)
-            if len(clause) < 2:
-                self._attach_clause(clause, learnt=False)
-                continue
-            index = len(clauses)
-            clauses.append(clause)
-            is_learnt.append(False)
-            lbds.append(0)
-            first, second = clause[0], clause[1]
-            watchers = binary_watchers if len(clause) == 2 else long_watchers
-            watcher_list = watchers[(first << 1) + 1 if first > 0 else -(first << 1)]
-            watcher_list.append(index)
-            watcher_list.append(second)
-            watcher_list = watchers[(second << 1) + 1 if second > 0 else -(second << 1)]
-            watcher_list.append(index)
-            watcher_list.append(first)
-
-        # Problem clauses and learnt clauses interleave once add_clause is
-        # used, so the learnt population is tracked as a count, not a
-        # boundary index into self.clauses.
-        self.num_problem_clauses = len(self.clauses)
+            self._attach_clause(list(clause), learnt=False)
 
     # ------------------------------------------------------------------
     # Incremental interface
     # ------------------------------------------------------------------
-    def _ensure_capacity(self, num_vars: int) -> None:
+    def grow_variables(self, num_vars: int) -> None:
         """Extend every per-variable array (and the watcher slots and the
-        decision heap) to cover variables up to ``num_vars``.  The single
-        place variable storage is allocated."""
+        decision heap) to cover variables up to ``num_vars``; a no-op when
+        not larger.  The single place variable storage is allocated."""
         extra = num_vars - self.num_vars
         if extra <= 0:
             return
@@ -352,10 +327,6 @@ class SATSolver:
         for var in range(first_new, num_vars + 1):
             self._heap_insert(var)
 
-    def grow_variables(self, num_vars: int) -> None:
-        """Extend the variable range to ``num_vars`` (no-op when not larger)."""
-        self._ensure_capacity(num_vars)
-
     def add_clause(self, clause) -> None:
         """Attach a clause after construction (between :meth:`solve` calls).
 
@@ -369,9 +340,7 @@ class SATSolver:
         simplified = self._simplify_against_root(clause)
         if simplified is None:
             return
-        index = self._attach_clause(simplified, learnt=False)
-        if index is not None:
-            self.num_problem_clauses += 1
+        self._attach_clause(simplified, learnt=False)
 
     def absorb_learnt(self, clause) -> bool:
         """Attach a clause known to be a consequence of the formula.
@@ -389,10 +358,6 @@ class SATSolver:
             return False
         index = self._attach_clause(simplified, learnt=True, lbd=len(simplified))
         return index is not None
-
-    def learnt_clauses(self, max_var: int | None = None) -> list[list[int]]:
-        """The literals of :meth:`learnt_clauses_meta`, without their LBDs."""
-        return [clause for clause, _lbd in self.learnt_clauses_meta(max_var)]
 
     def learnt_clauses_meta(self, max_var: int | None = None) -> list[tuple[list[int], int]]:
         """The current learnt clauses paired with their LBDs, optionally
@@ -447,58 +412,72 @@ class SATSolver:
     # ------------------------------------------------------------------
     # Clause management
     # ------------------------------------------------------------------
-    def _watch(self, clause_index: int, watched: int, blocker: int, binary: bool) -> None:
-        """Register ``clause_index`` on ``watched``'s watcher slot.
-
-        The slot is the one scanned when ``watched`` becomes false, i.e. the
-        slot of ``-watched``; ``blocker`` is cached alongside so propagation
-        can skip the clause when the blocker is already true.  Binary clauses
-        live in their own per-literal arrays: their blocker IS the whole
-        remaining clause, so propagation resolves them from the watcher pair
-        alone — never touching the clause list, never migrating, and never
-        paying the long-watcher compaction bookkeeping.
-        """
-        slot = (watched << 1) + 1 if watched > 0 else -(watched << 1)
-        watchers = (self._binary_watchers if binary else self._watchers)[slot]
-        watchers.append(clause_index)
-        watchers.append(blocker)
-
     def _attach_clause(self, clause: list[int], learnt: bool, lbd: int = 0) -> int | None:
+        """Store ``clause`` and watch its first two literals; returns its
+        index.  Every clause enters the database here.
+
+        An empty clause latches the contradiction and a unit is enqueued
+        instead of stored (both return None).  A watch is registered on the
+        slot scanned when the watched literal becomes false, i.e. the slot
+        of its negation, with the other watch cached as the blocker so
+        propagation can skip the clause when the blocker is already true.
+        Binary clauses live in their own per-literal arrays: their blocker
+        IS the whole remaining clause, so propagation resolves them from the
+        watcher pair alone — never touching the clause list, never
+        migrating, and never paying the long-watcher compaction bookkeeping.
+        """
         if not clause:
             self._contradiction = True
             return None
         if len(clause) == 1:
-            # Unit input clause: enqueue at level 0.
-            lit = clause[0]
-            if not self._enqueue(lit, None):
+            if not self._enqueue(clause[0], None):
                 self._contradiction = True
             return None
         index = len(self.clauses)
         self.clauses.append(clause)
         self.clause_is_learnt.append(learnt)
-        self.clause_lbd.append(lbd if learnt else 0)
         if learnt:
+            self.clause_lbd.append(lbd)
             self.num_learnt += 1
-        binary = len(clause) == 2
-        self._watch(index, clause[0], clause[1], binary)
-        self._watch(index, clause[1], clause[0], binary)
+        else:
+            self.clause_lbd.append(0)
+            self.num_problem_clauses += 1
+        first, second = clause[0], clause[1]
+        watchers = self._binary_watchers if len(clause) == 2 else self._watchers
+        watcher_list = watchers[(first << 1) + 1 if first > 0 else -(first << 1)]
+        watcher_list.append(index)
+        watcher_list.append(second)
+        watcher_list = watchers[(second << 1) + 1 if second > 0 else -(second << 1)]
+        watcher_list.append(index)
+        watcher_list.append(first)
         return index
 
-    def _rebuild_watchers(self) -> None:
-        """Re-derive every watcher list from the clause database.
+    def _install_clauses(self, kept: list[tuple[int, list[int]]]) -> dict[int, int]:
+        """Make ``kept`` the whole clause database and return the old→new
+        index map.
 
-        Used after bulk clause surgery (:meth:`_reduce_learnt`,
-        :meth:`erase_satisfied`): the first two literals of every clause are
-        its watches, with the opposite watch cached as the blocker.
+        ``kept`` lists ``(old index, literals)`` rows in database order, each
+        with at least two literals; each row keeps its learnt flag and LBD.
+        This is the one compaction behind the bulk clause surgery
+        (:meth:`_reduce_learnt`, :meth:`erase_satisfied`): the database,
+        its counts and every watcher list are rebuilt by re-attaching the
+        rows.
         """
+        rows = [
+            (clause, self.clause_is_learnt[index], self.clause_lbd[index])
+            for index, clause in kept
+        ]
+        self.clauses = []
+        self.clause_is_learnt = []
+        self.clause_lbd = []
+        self.num_problem_clauses = self.num_learnt = 0
         for watcher_list in self._watchers:
             watcher_list.clear()
         for watcher_list in self._binary_watchers:
             watcher_list.clear()
-        for index, clause in enumerate(self.clauses):
-            binary = len(clause) == 2
-            self._watch(index, clause[0], clause[1], binary)
-            self._watch(index, clause[1], clause[0], binary)
+        for clause, learnt, lbd in rows:
+            self._attach_clause(clause, learnt, lbd)
+        return {old: new for new, (old, _) in enumerate(kept)}
 
     def _reduce_learnt(self) -> None:
         """Delete the worst half of the deletable learnt clauses.
@@ -522,28 +501,13 @@ class SATSolver:
             return
         candidates.sort(key=lambda index: (self.clause_lbd[index], len(self.clauses[index])))
         drop = set(candidates[len(candidates) // 2 :])
-        if not drop:
-            return
-        mapping: dict[int, int] = {}
-        clauses: list[list[int]] = []
-        is_learnt: list[bool] = []
-        lbds: list[int] = []
-        for index, clause in enumerate(self.clauses):
-            if index in drop:
-                continue
-            mapping[index] = len(clauses)
-            clauses.append(clause)
-            is_learnt.append(self.clause_is_learnt[index])
-            lbds.append(self.clause_lbd[index])
-        self.clauses = clauses
-        self.clause_is_learnt = is_learnt
-        self.clause_lbd = lbds
-        self._rebuild_watchers()
+        mapping = self._install_clauses(
+            [(index, clause) for index, clause in enumerate(self.clauses) if index not in drop]
+        )
         for var in range(1, self.num_vars + 1):
             reason_index = self.reason[var]
             if reason_index is not None:
                 self.reason[var] = mapping[reason_index]
-        self.num_learnt -= len(drop)
         self.learnt_deleted += len(drop)
         self.reductions += 1
 
@@ -565,44 +529,30 @@ class SATSolver:
         if self._propagate() is not None:
             self._contradiction = True
             return 0
+        values = self._lit_values
         erased = 0
-        clauses: list[list[int]] = []
-        is_learnt: list[bool] = []
-        lbds: list[int] = []
+        kept: list[tuple[int, list[int]]] = []
         for index, clause in enumerate(self.clauses):
-            if any(self._value(lit) == _TRUE for lit in clause):
-                erased += 1
-                if self.clause_is_learnt[index]:
-                    self.num_learnt -= 1
-                else:
-                    self.num_problem_clauses -= 1
-                continue
-            stripped = [lit for lit in clause if self._value(lit) != _FALSE]
-            # With the root trail fully propagated, an unsatisfied clause
-            # keeps >= 2 unassigned literals; handle the impossible shapes
-            # defensively anyway so a caller bug cannot corrupt the watchers.
-            if not stripped:
-                self._contradiction = True
-                continue
-            if len(stripped) == 1:
+            if not any(values[lit] == _TRUE for lit in clause):
+                stripped = [lit for lit in clause if values[lit] != _FALSE]
+                if len(stripped) >= 2:
+                    kept.append((index, stripped))
+                    continue
+                # With the root trail fully propagated, an unsatisfied clause
+                # keeps >= 2 unassigned literals; handle the impossible shapes
+                # defensively anyway so a caller bug cannot corrupt the
+                # watchers.
+                if not stripped:
+                    self._contradiction = True
+                    continue
                 self._enqueue(stripped[0], None)
-                erased += 1
-                if self.clause_is_learnt[index]:
-                    self.num_learnt -= 1
-                else:
-                    self.num_problem_clauses -= 1
-                continue
-            clauses.append(stripped)
-            is_learnt.append(self.clause_is_learnt[index])
-            lbds.append(self.clause_lbd[index])
-        self.clauses = clauses
-        self.clause_is_learnt = is_learnt
-        self.clause_lbd = lbds
-        self._rebuild_watchers()
+            erased += 1
+        self._install_clauses(kept)
         # Every assigned variable is at level 0 here, and level-0 assignments
         # never need their reasons again (conflict analysis skips them), so
         # dropping all reason indices is both safe and required — they may
-        # point at erased clauses.
+        # point at erased clauses.  (Remapping them instead would keep their
+        # learnt clauses locked against later reductions.)
         self.reason = [None] * (self.num_vars + 1)
         self.erased_clauses += erased
         return erased
@@ -625,7 +575,6 @@ class SATSolver:
         var = abs(lit)
         self.level[var] = len(self.trail_limits)
         self.reason[var] = reason_index
-        self.polarity[var] = lit > 0
         self.trail.append(lit)
         return True
 
@@ -1125,58 +1074,6 @@ class SATSolver:
         for position in range((len(self._heap) >> 1) - 1, -1, -1):
             self._heap_sift_down(position)
 
-    def _heap_purge_assigned(self) -> None:
-        """Drop assigned variables from the heap in one O(n) pass.
-
-        Called once per solve call after root/assumption propagation, which
-        typically assigns a large fraction of the variables: purging them
-        here replaces hundreds of lazy discard-pops (each an O(log n)
-        sift-down) with a single filter + heapify.  Lazy deletion still
-        handles variables assigned during the search itself.
-        """
-        heap = self._heap
-        index = self._heap_index
-        values = self._lit_values
-        kept: list[int] = []
-        for var in heap:
-            if values[var] == _UNASSIGNED:
-                index[var] = len(kept)
-                kept.append(var)
-            else:
-                index[var] = -1
-        removed = len(heap) - len(kept)
-        if not removed:
-            return
-        self.heap_discards += removed
-        self._heap = kept
-        self._heap_rebuild()
-
-    def _heap_refill(self) -> None:
-        """Insert every unassigned variable missing from the heap.
-
-        The counterpart of the deferred end-of-solve backtrack: rather than
-        reinserting hundreds of variables that the next call's root
-        propagation re-assigns straight away (each then costing a lazy
-        discard-pop), the heap is topped up here — after assumptions have
-        propagated — with only the variables that are actually available
-        for decisions."""
-        values = self._lit_values
-        heap_index = self._heap_index
-        for var in range(1, self.num_vars + 1):
-            if values[var] == _UNASSIGNED and heap_index[var] < 0:
-                self._heap_insert(var)
-        self._heap_stale = False
-
-    def _exit_backtrack(self) -> None:
-        """Backtrack to level 0 on a solve-call exit, deferring heap
-        reinsertion to the next call's :meth:`_heap_refill`."""
-        self._heap_stale = True
-        self._defer_reinsert = True
-        try:
-            self._cancel_until(0)
-        finally:
-            self._defer_reinsert = False
-
     # ------------------------------------------------------------------
     # Backtracking
     # ------------------------------------------------------------------
@@ -1187,12 +1084,13 @@ class SATSolver:
         values = self._lit_values
         reason = self.reason
         trail = self.trail
-        reinsert = not self._defer_reinsert
         heap_index = self._heap_index
         polarity = self.polarity
-        missing: list[int] = []
-        for position in range(len(trail) - 1, limit - 1, -1):
-            lit = trail[position]
+        # Oldest assignment first: a variable appears on the trail once, so
+        # the order is free, and earlier decisions tend to carry higher
+        # activities, so reinserting them first lets most later ones stop
+        # near the leaves of the heap.
+        for lit in trail[limit:]:
             values[lit] = _UNASSIGNED
             values[-lit] = _UNASSIGNED
             var = lit if lit > 0 else -lit
@@ -1206,16 +1104,11 @@ class SATSolver:
             reason[var] = None
             # Reinsert into the decision heap: every unassigned variable must
             # be present (lazy deletion only ever removes assigned ones).
-            if reinsert and heap_index[var] < 0:
-                missing.append(var)
+            if heap_index[var] < 0:
+                self._heap_insert(var)
         del trail[limit:]
         del self.trail_limits[target_level:]
         self.queue_head = len(trail)
-        for var in missing:
-            # Per-variable sift-up is amortized O(1) here: most reinserted
-            # variables land near the leaves, so this beats re-heapifying
-            # the whole heap even for end-of-solve backtracks.
-            self._heap_insert(var)
 
     # ------------------------------------------------------------------
     # Decision heuristic
@@ -1299,33 +1192,18 @@ class SATSolver:
             self._contradiction = True
             return _result(False)
 
-        root_level = 0
         for lit in assumptions:
             if self._value(lit) == _FALSE:
-                self._exit_backtrack()
+                self._cancel_until(0)
                 return _result(False)
             if self._value(lit) == _UNASSIGNED:
                 self.trail_limits.append(len(self.trail))
                 self._enqueue(lit, None)
                 conflict = self._propagate()
                 if conflict is not None:
-                    self._exit_backtrack()
+                    self._cancel_until(0)
                     return _result(False)
         root_level = self._decision_level()
-        if self._heap_stale:
-            # The previous call's exit deferred reinsertion; now that the
-            # root trail and assumptions have propagated, top up the heap
-            # with only the variables still available for decisions (the
-            # re-assigned majority never round-trips).
-            self._heap_refill()
-        elif 2 * len(self.trail) >= len(self._heap):
-            # Purge assigned variables only when they are a large fraction
-            # of the heap: the O(heap) filter + heapify beats lazy
-            # discard-pops then, but on a shared session whose encoding
-            # spans many task formulas the active subproblem is a sliver of
-            # the variable range and the purge would cost more than the
-            # discards it avoids.
-            self._heap_purge_assigned()
 
         conflicts_until_restart = 100 * _luby(self._restart_count + 1)
         conflicts_since_restart = 0
@@ -1350,13 +1228,13 @@ class SATSolver:
                         events_since_check = 0
                         reason = control.interrupted(self.conflicts - start_conflicts)
                         if reason is not None:
-                            self._exit_backtrack()
+                            self._cancel_until(0)
                             raise SolverInterrupted(reason)
                 if self._decision_level() <= root_level:
                     if root_level == 0:
                         # Conflict below any assumption: permanently UNSAT.
                         self._contradiction = True
-                    self._exit_backtrack()
+                    self._cancel_until(0)
                     return _result(False)
                 learnt, backjump_level, lbd = self._analyze(conflict)
                 self._cancel_until(max(backjump_level, root_level))
@@ -1382,7 +1260,7 @@ class SATSolver:
                         events_since_check = 0
                         reason = control.interrupted(self.conflicts - start_conflicts)
                         if reason is not None:
-                            self._exit_backtrack()
+                            self._cancel_until(0)
                             raise SolverInterrupted(reason)
                 variable = self._pick_branch_variable()
                 if variable is None:
@@ -1391,7 +1269,7 @@ class SATSolver:
                         var: values[var] == _TRUE
                         for var in range(1, self.num_vars + 1)
                     }
-                    self._exit_backtrack()
+                    self._cancel_until(0)
                     return _result(True, model)
                 self.decisions += 1
                 self.trail_limits.append(len(self.trail))

@@ -87,13 +87,7 @@ def check_every_pick(solver: SATSolver) -> list[int]:
 
 def assert_heap_valid(solver: SATSolver) -> None:
     """Max-heap order (activity, then smaller var), index map consistency,
-    and presence of every unassigned variable.
-
-    A solve call's exit defers heap reinsertion until the next call's
-    refill, so the availability invariant is checked on the refilled heap.
-    """
-    if solver._heap_stale:
-        solver._heap_refill()
+    and presence of every unassigned variable."""
     heap = solver._heap
     index = solver._heap_index
     activity = solver.activity
@@ -223,12 +217,10 @@ class TestDecisionHeap:
         cnf = build_cnf(6, [[1, 2], [3, 4], [5, 6]])
         solver = SATSolver(cnf)
         assert solver.solve(assumptions=[1, 3]).satisfiable
-        # The end-of-solve backtrack defers reinsertion; the refill (run by
-        # the next solve call, here invoked via the invariant checker) must
-        # make every variable available for decisions again.
-        assert solver._heap_stale
-        assert_heap_valid(solver)
+        # The end-of-solve backtrack reinserts what it unassigns: right after
+        # solve returns, every variable is available for decisions again.
         assert sorted(solver._heap) == list(range(1, 7))
+        assert_heap_valid(solver)
         # And a second solve must behave as if the heap had never thinned.
         assert solver.solve(assumptions=[2, 4]).satisfiable
 
@@ -313,7 +305,7 @@ class TestWatcherIntegrity:
         donor = SATSolver(build_cnf(num_vars, clauses))
         donor.solve()
         receiver = SATSolver(build_cnf(num_vars, clauses))
-        for clause in donor.learnt_clauses():
+        for clause, _lbd in donor.learnt_clauses_meta():
             receiver.absorb_learnt(clause)
         assert_watchers_valid(receiver)
         assert receiver.solve().satisfiable == donor.solve().satisfiable
@@ -377,7 +369,7 @@ class TestMinimizationSoundness:
         must be unsatisfiable.  This is the regression net for the
         minimization bookkeeping (a dropped-but-required literal would leave
         a learnt clause that is NOT entailed)."""
-        for learnt in solver.learnt_clauses():
+        for learnt, _lbd in solver.learnt_clauses_meta():
             fresh = SATSolver(build_cnf(num_vars, clauses))
             negated = [-lit for lit in learnt]
             assert not fresh.solve(assumptions=negated).satisfiable, (

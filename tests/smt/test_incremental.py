@@ -188,7 +188,7 @@ class TestLearntClauseManagement:
         cnf_clauses = [[1, 2], [-1, 3], [-2, 3], [-3, 4]]
         first = SATSolver(build_cnf(4, cnf_clauses))
         first.solve([-4])
-        exported = first.learnt_clauses()
+        exported = [clause for clause, _lbd in first.learnt_clauses_meta()]
         second = SATSolver(build_cnf(4, cnf_clauses))
         for clause in exported:
             assert all(abs(lit) <= 4 for lit in clause)
@@ -204,7 +204,7 @@ class TestLearntClauseManagement:
         solver = SATSolver(build_cnf(3, [[1, 2], [-1, 3], [-2, -3], [1, -3], [-1, -2, 3]]))
         solver.solve([3])
         solver.solve([-3])
-        for clause in solver.learnt_clauses(max_var=2):
+        for clause, _lbd in solver.learnt_clauses_meta(max_var=2):
             assert all(abs(lit) <= 2 for lit in clause)
 
 
