@@ -81,12 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     distance.add_argument("--code", required=True, help="registry key (see list-codes)")
     distance.add_argument("--max-trial", type=int, default=None, help="largest trial distance")
     _add_store_arguments(distance)
-    distance.add_argument(
-        "--strategy",
-        choices=["auto", "binary", "galloping"],
-        default="auto",
-        help="probe schedule (default: per-code probe-cost heuristic)",
-    )
     _add_job_arguments(distance)
     distance.add_argument("--json", action="store_true", help="emit the result as JSON")
     distance.set_defaults(func=_cmd_distance)
@@ -392,8 +386,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_distance(args: argparse.Namespace) -> int:
     _require_code(args.code)
     engine = _make_engine(SerialBackend(), args)
-    strategy = None if args.strategy == "auto" else args.strategy
-    task = DistanceTask(code=args.code, max_trial=args.max_trial, strategy=strategy)
+    task = DistanceTask(code=args.code, max_trial=args.max_trial)
     if args.stream or args.deadline is not None:
         return _run_as_job(
             engine, task, args, lambda result: _print_distance(result, args.json)
@@ -410,7 +403,6 @@ def _print_distance(result: Result, as_json: bool) -> None:
     else:
         print(f"{result.subject}: distance {result.details['distance']} "
               f"({len(result.details['trials'])} probes, "
-              f"{result.details.get('strategy', 'binary-search')}, "
               f"{result.elapsed_seconds:.3f}s, "
               f"{result.conflicts} conflicts, {result.decisions} decisions, "
               f"{result.propagations} propagations, backend={result.backend})")

@@ -95,14 +95,20 @@ def _split_hints(code, error_model) -> tuple[tuple[str, ...], int, int]:
     return names, 2 * (code.distance or 3), code.num_qubits
 
 
-def _validate_checkpoint(state: dict | None, limit: int) -> dict | None:
+def _validate_checkpoint(state: dict | None, limit: int, error_model: ErrorModel) -> dict | None:
     """Sanitize a distance-walk checkpoint blob loaded from the store.
 
     The store already checksums payloads against torn writes; this guards
     the *semantics* — every field must be a well-typed value inside the
-    walk's own bounds, or the whole checkpoint is ignored and the walk runs
-    cold.  A bad checkpoint can therefore never change a reported distance,
-    only forfeit the resume shortcut.
+    walk's own bounds, and the bracket must be one the walk could have
+    written: ``hi`` sits just below the recorded distance, ``lo`` does not
+    pass it, and a witness of exactly that weight is present iff the
+    distance is below ``limit``.  Anything else is ignored and the walk
+    runs cold.  A bracket that is consistent but false (a ``lo`` whose
+    lower weights were never refuted, a witness that is no logical error)
+    is still trusted: the check cannot tell it from a true one without
+    re-running the probes it exists to skip.  Keys of older payloads
+    (``strategy``, ``galloping``, ``gallop_bound``) are ignored.
     """
     if not isinstance(state, dict) or state.get("version") != 1:
         return None
@@ -111,22 +117,25 @@ def _validate_checkpoint(state: dict | None, limit: int) -> dict | None:
     lo, hi = state.get("lo"), state.get("hi")
     distance = state.get("distance")
     probes = state.get("probes")
-    gallop_bound = state.get("gallop_bound")
     if not all(isinstance(value, int) and not isinstance(value, bool)
-               for value in (lo, hi, distance, probes, gallop_bound)):
+               for value in (lo, hi, distance, probes)):
         return None
-    if not (1 <= lo <= limit and 0 <= hi <= limit - 1 and 1 <= distance <= limit):
-        return None
-    if probes < 1 or gallop_bound < 1 or not isinstance(state.get("galloping"), bool):
+    if not (1 <= lo <= distance <= limit and hi == distance - 1 and probes >= 1):
         return None
     witness = state.get("witness")
-    if witness is not None:
-        if not isinstance(witness, dict) or not all(
-            isinstance(name, str) and isinstance(value, bool)
-            for name, value in witness.items()
-        ):
-            return None
-    return state
+    if distance == limit:
+        return state if witness is None else None
+    if not isinstance(witness, dict) or not all(
+        isinstance(name, str) and isinstance(value, bool)
+        for name, value in witness.items()
+    ):
+        return None
+    try:
+        weight = model_error_weight(witness, error_model)
+    except ValueError:
+        # An indicator name without a qubit index.
+        return None
+    return state if weight == distance else None
 
 
 class Engine:
@@ -466,28 +475,6 @@ class Engine:
         )
 
     @staticmethod
-    def _distance_strategy(task: DistanceTask, code, limit: int) -> str:
-        """Choose the search policy for one distance discovery.
-
-        An explicit ``task.strategy`` wins.  Otherwise a probe-cost
-        heuristic decides: a probe's cost grows with the upper bound it
-        activates (a wider weight window admits more candidate errors and a
-        larger live counter), so when the search span is much wider than the
-        expected distance, opening with bisection's mid-span probe is the
-        most expensive query of the whole walk — galloping from below (1, 2,
-        4, ...) reaches the same bracket through exponentially spaced *cheap*
-        probes.  For tight spans plain bisection is already optimal.
-        """
-        requested = getattr(task, "strategy", None)
-        if requested in ("binary", "binary-search"):
-            return "binary-search"
-        if requested == "galloping":
-            return "galloping"
-        span = limit - 1
-        expected = code.distance or max(2, round(code.num_qubits ** 0.5))
-        return "galloping" if span >= 4 * expected else "binary-search"
-
-    @staticmethod
     def _distance_checkpoint_key(task: DistanceTask, code, limit: int, model_kind: str) -> str:
         """Semantic identity of one distance walk, for checkpoint keying.
 
@@ -518,7 +505,7 @@ class Engine:
         control: SolveControl | None = None,
         emit: Emit | None = None,
     ) -> Result:
-        """Distance discovery: adaptive search on ONE shared solving session.
+        """Distance discovery: a bracketing search on ONE shared solving session.
 
         The trial-independent detection base (non-trivial, syndrome-free,
         logically acting error) is encoded exactly once, on the code's shared
@@ -533,10 +520,15 @@ class Engine:
         upper end to the witness's actual weight, an UNSAT probe raises the
         lower end past ``mid``.  That issues O(log d) solver calls where the
         linear walk issued O(d), while learnt clauses flow between probes on
-        the same live solver.  The probe schedule is adaptive
-        (:meth:`_distance_strategy`): plain bisection, or a galloping
-        lower-bound start (1, 2, 4, ...) that switches to bisection at the
-        first satisfiable probe.
+        the same live solver.  The schedule is one rule on the bracket
+        alone, never on the code's recorded distance: until the first
+        satisfiable probe (``hi == limit - 1``) the bound gallops 1, 2, 4, ...
+        (the next one is ``2 * (lo - 1)``), then bisection finishes the
+        window.  Low bounds are the cheap probes: a weight bound's counter
+        grows with the bound.  Bisecting from the start opens with a mid-span
+        bound instead, whose larger counter a warm sweep re-encodes on every
+        walk; that made the warm sweep slower, although the cold one was
+        cheaper.
         """
         code = task.build()
         limit = task.max_trial if task.max_trial is not None else code.num_qubits + 1
@@ -552,7 +544,6 @@ class Engine:
         session = context.session
 
         compile_seconds = time.perf_counter() - compile_start
-        strategy = self._distance_strategy(task, code, limit)
         if emit is not None:
             emit(TaskCompiled(
                 task_kind=task.kind, subject=task.subject,
@@ -565,8 +556,6 @@ class Engine:
         counters: Counter = Counter()
         last = None
         lo, hi = 1, limit - 1
-        galloping = strategy == "galloping"
-        gallop_bound = 1
         # Checkpoint/resume: with a clause store attached, the walk persists
         # its bracket after every probe under a semantic task key, so a
         # cancelled or deadline-killed job picks the search up from where it
@@ -581,33 +570,24 @@ class Engine:
         prior_probes = 0
         if store is not None:
             checkpoint_key = self._distance_checkpoint_key(task, code, limit, error_model.kind)
-            state = _validate_checkpoint(store.checkpoint_load(checkpoint_key), limit)
+            state = _validate_checkpoint(
+                store.checkpoint_load(checkpoint_key), limit, error_model
+            )
             if state is not None:
                 lo, hi = state["lo"], state["hi"]
                 distance = state["distance"]
                 witness = state.get("witness")
                 prior_probes = state["probes"]
-                if state.get("strategy") == strategy:
-                    galloping = state["galloping"]
-                    gallop_bound = state["gallop_bound"]
-                else:
-                    # A different strategy still inherits the bracket — the
-                    # refuted bounds are facts about the code, not the walk —
-                    # but restarts its own probe schedule inside it.
-                    galloping = False
                 resumed_from = {"lo": lo, "hi": hi, "probes": prior_probes}
 
         def save_bracket() -> None:
             payload = {
                 "version": 1,
-                "strategy": strategy,
                 "limit": limit,
                 "lo": lo,
                 "hi": hi,
                 "distance": distance,
                 "probes": prior_probes + len(trials),
-                "galloping": galloping,
-                "gallop_bound": gallop_bound,
             }
             if witness:
                 payload["witness"] = witness
@@ -616,9 +596,8 @@ class Engine:
         try:
             while lo <= hi:
                 self._check_control(control)
-                if galloping:
-                    mid = min(gallop_bound, hi)
-                    gallop_bound *= 2
+                if hi == limit - 1:
+                    mid = min(max(1, 2 * (lo - 1)), hi)
                 else:
                     mid = (lo + hi) // 2
                 selectors = [base_guard]
@@ -643,16 +622,14 @@ class Engine:
                 found = None
                 if last.is_sat:
                     # The witness pins the distance to its own weight; everything
-                    # strictly below stays open for the next probe.  A satisfiable
-                    # probe also ends any galloping phase: the answer is bracketed
-                    # and bisection finishes the narrowed window.
+                    # strictly below stays open for the next probe.  It also ends
+                    # the galloping phase: ``hi`` drops below ``limit - 1``.
                     model = {name: value for name, value in (last.model or {}).items()
                              if name in base_variables}
                     found = max(1, model_error_weight(model, error_model))
                     distance = found
                     witness = model
                     hi = found - 1
-                    galloping = False
                 else:
                     lo = mid + 1
                 if checkpoint_key is not None:
@@ -690,7 +667,6 @@ class Engine:
             "distance": distance,
             "trials": trials,
             "base_encodings": 1,
-            "strategy": strategy,
             "session": stats,
         }
         if resumed_from is not None:

@@ -147,19 +147,16 @@ class DistanceTask(CodeTask):
     A meta-task: the engine runs a sequence of :class:`DetectionTask` queries
     rather than compiling a single formula.  ``max_trial`` is the largest
     trial distance probed (an integer of at least 2; ``None`` means one past
-    the qubit count).  ``strategy`` selects the probe
-    schedule: ``"binary"`` (plain bisection of the weight window),
-    ``"galloping"`` (exponential 1, 2, 4, ... lower-bound start, then
-    bisection), or ``None``/``"auto"`` to let the engine's probe-cost
-    heuristic choose per code.
+    the qubit count).  There is one probe schedule, and it reads only the
+    search bracket, never the code's recorded distance: bounds 1, 2, 4, ...
+    until the first satisfiable probe, then bisection of the remaining
+    window.  Bisecting from the start was cheaper on a cold registry sweep
+    but dearer on a warm one, whose walks re-encode the mid-span counters.
     """
 
     kind: ClassVar[str] = "find-distance"
 
     max_trial: int | None = None
-    strategy: str | None = None
-
-    _STRATEGIES: ClassVar[tuple] = (None, "auto", "binary", "binary-search", "galloping")
 
     def __post_init__(self) -> None:
         CodeTask.__post_init__(self)
@@ -169,11 +166,6 @@ class DistanceTask(CodeTask):
             or self.max_trial < 2
         ):
             raise ValueError(f"max_trial must be an integer of at least 2, got {self.max_trial!r}")
-        if self.strategy not in self._STRATEGIES:
-            raise ValueError(
-                f"unknown distance strategy {self.strategy!r}; "
-                f"expected one of {[s for s in self._STRATEGIES if s]}"
-            )
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from repro.api.resources import CodeContext
 from repro.codes.registry import CODE_REGISTRY
 from repro.store import ClauseStore
 from repro.store.clause_store import _row_checksum
+from repro.verifier.encodings import ErrorModel
 
 
 def _store_engine(directory):
@@ -330,17 +331,7 @@ class TestDistanceResume:
         store = ClauseStore(str(directory))
         store.checkpoint_save(
             key,
-            {
-                "version": 1,
-                "strategy": "galloping",
-                "limit": 10**6,
-                "lo": 999,
-                "hi": 999,
-                "distance": 999,
-                "probes": 1,
-                "galloping": True,
-                "gallop_bound": 1,
-            },
+            {"version": 1, "limit": 10**6, "lo": 999, "hi": 999, "distance": 999, "probes": 1},
         )
         store.close()
 
@@ -349,26 +340,116 @@ class TestDistanceResume:
         assert resumed.details["distance"] == reference.details["distance"]
 
     def test_validate_checkpoint_rejects_malformed_payloads(self):
-        good = {
-            "version": 1,
-            "limit": 9,
-            "lo": 3,
-            "hi": 7,
-            "distance": 9,
-            "probes": 2,
-            "galloping": False,
-            "gallop_bound": 1,
-            "witness": None,
-        }
-        assert _validate_checkpoint(dict(good), 9) == good
-        assert _validate_checkpoint(None, 9) is None
-        assert _validate_checkpoint({**good, "version": 2}, 9) is None
-        assert _validate_checkpoint({**good, "limit": 8}, 9) is None
-        assert _validate_checkpoint({**good, "lo": 0}, 9) is None
-        assert _validate_checkpoint({**good, "hi": 9}, 9) is None
-        assert _validate_checkpoint({**good, "probes": True}, 9) is None
-        assert _validate_checkpoint({**good, "witness": [1]}, 9) is None
-        assert _validate_checkpoint({**good, "witness": {"e0": 1}}, 9) is None
+        model = ErrorModel("any")
+
+        def validate(state):
+            return _validate_checkpoint(state, 9, model)
+
+        good = {"version": 1, "limit": 9, "lo": 3, "hi": 8, "distance": 9, "probes": 2}
+        assert validate(dict(good)) == good
+        assert validate(None) is None
+        assert validate({**good, "version": 2}) is None
+        assert validate({**good, "limit": 8}) is None
+        assert validate({**good, "lo": 0}) is None
+        assert validate({**good, "hi": 9}) is None
+        assert validate({**good, "probes": True}) is None
+        assert validate({**good, "probes": 0}) is None
+        # No witness below the limit, or one at the limit: the walk never
+        # writes either.
+        assert validate({**good, "witness": {"ex_0": True}}) is None
+        bracketed = {**good, "lo": 3, "hi": 3, "distance": 4,
+                     "witness": {"ex_0": True, "ez_1": True, "ex_5": True, "ez_5": True,
+                                 "ex_7": True}}
+        assert validate(dict(bracketed)) == bracketed
+        assert validate({**bracketed, "witness": None}) is None
+        assert validate({**bracketed, "witness": [1]}) is None
+        assert validate({**bracketed, "witness": {"e0": 1}}) is None
+        assert validate({**bracketed, "witness": {"ex_x": True}}) is None
+        # The witness must weigh exactly the recorded distance.
+        assert validate({**bracketed, "witness": {"ex_0": True}}) is None
+        # ``hi`` sits just below the distance and ``lo`` does not pass it.
+        assert validate({**bracketed, "hi": 2}) is None
+        assert validate({**bracketed, "lo": 5}) is None
+        # Keys of payloads written before the schedule lost its strategy
+        # are ignored.
+        legacy = {**good, "strategy": "binary-search", "galloping": False, "gallop_bound": 1}
+        assert validate(dict(legacy)) == legacy
+
+    def test_empty_bracket_without_witness_runs_cold(self, tmp_path):
+        """A checksum-valid payload claiming distance 1 with the window
+        already closed and no witness: it would end the walk before its
+        first probe with a distance nothing showed, so it must be ignored."""
+        task = DistanceTask(code="surface-3")
+        code = task.build()
+        limit = code.num_qubits + 1
+        key = Engine._distance_checkpoint_key(task, code, limit, "any")
+        store = ClauseStore(str(tmp_path))
+        store.checkpoint_save(
+            key,
+            {"version": 1, "limit": limit, "lo": 1, "hi": 0, "distance": 1, "probes": 1,
+             "strategy": "galloping", "galloping": False, "gallop_bound": 1},
+        )
+        store.close()
+
+        resumed = _store_engine(tmp_path).run(task)
+        assert "resumed_from" not in resumed.details
+        assert resumed.details["distance"] == 3
+        assert resumed.details["witness"]
+
+    @pytest.mark.parametrize("key", ["surface-5", "hgp-hamming"])
+    def test_resume_continues_the_cold_walk(self, tmp_path, monkeypatch, key):
+        """The schedule's state is its bracket: a walk resumed from the
+        bracket written after probe ``j`` probes the bound the uninterrupted
+        walk probed next, and keeps probing the cold walk's bounds for as
+        long as its window is the cold walk's.  Only a satisfiable probe can
+        part the two: the fresh session may find a lighter witness than the
+        cold one did, which closes the window sooner."""
+        task = DistanceTask(code=key)
+        brackets = []
+        original_save = ClauseStore.checkpoint_save
+
+        def record(store, checkpoint_key, payload):
+            brackets.append((checkpoint_key, dict(payload)))
+            return original_save(store, checkpoint_key, payload)
+
+        monkeypatch.setattr(ClauseStore, "checkpoint_save", record)
+        engine = _store_engine(tmp_path / "cold")
+        cold = engine.run(task)
+        engine.close()
+        monkeypatch.setattr(ClauseStore, "checkpoint_save", original_save)
+        cold_trials = cold.details["trials"]
+        assert len(brackets) == len(cold_trials) >= 3
+
+        for cut, (checkpoint_key, payload) in enumerate(brackets, start=1):
+            if cut % 2 == 0:
+                # A payload as walks with a strategy field wrote it resumes alike.
+                payload = {**payload, "strategy": "galloping", "galloping": False,
+                           "gallop_bound": 2 ** cut}
+            directory = tmp_path / f"cut-{cut}"
+            store = ClauseStore(str(directory))
+            store.checkpoint_save(checkpoint_key, payload)
+            store.close()
+            resumed = _store_engine(directory).run(task)
+            assert resumed.details["resumed_from"]["probes"] == cut
+            assert resumed.details["distance"] == cold.details["distance"], cut
+            assert resumed.details["witness"]
+            trials = resumed.details["trials"]
+            rest = cold_trials[cut:]
+            if not rest:
+                # The bracket of the last probe: nothing is left to probe.
+                assert trials == [], cut
+                continue
+            assert trials and trials[0]["window"] == [payload["lo"], payload["hi"]], cut
+            shared = 0
+            while (shared < min(len(trials), len(rest))
+                   and trials[shared]["window"] == rest[shared]["window"]):
+                assert trials[shared]["bound"] == rest[shared]["bound"], (cut, shared)
+                shared += 1
+            assert shared >= 1, cut
+            if shared < max(len(trials), len(rest)):
+                # The walks part only after a probe both found satisfiable.
+                assert not trials[shared - 1]["verified"], (cut, shared)
+                assert not rest[shared - 1]["verified"], (cut, shared)
 
 
 class TestWalkWriteSchedule:

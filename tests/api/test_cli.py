@@ -201,14 +201,19 @@ class TestStreaming:
         assert payloads[-1]["event"] == "JobCancelled"
         assert payloads[-1]["reason"] == "deadline"
 
-    def test_distance_strategy_flag(self, capsys):
+    def test_distance_json_reports_the_probe_bounds(self, capsys):
         assert main([
-            "distance", "--code", "steane", "--max-trial", "16",
-            "--strategy", "galloping", "--json",
+            "distance", "--code", "steane", "--max-trial", "16", "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["details"]["strategy"] == "galloping"
         assert payload["details"]["distance"] == 3
+        assert [trial["bound"] for trial in payload["details"]["trials"]][:2] == [1, 2]
+        assert "strategy" not in payload["details"]
+
+    def test_distance_has_no_strategy_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["distance", "--code", "steane", "--strategy", "galloping"])
+        assert excinfo.value.code == 2
 
 
 class TestValidateEventsCommand:

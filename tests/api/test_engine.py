@@ -1,5 +1,7 @@
 """The engine: compile reuse through code contexts, batch execution, backend agreement."""
 
+import copy
+
 import pytest
 
 from repro.api import (
@@ -15,6 +17,7 @@ from repro.api import (
     registry_sweep_tasks,
 )
 from repro.codes import steane_code
+from repro.codes.registry import CODE_REGISTRY, build_code
 from repro.smt.interface import SolveSession
 from repro.smt.solver import SolveControl
 from repro.verifier.programs import correction_triple
@@ -181,15 +184,13 @@ class TestRun:
         engine = Engine()
         result = engine.run(DistanceTask(code="steane", max_trial=5))
         assert result.details["distance"] == 3
-        # Binary search over weight bounds 1..4 probes mid=2 (unsat) and
-        # mid=3 (sat, witness weight 3) — strictly fewer checks than the
-        # three trials the linear walk needed.
-        assert len(result.details["trials"]) == 2
-        assert result.details["strategy"] == "binary-search"
+        # Over weight bounds 1..4 the walk gallops 1, 2 (unsat) and then
+        # probes 4 (sat, witness weight 3), which closes the window.
+        assert [trial["bound"] for trial in result.details["trials"]] == [1, 2, 4]
         assert len(calls) == 1
         assert result.details["base_encodings"] == 1
-        # Both probes ran through one session on one encoding.
-        assert result.details["session"]["checks"] == 2
+        # All three probes ran through one session on one encoding.
+        assert result.details["session"]["checks"] == 3
         # A second walk reuses the context's guarded base: no re-encoding.
         again = engine.run(DistanceTask(code="steane", max_trial=5))
         assert again.details["distance"] == 3
@@ -415,48 +416,55 @@ class TestFullRegistryAcceptance:
         assert all(r.verified for r in serial)
 
 
-class TestAdaptiveDistanceSearch:
-    def test_strategies_agree_on_the_distance(self):
-        for strategy in ("binary", "galloping"):
-            result = Engine().run(
-                DistanceTask(code="steane", max_trial=16, strategy=strategy)
-            )
-            assert result.details["distance"] == 3, strategy
-
-    def test_galloping_probes_double_until_sat(self):
-        result = Engine().run(
-            DistanceTask(code="steane", max_trial=16, strategy="galloping")
-        )
-        assert result.details["strategy"] == "galloping"
-        bounds = [trial["bound"] for trial in result.details["trials"]]
-        # Doubling lower-bound phase; the sat probe ends it.
-        assert bounds[:2] == [1, 2]
-        assert all(b2 <= 2 * b1 for b1, b2 in zip(bounds, bounds[1:]))
-
-    def test_heuristic_picks_galloping_for_wide_spans(self):
-        # Span 15 >> expected distance 3: galloping.
-        wide = Engine().run(DistanceTask(code="steane", max_trial=16))
-        assert wide.details["strategy"] == "galloping"
-        # Span 5 vs distance 5: plain bisection.
-        tight = Engine().run(DistanceTask(code="surface-5", max_trial=6))
-        assert tight.details["strategy"] == "binary-search"
-        assert wide.details["distance"] == 3
-        assert tight.details["distance"] == 5
-
-    def test_explicit_strategy_overrides_heuristic(self):
-        result = Engine().run(
-            DistanceTask(code="surface-3", max_trial=4, strategy="galloping")
-        )
-        assert result.details["strategy"] == "galloping"
+class TestDistanceSchedule:
+    def test_probes_double_until_sat_then_bisect(self):
+        result = Engine().run(DistanceTask(code="steane", max_trial=16))
         assert result.details["distance"] == 3
+        # Doubling lower-bound phase 1, 2, 4; the sat probe at 4 (witness
+        # weight 3) leaves the window [3, 2] empty.
+        assert [trial["bound"] for trial in result.details["trials"]] == [1, 2, 4]
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            DistanceTask(code="steane", strategy="linear")
+    def test_bisects_the_window_left_by_the_first_sat_probe(self):
+        result = Engine().run(DistanceTask(code="surface-5"))
+        assert result.details["distance"] == 5
+        # Gallop 1, 2, 4 (unsat) and 8 (sat): from there on the bound is the
+        # midpoint of the window the witness left, never a doubling.
+        trials = result.details["trials"]
+        assert [trial["bound"] for trial in trials] == [1, 2, 4, 8, 5]
+        lo, hi = trials[-1]["window"]
+        assert lo == 5 and hi < 8 and trials[-1]["bound"] == (lo + hi) // 2
 
-    def test_galloping_works_on_parallel_backend(self):
+    def test_tight_span_clamps_the_gallop_to_the_window(self):
+        result = Engine().run(DistanceTask(code="surface-5", max_trial=6))
+        assert result.details["distance"] == 5
+        assert [trial["bound"] for trial in result.details["trials"]] == [1, 2, 4, 5]
+
+    def test_strategy_is_no_longer_a_field(self):
+        with pytest.raises(TypeError):
+            DistanceTask(code="steane", strategy="galloping")
+        result = Engine().run(DistanceTask(code="steane", max_trial=16))
+        assert "strategy" not in result.details
+
+    def test_schedule_works_on_parallel_backend(self):
         result = Engine(backend=ParallelBackend(num_workers=2)).run(
-            DistanceTask(code="steane", max_trial=16, strategy="galloping")
+            DistanceTask(code="steane", max_trial=16)
         )
         assert result.details["distance"] == 3
-        assert result.details["strategy"] == "galloping"
+        assert [trial["bound"] for trial in result.details["trials"]] == [1, 2, 4]
+
+    @pytest.mark.parametrize("key", sorted(CODE_REGISTRY))
+    def test_schedule_ignores_the_recorded_distance(self, key):
+        """The walk finds the distance; it must not read the code's recorded
+        one.  A copy of the code with no recorded distance, or a wrong one,
+        walks exactly the same bounds to the same answer."""
+        original = build_code(key)
+        reference = Engine().run(DistanceTask(code=original))
+        expected = [trial["bound"] for trial in reference.details["trials"]]
+        for recorded in (None, 1, 20):
+            code = copy.copy(original)
+            code.distance = recorded
+            result = Engine().run(DistanceTask(code=code))
+            assert [trial["bound"] for trial in result.details["trials"]] == expected, (
+                key, recorded,
+            )
+            assert result.details["distance"] == reference.details["distance"], (key, recorded)

@@ -321,7 +321,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("task", [
         DetectionTask(code="steane"),
         DistanceTask(code="steane", max_trial=5),
-        DistanceTask(code="steane", max_trial=16, strategy="galloping"),
+        DistanceTask(code="steane", max_trial=16),
     ])
     def test_event_streams_identical_across_fresh_engines(self, task):
         def stream(engine):

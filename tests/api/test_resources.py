@@ -168,13 +168,12 @@ class TestBinarySearchDistance:
     def test_distance_matches_linear_probe_walk(self, key, expected):
         result = Engine().run(DistanceTask(code=key, max_trial=6))
         assert result.details["distance"] == expected
-        assert result.details["strategy"] == "binary-search"
 
     def test_surface5_issues_fewer_checks_than_linear(self):
         result = Engine().run(DistanceTask(code="surface-5", max_trial=6))
         assert result.details["distance"] == 5
         # The linear walk needed 5 detection queries (trials 2..6); the
-        # binary search needs 3 (bounds 3, 4, 5).
+        # bracketing walk needs 4 (bounds 1, 2, 4, 5).
         assert len(result.details["trials"]) < 5
         assert result.details["witness"]
 
@@ -224,7 +223,7 @@ class TestBinarySearchDistance:
     @pytest.mark.parametrize("key", sorted(CODE_REGISTRY))
     def test_parallel_walk_equals_serial_walk(self, key):
         """Whatever the backend, the walk runs on the code's context: the
-        distance, the strategy and the probe schedule are the serial ones."""
+        distance and the probe schedule are the serial ones."""
         serial = Engine().run(DistanceTask(code=key), backend=SerialBackend())
         parallel = Engine().run(DistanceTask(code=key), backend=ParallelBackend(num_workers=2))
         for result in (serial, parallel):
@@ -232,7 +231,7 @@ class TestBinarySearchDistance:
                 (trial["bound"], trial["window"], trial["verified"])
                 for trial in result.details["trials"]
             ]
-        for field in ("distance", "strategy", "probes"):
+        for field in ("distance", "probes"):
             assert parallel.details[field] == serial.details[field], (key, field)
 
 

@@ -211,6 +211,8 @@ class TestValidation:
             {"task": {"kind": "distance", "code": "steane", "max_trial": 0}},
             {"task": {"kind": "distance", "code": "steane", "max_trial": 1}},
             {"task": {"kind": "distance", "code": "steane", "max_trial": "5"}},
+            # The distance walk has one schedule; ``strategy`` is no field.
+            {"task": {"kind": "distance", "code": "steane", "strategy": "galloping"}},
         ):
             with pytest.raises(ServiceError) as excinfo:
                 client.request("POST", "/jobs", body)

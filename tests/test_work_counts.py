@@ -45,7 +45,7 @@ def test_cold_registry_sweep():
         results = [engine.run(task) for task in tasks]
     finally:
         engine.close()
-    assert search_counts(results) == (3041, 5307, 298567)
+    assert search_counts(results) == (3067, 5348, 299324)
 
 
 def test_guard_churn_on_one_context():
