@@ -7,9 +7,9 @@ so does the engine:
 * :class:`SerialBackend`   — one SAT query on a :class:`~repro.smt.interface.SolveSession`;
 * :class:`ParallelBackend` — enumeration-based task splitting (Appendix D.4)
   through one :func:`repro.smt.parallel.split_check` call: across a worker
-  pool built for that check, each worker holding one incremental session
-  across its subtasks and warm-started from the engine's clause store, or
-  in process on the engine's session.
+  pool built for that check, one fixed stripe of subtasks per worker, each
+  stripe on an incremental session of its own warm-started from the
+  engine's clause store, or in process on the engine's session.
 
 :data:`Backend` is their union; nothing else plugs in.  Both take the same
 ``check(compiled, *, session, resources, control)`` call: ``session`` is a
@@ -71,8 +71,9 @@ class ParallelBackend:
     hint (``2 * d``).
     ``max_subtasks`` bounds the enumeration so large codes cannot explode
     the split tree.  With ``num_workers >= 2`` and more than one subtask the
-    subtasks run on a process pool built for the check, whose workers
-    warm-start from and save to the clause store.  With ``num_workers <= 1``
+    subtasks run on a process pool built for the check, in ``num_workers``
+    fixed stripes whose sessions warm-start from and save to the clause
+    store.  With ``num_workers <= 1``
     they run in process on the engine's session for the task (its code's
     shared context, which loads and saves the store itself), which is also
     what happens inside batch worker processes (daemonic workers cannot

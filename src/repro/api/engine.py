@@ -22,11 +22,10 @@ the claims together with the code contexts they protect.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Sequence
 
 from repro import faults, sanitize
@@ -136,6 +135,53 @@ def _validate_checkpoint(state: dict | None, limit: int, error_model: ErrorModel
         # An indicator name without a qubit index.
         return None
     return state if weight == distance else None
+
+
+def _task_checkpoint_key(task: Task) -> str:
+    """The key of ``task``'s one checkpoint row: a distance walk's bracket
+    while the walk runs, then, in a multi-task sweep, the task's result.
+
+    Hashes what the row is a fact *about*: the code (registry key, or
+    name/size/stabilizers for an ad-hoc code) and the task's own fields, so
+    a row can never be loaded by a task whose answer could differ, while a
+    restarted process, another sweep or another service replica on the same
+    store maps the identical task to the same key.
+    """
+    digest = hashlib.sha256()
+    digest.update(task.kind.encode())
+    for spec in fields(task):
+        value = getattr(task, spec.name)
+        if isinstance(value, StabilizerCode):
+            value = "/".join(
+                [value.name, str(value.num_qubits)] + [str(s) for s in value.stabilizers]
+            )
+        digest.update(b"\x1f")
+        digest.update(f"{spec.name}={value!r}".encode())
+    return digest.hexdigest()
+
+
+def _restore_result(state: dict | None) -> Result | None:
+    """The result a finished sweep task left in its checkpoint row, or None.
+
+    Same discipline as a walk's bracket: the store checksums the row, this
+    checks its shape.  A bracket, another version or a malformed entry is
+    ignored, and the task runs cold.
+    """
+    if not isinstance(state, dict) or state.get("version") != 1:
+        return None
+    payload = state.get("result")
+    if not isinstance(payload, dict):
+        return None
+    try:
+        result = Result.from_dict(payload)
+    except TypeError:
+        return None
+    if not isinstance(result.verified, bool):
+        return None
+    if not isinstance(result.details, dict):
+        result.details = {}
+    result.details["sweep_resumed"] = True
+    return result
 
 
 class Engine:
@@ -474,30 +520,6 @@ class Engine:
             details=details,
         )
 
-    @staticmethod
-    def _distance_checkpoint_key(task: DistanceTask, code, limit: int, model_kind: str) -> str:
-        """Semantic identity of one distance walk, for checkpoint keying.
-
-        Hashes what the bracket is a fact *about* — the code (registry key,
-        or name/size/stabilizers for ad-hoc codes), the search limit and the
-        error model — so a checkpoint can never be loaded by a walk whose
-        answer could differ, while a restarted process (or another service
-        replica on the same store) maps the identical task to the same key.
-        """
-        digest = hashlib.sha256()
-        if isinstance(task.code, str):
-            identity = task.code
-        else:
-            stabilizers = getattr(code, "stabilizers", None) or ()
-            identity = "/".join(
-                [getattr(code, "name", type(code).__name__), str(code.num_qubits)]
-                + [str(stabilizer) for stabilizer in stabilizers]
-            )
-        for part in ("distance-walk", identity, str(limit), model_kind):
-            digest.update(part.encode())
-            digest.update(b"\x1f")
-        return digest.hexdigest()
-
     def _run_distance(
         self,
         task: DistanceTask,
@@ -529,6 +551,11 @@ class Engine:
         bound instead, whose larger counter a warm sweep re-encodes on every
         walk; that made the warm sweep slower, although the cold one was
         cheaper.
+
+        With a clause store attached, the walk keeps its bracket in the
+        task's one checkpoint row (:func:`_task_checkpoint_key`), written
+        after every probe and deleted when the walk ends; a multi-task
+        sweep then writes the walk's result to the same row.
         """
         code = task.build()
         limit = task.max_trial if task.max_trial is not None else code.num_qubits + 1
@@ -557,7 +584,7 @@ class Engine:
         last = None
         lo, hi = 1, limit - 1
         # Checkpoint/resume: with a clause store attached, the walk persists
-        # its bracket after every probe under a semantic task key, so a
+        # its bracket after every probe in the task's checkpoint row, so a
         # cancelled or deadline-killed job picks the search up from where it
         # stopped instead of re-refuting bounds it already settled.  Learnt
         # clauses are flushed once, when the walk ends or is interrupted
@@ -569,7 +596,7 @@ class Engine:
         resumed_from = None
         prior_probes = 0
         if store is not None:
-            checkpoint_key = self._distance_checkpoint_key(task, code, limit, error_model.kind)
+            checkpoint_key = _task_checkpoint_key(task)
             state = _validate_checkpoint(
                 store.checkpoint_load(checkpoint_key), limit, error_model
             )
@@ -720,12 +747,14 @@ class Engine:
         behaviour for store-less engines.
 
         With a clause store attached, multi-task sweeps are additionally
-        *checkpointed*, with or without a pool: a manifest keyed by the
-        sweep's task list records each result as it completes, so a killed
-        or drained replica's sweep resumes on the next call with only the
-        incomplete tasks re-run (resumed results carry
-        ``details["sweep_resumed"] = True``).  The manifest is deleted once
-        the sweep completes.
+        *checkpointed*, with or without a pool: each finished task's result
+        is written once, alone, to the task's checkpoint row
+        (:func:`_task_checkpoint_key`, the row its distance walk keeps its
+        bracket in), and each task first looks for its own row.  A task
+        whose sweep was killed or drained, in this call's shape or another,
+        resumes from that row instead of re-running (resumed results carry
+        ``details["sweep_resumed"] = True``).  A completed sweep deletes its
+        tasks' rows.
         """
         batch = list(tasks)
         chosen = self.coerce(backend)
@@ -735,21 +764,12 @@ class Engine:
         order = list(range(len(batch)))
         if schedule == "reuse" and len(batch) > 1:
             order.sort(key=lambda index: _reuse_sort_key(batch[index]))
-        manifest_key: str | None = None
-        manifest: dict | None = None
-        completed: dict[int, Result] = {}
-        if store is not None and len(batch) > 1:
-            manifest_key = _sweep_manifest_key(batch, order)
-            completed = _restore_sweep_manifest(
-                store.checkpoint_load(manifest_key), len(batch)
-            )
-            # Each result is serialized once, as it completes; every save
-            # dumps the entries already held.
-            manifest = _sweep_manifest_payload(len(batch), completed)
-        remaining = [index for index in order if index not in completed]
         results: list[Result | None] = [None] * len(batch)
-        for index, result in completed.items():
-            results[index] = result
+        keys: list[str] = []
+        if store is not None and len(batch) > 1:
+            keys = [_task_checkpoint_key(task) for task in batch]
+            results = [_restore_result(store.checkpoint_load(key)) for key in keys]
+        remaining = [index for index in order if results[index] is None]
         if processes and processes > 1 and len(batch) > 1 and remaining:
             store_dir = store.directory if store is not None else None
             payloads = [(batch[index], _worker_backend(chosen), store_dir) for index in remaining]
@@ -759,13 +779,12 @@ class Engine:
         try:
             for index, result in zip(remaining, outcomes):
                 results[index] = result
-                if manifest is not None:
-                    manifest["results"][str(index)] = _manifest_entry(result)
-                    store.checkpoint_save(manifest_key, manifest)
+                if keys:
+                    store.checkpoint_save(keys[index], {"version": 1, "result": result.to_dict()})
         finally:
             outcomes.close()  # tears a pool down, however the loop ended
-        if manifest_key is not None:
-            store.checkpoint_delete(manifest_key)
+        for key in keys:
+            store.checkpoint_delete(key)
         return results  # type: ignore[return-value]
 
 
@@ -773,59 +792,6 @@ def _worker_backend(chosen: Backend) -> Backend:
     if isinstance(chosen, ParallelBackend):
         return replace(chosen, num_workers=1)
     return chosen
-
-
-def _sweep_manifest_key(batch: list, order: list[int]) -> str:
-    """The checkpoint key for one sweep: a hash over the *scheduled* task
-    sequence, so the same task list under the same schedule resumes and any
-    change to either runs cold (task reprs are deterministic dataclasses)."""
-    digest = hashlib.sha256()
-    for index in order:
-        digest.update(repr(batch[index]).encode())
-        digest.update(b"\x1f")
-    return f"sweep:{digest.hexdigest()}"
-
-
-def _manifest_entry(result: Result) -> dict:
-    # default=str keeps exotic details values from aborting the sweep with a
-    # serialization error: the manifest is a resume hint, not the result of
-    # record, so lossy stringification there is acceptable.
-    return json.loads(result.to_json())
-
-
-def _sweep_manifest_payload(total: int, completed: "dict[int, Result]") -> dict:
-    results = {str(index): _manifest_entry(result) for index, result in completed.items()}
-    return {"version": 1, "total": total, "results": results}
-
-
-def _restore_sweep_manifest(state: dict | None, total: int) -> "dict[int, Result]":
-    """Completed results from a prior partial sweep, or ``{}``.
-
-    Same discipline as distance-walk checkpoints: the store checksums the
-    blob, this validates the semantics — wrong version/total or a malformed
-    entry discards the whole manifest, costing only the resume shortcut.
-    """
-    if not isinstance(state, dict) or state.get("version") != 1:
-        return {}
-    if state.get("total") != total or not isinstance(state.get("results"), dict):
-        return {}
-    completed: dict[int, Result] = {}
-    for key, payload in state["results"].items():
-        try:
-            index = int(key)
-        except (TypeError, ValueError):
-            return {}
-        if not 0 <= index < total or not isinstance(payload, dict):
-            return {}
-        try:
-            result = Result.from_dict(payload)
-        except TypeError:
-            return {}
-        if not isinstance(result.details, dict):
-            result.details = {}
-        result.details["sweep_resumed"] = True
-        completed[index] = result
-    return completed
 
 
 # Execution-order key for the reuse-aware sweep schedule: group by family

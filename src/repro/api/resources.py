@@ -264,7 +264,7 @@ class ResourceManager:
         #: contexts discarded unsaved after a lane crash (see
         #: :meth:`quarantine_task`); surfaced in stats when nonzero.
         self.quarantined = 0
-        #: learnt clauses the parallel backend's split workers absorbed from
+        #: learnt clauses the parallel backend's split stripes absorbed from
         #: the clause store (see :meth:`record_split_warm`).
         self._split_warm_absorbed = 0
 
@@ -406,8 +406,8 @@ class ResourceManager:
 
     # ------------------------------------------------------------------
     def record_split_warm(self, absorbed: int) -> None:
-        """Count clauses a split check's pool workers absorbed from the
-        store (the workers do not outlive their check)."""
+        """Count clauses a split check's pool stripes absorbed from the
+        store (their sessions do not outlive their check)."""
         with self._lock:
             self._split_warm_absorbed += absorbed
 

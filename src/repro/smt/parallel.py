@@ -10,18 +10,20 @@ The termination heuristic for the enumeration is the paper's
 where ``N(bits)`` counts enumerated indicators and ``N(ones)`` counts the
 ones among them (:func:`generate_split_assumptions`).  :func:`split_check`
 decides one formula over those subtasks.  In process it solves them one
-after another on one session; across a process pool, each worker holds ONE
-live :class:`~repro.smt.interface.SolveSession` for the formula, every
-subtask is an incremental ``solve(assumptions)`` call on it, and as in the
-paper the check cancels outstanding work as soon as one subtask reports a
-counterexample.
+after another on one session.  Across a pool of ``w`` workers the subtasks
+are dealt into ``w`` fixed stripes (stripe ``i`` is subtasks ``i, i+w,
+...``); each stripe is decided on its own live
+:class:`~repro.smt.interface.SolveSession` for the formula, every subtask
+an incremental ``solve(assumptions)`` call on it, so a stripe's work does
+not depend on which worker ran it or when.  As in the paper, the check
+cancels outstanding work as soon as one subtask reports a counterexample.
 
 :func:`pool_results` is the one process-pool lifecycle: it builds, feeds and
 tears down the split's pools and ``Engine.run_many``'s, and rebuilds a pool
-once when one of its workers dies.  With a clause store, each split worker
-holds one :class:`~repro.store.WarmStart`, the same round trip the engine's
-code contexts use: it loads before the worker's first solve and saves after
-every chunk the worker refutes.
+once when one of its workers dies.  With a clause store, each stripe's
+session makes one :class:`~repro.store.WarmStart` round trip, the one the
+engine's code contexts use: it loads before the stripe's first solve and
+saves once the stripe is refuted.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def _terminate_pool(pool, timeout: float = 5.0, kill: bool = False) -> None:
     Both halves can block forever.  ``Pool.terminate`` joins the pool's task
     handler, whose final sentinel ``put`` on the result queue never gets the
     queue's write lock when a worker was killed mid-way through posting a
-    result (the sat path terminates while other chunks are still reporting).
+    result (the sat path terminates while other stripes are still reporting).
     ``Pool.join`` after ``terminate`` blocks when results were abandoned
     mid-flight (its result-handler thread waits on a queue nobody drains;
     the workers are already defunct).  Running both in a bounded watchdog
@@ -194,10 +196,10 @@ def split_check(
     holding the formula: a ``SolveSession`` or the engine's guarded context
     view) or on a throwaway :class:`SolveSession`; that path never reads or
     writes the clause store.  Otherwise a pool of ``num_workers`` processes
-    decides them, each worker holding one live session for the formula;
-    with ``warm_dir`` the workers absorb the clause store's learnt clauses
-    for the formula's exact CNF fingerprint before solving and merge what
-    they learn back after each chunk.
+    decides ``num_workers`` stripes of them, each stripe on its own live
+    session for the formula; with ``warm_dir`` each stripe absorbs the
+    clause store's learnt clauses for the formula's exact CNF fingerprint
+    before solving and merges what it learnt back once it is refuted.
 
     ``control`` bounds the whole check: in process it is handed to every
     subtask solve; on the pool the deadline and conflict budget ship inside
@@ -205,9 +207,12 @@ def split_check(
     workers poll mid-solve.  An interrupted check raises
     :class:`~repro.smt.solver.SolverInterrupted`.
 
-    The result's counters are summed over the subtasks;
-    ``metadata["session"]`` carries this check's statistics in the schema
-    of :meth:`SolveSession.stats`.
+    The result's counters are summed over the subtasks.  A refuted pooled
+    check sums every stripe, so its counts repeat exactly from run to run;
+    a satisfiable one stops at the first counterexample to arrive, and
+    counts what the stripes did until then.  ``metadata["session"]``
+    carries this check's statistics in the schema of
+    :meth:`SolveSession.stats`.
     """
     start = time.perf_counter()
     if num_workers <= 1 or len(assumption_sets) <= 1:
@@ -251,19 +256,19 @@ def _check_in_process(session, assumption_sets, control) -> SMTCheck:
 
 
 def _check_pool(formula, assumption_sets, num_workers, warm_dir, control):
-    """The pooled split: returns ``(check, clauses the workers absorbed)``."""
+    """The pooled split: returns ``(check, clauses the stripes absorbed)``."""
     cancel = multiprocessing.Event()
-    # Chunk the subtasks so a worker takes several per round trip; it stops
-    # inside its chunk at the first counterexample.  The deadline and
-    # conflict budget ship inside the payloads so each worker enforces them
+    # Stripe ``i`` is subtasks ``i, i+w, ...`` for ``w`` stripes, one per
+    # worker; it stops at its first counterexample.  The deadline and
+    # conflict budget ship inside the payloads so each stripe enforces them
     # on its own live solver (the budget is per-solve-call, exactly as in
     # process).
     deadline = control.deadline if control is not None else None
     budget = control.conflict_budget if control is not None else None
-    chunk_count = min(len(assumption_sets), num_workers * 4)
+    stripes = min(len(assumption_sets), num_workers)
     payloads = [
-        (assumption_sets[index::chunk_count], deadline, budget)
-        for index in range(chunk_count)
+        (assumption_sets[index::stripes], deadline, budget)
+        for index in range(stripes)
     ]
     # The parent blocks on worker results, so a cancellation raised in
     # another thread is relayed to the workers by a watcher that flips the
@@ -284,7 +289,7 @@ def _check_pool(formula, assumption_sets, num_workers, warm_dir, control):
     sat_model = None
     interrupted: str | None = None
     results = pool_results(
-        _solve_chunk_in_worker, payloads, num_workers,
+        _solve_stripe_in_worker, payloads, num_workers,
         initializer=_worker_init, initargs=(formula, warm_dir, cancel),
     )
     try:
@@ -321,64 +326,57 @@ def _check_pool(formula, assumption_sets, num_workers, warm_dir, control):
     return check, warm_absorbed
 
 
-# Per-worker session, built once by the pool initializer: encoding the shared
-# formula (and constructing the solver) is the expensive part; every subtask
-# afterwards is an incremental solve under assumptions on the live solver.
-_WORKER_SESSION: SolveSession | None = None
+# What every stripe of one pooled check shares, set by the pool initializer:
+# the formula, the clause store directory and the cancel event (an event
+# cannot travel in a task payload).
+_WORKER_FORMULA: BoolExpr | None = None
+_WORKER_WARM_DIR: str | None = None
 _WORKER_CANCEL = None
-#: the worker session's round trip through the clause store, if any.
-_WORKER_WARM: WarmStart | None = None
-#: clauses absorbed from the store and not yet reported to the parent.
-_WORKER_WARM_ABSORBED: int = 0
 
 
 def _worker_init(formula: BoolExpr, warm_dir: str | None = None, cancel_event=None) -> None:
-    global _WORKER_SESSION, _WORKER_CANCEL, _WORKER_WARM, _WORKER_WARM_ABSORBED
-    _WORKER_SESSION = SolveSession(formula)
+    global _WORKER_FORMULA, _WORKER_WARM_DIR, _WORKER_CANCEL
+    _WORKER_FORMULA = formula
+    _WORKER_WARM_DIR = warm_dir
     _WORKER_CANCEL = cancel_event
-    _WORKER_WARM = None
-    _WORKER_WARM_ABSORBED = 0
-    if warm_dir is not None:
-        # The init payload carries only the store directory, so each worker
-        # opens its own store, and loads before its first solve.
-        _WORKER_WARM = WarmStart(ClauseStore(warm_dir))
-        _WORKER_WARM_ABSORBED = _WORKER_WARM.load(_WORKER_SESSION)
 
 
-def _solve_chunk_in_worker(payload) -> tuple[str, dict | str | None, dict]:
-    """Solve a chunk of enumeration subtasks on this worker's live session.
+def _solve_stripe_in_worker(payload) -> tuple[str, dict | str | None, dict]:
+    """Solve one stripe of enumeration subtasks on a session of its own.
 
-    The chunk stops at its first satisfiable subtask, or — when the
+    The stripe stops at its first satisfiable subtask, or — when the
     shared cancel event fires or the payload deadline passes — returns an
-    ``("interrupted", reason, stats)`` triple with the session intact.  A
-    chunk refuted in full saves the worker's new learnt clauses to the
-    clause store, so the store sees every worker's work however the pool
-    schedules the chunks.
+    ``("interrupted", reason, stats)`` triple.  With a clause store, the
+    session loads the store's clauses before its first solve, and a stripe
+    refuted in full saves its new learnt clauses.
     """
-    global _WORKER_WARM_ABSORBED
     assumption_sets, deadline, budget = payload
+    session = SolveSession(_WORKER_FORMULA)
     stats = {"counters": Counter(), "num_variables": 0, "num_clauses": 0}
-    if _WORKER_WARM_ABSORBED:
-        # Each worker reports its absorbed count exactly once, on its first
-        # chunk, so the parent can aggregate without double counting.
-        stats["warm_absorbed"] = _WORKER_WARM_ABSORBED
-        _WORKER_WARM_ABSORBED = 0
+    warm = None
+    if _WORKER_WARM_DIR is not None:
+        warm = WarmStart(ClauseStore(_WORKER_WARM_DIR))
+        stats["warm_absorbed"] = warm.load(session)
     control = SolveControl(
         deadline=deadline, cancelled=_WORKER_CANCEL.is_set, conflict_budget=budget
     )
-    for assumptions in assumption_sets:
-        try:
-            check = _WORKER_SESSION.check(assumptions, control=control)
-        except SolverInterrupted as exc:
-            return "interrupted", exc.reason, stats
-        stats["counters"].update(check.counters)
-        stats["num_variables"] = max(stats["num_variables"], check.num_variables)
-        stats["num_clauses"] = max(stats["num_clauses"], check.num_clauses)
-        if check.is_sat:
-            return "sat", check.model, stats
-    if _WORKER_WARM is not None:
-        _WORKER_WARM.save(_WORKER_SESSION)
-    return "unsat", None, stats
+    try:
+        for assumptions in assumption_sets:
+            try:
+                check = session.check(assumptions, control=control)
+            except SolverInterrupted as exc:
+                return "interrupted", exc.reason, stats
+            stats["counters"].update(check.counters)
+            stats["num_variables"] = max(stats["num_variables"], check.num_variables)
+            stats["num_clauses"] = max(stats["num_clauses"], check.num_clauses)
+            if check.is_sat:
+                return "sat", check.model, stats
+        if warm is not None:
+            warm.save(session)
+        return "unsat", None, stats
+    finally:
+        if warm is not None:
+            warm.store.close()
 
 
 def generate_split_assumptions(

@@ -3,10 +3,10 @@
 ``repro.store`` is the engine's one learnt-clause cache: a
 concurrency-safe sqlite database of learnt clauses keyed by CNF
 fingerprint, with LBD/age/hit metadata, size-bounded eviction, and
-checkpoint blobs that make distance walks resumable after a kill.
-:class:`WarmStart` is the one round trip between a solve session and the
-store, used alike by the engine's code contexts and by the split pool's
-workers.
+checkpoint blobs that make distance walks and sweeps resumable after a
+kill.  :class:`WarmStart` is the one round trip between a solve session
+and the store, used alike by the engine's code contexts and by the split
+pool's stripes.
 
 The package is deliberately stdlib-only and imports nothing from the api
 or solver layers, so process-pool workers (:mod:`repro.smt.parallel`) open

@@ -21,8 +21,9 @@ Design (durable verification state shared across runs and processes):
   Connections are cached per (pid, thread) and never cross a fork.
 
 * **Checkpoints.**  Small checksummed JSON blobs keyed by a semantic task
-  hash persist a distance walk's bracket so a killed job resumes instead of
-  restarting (engine side: ``Engine._run_distance``).
+  hash, one row per task: a distance walk's bracket, then a sweep task's
+  result, so a killed job or sweep resumes instead of restarting (engine
+  side: ``Engine._run_distance`` and ``Engine.run_many``).
 
 * **Circuit breaker.**  Graceful degradation alone still pays a sqlite
   connect-and-fail (10s busy timeout included) on *every* call against a
@@ -373,16 +374,23 @@ class ClauseStore:
         return []
 
     # ------------------------------------------------------------------
-    # Checkpoints (resumable distance walks)
+    # Checkpoints (resumable distance walks and sweeps)
     # ------------------------------------------------------------------
     def checkpoint_save(self, key: str, payload: dict) -> None:
         """Atomically upsert a checkpoint blob; the checksum makes torn or
         tampered payloads detectable on load (same discipline as the
-        temp-file + ``os.replace`` JSON caches)."""
+        temp-file + ``os.replace`` JSON caches).
+
+        A value JSON cannot hold is stored as its ``str``; a payload that
+        still has no JSON form (a dict whose keys cannot be sorted) is not
+        stored: a checkpoint only saves work, so losing one costs a rerun."""
         conn = self._connect()
         if conn is None:
             return
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        try:
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+        except (TypeError, ValueError):
+            return
         try:
             self._check_fault("write", key)
             with conn:
@@ -485,7 +493,7 @@ class WarmStart:
     """One session's round trip through a :class:`ClauseStore`.
 
     The one implementation of the exact-reuse gate, held by each of the
-    engine's code contexts and by each split pool worker.  :meth:`load`
+    engine's code contexts and by each stripe of a pooled split.  :meth:`load`
     runs once, before the session's first check (the point identical runs
     reach with an identical encoding): it takes the CNF fingerprint and the
     variable watermark and absorbs the clauses the store holds for that

@@ -21,7 +21,7 @@ from repro.api import (
     ParallelBackend,
     registry_sweep_tasks,
 )
-from repro.api.engine import _reuse_sort_key, _validate_checkpoint
+from repro.api.engine import _reuse_sort_key, _task_checkpoint_key, _validate_checkpoint
 from repro.api.events import DistanceProbe, JobCompleted, SolverStats, validate_stream
 from repro.api.jobs import JobStatus
 from repro.api.resources import CodeContext
@@ -382,7 +382,7 @@ class TestDistanceResume:
         task = DistanceTask(code="surface-3")
         code = task.build()
         limit = code.num_qubits + 1
-        key = Engine._distance_checkpoint_key(task, code, limit, "any")
+        key = _task_checkpoint_key(task)
         store = ClauseStore(str(tmp_path))
         store.checkpoint_save(
             key,

@@ -3,23 +3,21 @@
 Each test arms a targeted plan and checks the *recovery* path, not just
 the failure: the store's circuit breaker opens and re-closes, a crashed
 lane is supervised back to life with its in-flight job failed loudly, an
-interrupted sweep resumes from its manifest instead of re-running, and a
+interrupted sweep resumes its finished tasks instead of re-running them, and a
 process pool whose workers die is rebuilt without losing a verdict.
 """
 
+import os
+import sqlite3
 import threading
+import time
 
 import pytest
 
 from repro import faults
-from repro.api import CorrectionTask, Engine, ParallelBackend
-from repro.api.engine import (
-    _sweep_manifest_key,
-    _sweep_manifest_payload,
-    registry_sweep_tasks,
-)
-from repro.api.result import Result
-from repro.store import ClauseStore
+from repro.api import CorrectionTask, DistanceTask, Engine, ParallelBackend
+from repro.api.engine import _task_checkpoint_key, registry_sweep_tasks
+from repro.store import STORE_FILENAME, ClauseStore
 
 
 class FakeClock:
@@ -143,43 +141,169 @@ class TestLaneSupervisor:
         engine.close()
 
 
+def _checkpoint_rows(directory) -> int:
+    with sqlite3.connect(os.path.join(str(directory), STORE_FILENAME)) as conn:
+        (rows,) = conn.execute("SELECT COUNT(*) FROM checkpoints").fetchone()
+    return rows
+
+
 class TestSweepResume:
-    def _seeded(self):
-        return Result(
-            task="correction",
-            subject="steane",
-            verified=True,
-            details={"seeded": True},
-        )
+    """Every task of a store sweep has one checkpoint row: its walk's
+    bracket while the walk runs, then its result."""
 
-    def test_sweep_resumes_from_manifest(self, tmp_path):
+    BATCH = [CorrectionTask(code="steane"), CorrectionTask(code="five-qubit"),
+             CorrectionTask(code="shor")]
+
+    def _kill_third_task(self, directory, monkeypatch, processes=None):
+        """Run ``BATCH`` on a store at ``directory`` with its third task
+        raising once the first two tasks' results are in their rows (a pool
+        worker waits for them, so the failure cannot overtake them)."""
+        original = Engine.run
+        failing = self.BATCH[2]
+
+        def run(engine, task, backend=None):
+            if task != failing:
+                return original(engine, task, backend=backend)
+            deadline = time.monotonic() + 60
+            while _checkpoint_rows(directory) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise RuntimeError("killed mid-sweep")
+
+        monkeypatch.setattr(Engine, "run", run)
+        engine = Engine(clause_store=str(directory))
+        try:
+            with pytest.raises(RuntimeError, match="killed mid-sweep"):
+                run_bounded(lambda: engine.run_many(self.BATCH, schedule="fifo",
+                                                    processes=processes))
+        finally:
+            engine.close()
+            monkeypatch.setattr(Engine, "run", original)
+        assert _checkpoint_rows(directory) == 2
+
+    @pytest.mark.parametrize("processes", [None, 2])
+    def test_killed_sweep_resumes_its_finished_tasks(self, tmp_path, monkeypatch, processes):
+        cold = Engine().run_many(self.BATCH)
+        self._kill_third_task(tmp_path, monkeypatch, processes)
+
         engine = Engine(clause_store=str(tmp_path))
-        batch = [CorrectionTask(code="steane"), CorrectionTask(code="five-qubit")]
-        key = _sweep_manifest_key(batch, [0, 1])
-        store = engine.resources.clause_store
-        store.checkpoint_save(key, _sweep_manifest_payload(2, {0: self._seeded()}))
+        try:
+            results = engine.run_many(self.BATCH, schedule="fifo", processes=processes)
+        finally:
+            engine.close()
+        assert [(r.task, r.subject, r.verified) for r in results] == [
+            (r.task, r.subject, r.verified) for r in cold
+        ]
+        assert [r.details.get("sweep_resumed", False) for r in results] == [True, True, False]
+        assert _checkpoint_rows(tmp_path) == 0
 
-        results = engine.run_many(batch, schedule="fifo")
-        assert results[0].details.get("seeded") is True  # not re-run
-        assert results[0].details.get("sweep_resumed") is True
-        assert results[1].verified is True
-        assert "sweep_resumed" not in results[1].details
-        # The manifest is consumed: the sweep is complete, nothing resumes.
-        assert store.checkpoint_load(key) is None
+    def test_finished_tasks_resume_inside_another_sweep(self, tmp_path, monkeypatch):
+        """Resume goes by task, not by sweep shape."""
+        self._kill_third_task(tmp_path, monkeypatch)
+        other = [CorrectionTask(code="surface-3"), self.BATCH[1], self.BATCH[0]]
+        engine = Engine(clause_store=str(tmp_path))
+        try:
+            results = engine.run_many(other)
+        finally:
+            engine.close()
+        assert all(result.verified for result in results)
+        assert [r.details.get("sweep_resumed", False) for r in results] == [False, True, True]
+        assert [r.subject for r in results[1:]] == ["five-qubit", "steane"]
+        assert _checkpoint_rows(tmp_path) == 0
+
+    def test_walk_inside_a_resumed_sweep_resumes_from_its_bracket(self, tmp_path, monkeypatch):
+        first, walk = CorrectionTask(code="steane"), DistanceTask(code="surface-5")
+        cold = Engine().run_many([first, walk])
+        brackets = []
+        original_save = ClauseStore.checkpoint_save
+
+        def record(store, key, payload):
+            brackets.append(dict(payload))
+            return original_save(store, key, payload)
+
+        monkeypatch.setattr(ClauseStore, "checkpoint_save", record)
+        engine = Engine(clause_store=str(tmp_path / "walk"))
+        engine.run(walk)
         engine.close()
+        monkeypatch.setattr(ClauseStore, "checkpoint_save", original_save)
 
-    def test_mismatched_manifest_is_discarded(self, tmp_path):
+        # What a sweep killed in the walk's second probe leaves behind.
+        directory = tmp_path / "killed"
+        store = ClauseStore(str(directory))
+        store.checkpoint_save(_task_checkpoint_key(first), {"version": 1, "result": cold[0].to_dict()})
+        store.checkpoint_save(_task_checkpoint_key(walk), brackets[0])
+        store.close()
+
+        engine = Engine(clause_store=str(directory))
+        try:
+            results = engine.run_many([first, walk], schedule="fifo")
+        finally:
+            engine.close()
+        assert results[0].details["sweep_resumed"] is True
+        assert results[0].verified == cold[0].verified
+        resumed = results[1]
+        assert "sweep_resumed" not in resumed.details
+        assert resumed.details["resumed_from"]["probes"] == 1
+        assert resumed.details["trials"][0]["window"] == [brackets[0]["lo"], brackets[0]["hi"]]
+        assert resumed.details["distance"] == cold[1].details["distance"]
+        assert _checkpoint_rows(directory) == 0
+
+    def test_a_bracket_where_a_result_is_expected_runs_cold(self, tmp_path):
+        task = CorrectionTask(code="steane")
+        store = ClauseStore(str(tmp_path))
+        store.checkpoint_save(
+            _task_checkpoint_key(task),
+            {"version": 1, "limit": 8, "lo": 1, "hi": 7, "distance": 8, "probes": 1},
+        )
+        store.close()
         engine = Engine(clause_store=str(tmp_path))
-        batch = [CorrectionTask(code="steane"), CorrectionTask(code="five-qubit")]
-        key = _sweep_manifest_key(batch, [0, 1])
-        store = engine.resources.clause_store
-        # A manifest for a different sweep shape must not leak results in.
-        store.checkpoint_save(key, _sweep_manifest_payload(3, {0: self._seeded()}))
-
-        results = engine.run_many(batch, schedule="fifo")
+        try:
+            results = engine.run_many([task, CorrectionTask(code="five-qubit")])
+        finally:
+            engine.close()
         assert all(result.verified for result in results)
         assert all("sweep_resumed" not in result.details for result in results)
-        engine.close()
+        assert _checkpoint_rows(tmp_path) == 0
+
+    def test_a_result_where_a_bracket_is_expected_runs_cold(self, tmp_path):
+        walk = DistanceTask(code="surface-3")
+        cold = Engine().run(walk)
+        store = ClauseStore(str(tmp_path))
+        store.checkpoint_save(_task_checkpoint_key(walk), {"version": 1, "result": cold.to_dict()})
+        store.close()
+        engine = Engine(clause_store=str(tmp_path))
+        try:
+            result = engine.run(walk)
+        finally:
+            engine.close()
+        assert "resumed_from" not in result.details
+        assert "sweep_resumed" not in result.details
+        assert result.details["distance"] == cold.details["distance"]
+        assert _checkpoint_rows(tmp_path) == 0
+
+    @pytest.mark.parametrize("payload", [
+        {"version": 1, "result": {"task": "accurate-correction"}},
+        {"version": 1, "result": {"task": "t", "subject": "s", "verified": "yes"}},
+        {"version": 1, "result": [True]},
+        {"version": 2, "result": {"task": "t", "subject": "s", "verified": True}},
+        {"version": 1, "limit": "x"},
+    ])
+    def test_malformed_rows_run_cold(self, tmp_path, payload):
+        tasks = [CorrectionTask(code="steane"), DistanceTask(code="surface-3")]
+        cold = Engine().run_many(tasks)
+        store = ClauseStore(str(tmp_path))
+        for task in tasks:
+            store.checkpoint_save(_task_checkpoint_key(task), payload)
+        store.close()
+        engine = Engine(clause_store=str(tmp_path))
+        try:
+            results = engine.run_many(tasks)
+        finally:
+            engine.close()
+        assert [result.verified for result in results] == [result.verified for result in cold]
+        assert results[1].details["distance"] == cold[1].details["distance"]
+        assert all("sweep_resumed" not in result.details for result in results)
+        assert "resumed_from" not in results[1].details
+        assert _checkpoint_rows(tmp_path) == 0
 
     def test_single_task_runs_are_not_checkpointed(self, tmp_path):
         engine = Engine(clause_store=str(tmp_path))
@@ -189,55 +313,58 @@ class TestSweepResume:
         engine.close()
 
     @pytest.mark.parametrize("processes", [None, 2])
-    def test_every_finished_task_is_checkpointed(self, tmp_path, monkeypatch, processes):
-        """One ``sweep:`` manifest save per task, with or without a pool, so
-        a killed pool sweep resumes like a killed serial one."""
+    def test_each_finished_task_writes_its_own_row_once(self, tmp_path, monkeypatch, processes):
+        """One save per task, holding that task's result alone, with or
+        without a pool, so a killed pool sweep resumes like a killed serial
+        one; the completed sweep leaves no row."""
         saved = []
         original = ClauseStore.checkpoint_save
 
         def recording(store, key, payload):
-            if key.startswith("sweep:"):
-                saved.append(sorted(payload["results"]))
+            saved.append((key, sorted(payload), payload["result"]["subject"]))
             return original(store, key, payload)
 
         # Pool workers record into their own (forked) copy of ``saved``;
-        # only the parent's manifest saves land here.
+        # only the parent's result saves land here.
         monkeypatch.setattr(ClauseStore, "checkpoint_save", recording)
         engine = Engine(clause_store=str(tmp_path))
-        batch = [CorrectionTask(code="steane"), CorrectionTask(code="five-qubit"),
-                 CorrectionTask(code="shor")]
-        results = engine.run_many(batch, schedule="fifo", processes=processes)
-        assert all(result.verified for result in results)
-        assert saved == [["0"], ["0", "1"], ["0", "1", "2"]]
+        results = engine.run_many(self.BATCH, schedule="fifo", processes=processes)
         engine.close()
+        assert all(result.verified for result in results)
+        assert saved == [
+            (_task_checkpoint_key(task), ["result", "version"], task.code) for task in self.BATCH
+        ]
+        assert _checkpoint_rows(tmp_path) == 0
 
-    def test_each_result_is_serialized_once(self, tmp_path, monkeypatch):
-        """A manifest save dumps the entries it already holds: a 3-task sweep
-        serializes 3 results, not one more per save."""
-        saved = []
-        serialized = []
+    def test_exotic_details_do_not_abort_the_sweep(self, tmp_path, monkeypatch):
+        """A details value JSON cannot hold is stored as its ``str``; a
+        result with no JSON form at all is not stored, and the sweep goes on."""
+        original_run = Engine.run
+        exotic = {"steane": {"set": {1, 2}}, "five-qubit": {"mixed": {1: "a", "b": 2}}}
+
+        def run(engine, task, backend=None):
+            result = original_run(engine, task, backend=backend)
+            result.details.update(exotic.get(task.code, {}))
+            return result
+
+        stored = []
         original_save = ClauseStore.checkpoint_save
-        original_to_dict = Result.to_dict
 
         def recording(store, key, payload):
-            if key.startswith("sweep:"):
-                saved.append(sorted(payload["results"]))
-            return original_save(store, key, payload)
+            original_save(store, key, payload)
+            row = store.checkpoint_load(key)
+            stored.append(row and row["result"]["details"].get("set"))
 
-        def counting(result):
-            serialized.append(result.subject)
-            return original_to_dict(result)
-
+        monkeypatch.setattr(Engine, "run", run)
         monkeypatch.setattr(ClauseStore, "checkpoint_save", recording)
-        monkeypatch.setattr(Result, "to_dict", counting)
         engine = Engine(clause_store=str(tmp_path))
-        batch = [CorrectionTask(code="steane"), CorrectionTask(code="five-qubit"),
-                 CorrectionTask(code="shor")]
-        results = engine.run_many(batch, schedule="fifo")
+        try:
+            results = engine.run_many(self.BATCH[:2], schedule="fifo")
+        finally:
+            engine.close()
         assert all(result.verified for result in results)
-        assert saved == [["0"], ["0", "1"], ["0", "1", "2"]]
-        assert len(serialized) == 3
-        engine.close()
+        assert stored == ["{1, 2}", None]
+        assert _checkpoint_rows(tmp_path) == 0
 
 
 def run_bounded(work, timeout: float = 120.0):
