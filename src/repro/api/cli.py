@@ -190,8 +190,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import logging
 
+    from repro import faults
     from repro.service import AdmissionController, VerificationService
 
+    if args.fault_plan is not None:
+        # Armed before the service (and its engine's store and executor)
+        # is built, so every faults.hook() call sees the plan.
+        faults.install(args.fault_plan)
     if args.access_log:
         handler = logging.StreamHandler(sys.stderr)
         handler.setFormatter(logging.Formatter("%(message)s"))
@@ -213,7 +218,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             drain_grace=args.drain_grace,
             lanes=args.lanes,
             clause_store=args.clause_store,
-            fault_plan=args.fault_plan,
         )
         await service.start()
         # The "listening" line is the readiness protocol: supervisors (and

@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Sequence
 
-from repro import faults, sanitize
+from repro import sanitize
 from repro.api.backends import Backend, ParallelBackend, coerce_backend
 from repro.api.events import DistanceProbe, SolverStats, SubtaskStarted, TaskCompiled
 from repro.api.jobs import Job, ShardedJobExecutor
@@ -192,14 +192,7 @@ class Engine:
         backend: Backend | str | None = None,
         lanes: int = 4,
         clause_store: str | ClauseStore | None = None,
-        fault_plan=None,
     ):
-        # Arm fault injection before any resource (store, executor) is
-        # built, so their faults.hook() calls see the installed plan.
-        # ``fault_plan`` accepts a FaultPlan, a dict spec, inline JSON or a
-        # file path — same formats as the REPRO_FAULT_PLAN environment hook.
-        if fault_plan is not None:
-            faults.install(fault_plan)
         self.backend: Backend = coerce_backend(backend)
         self.lanes = max(1, int(lanes))
         # Engine-owned solver resources: one shared live session per *code*
@@ -439,11 +432,6 @@ class Engine:
             backend=backend,
         )
         return executor.submit(job)
-
-    def release_task(self, task: Task) -> bool:
-        """Drop a (cancelled) task's guarded formula from the shared solver
-        resources; see :meth:`ResourceManager.retire_task`."""
-        return self.resources.retire_task(task)
 
     @staticmethod
     def _check_control(control: SolveControl | None) -> None:

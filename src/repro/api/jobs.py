@@ -20,8 +20,9 @@ lifecycle:
 * :meth:`Job.cancel` and per-job deadlines propagate into the solver hot
   path as a :class:`~repro.smt.solver.SolveControl` — a running solve call
   stops within one budget slice, the session backtracks to level 0 and stays
-  reusable, and the engine retires the cancelled task's guarded formula from
-  the shared :class:`~repro.api.resources.CodeContext` instead of leaking it.
+  reusable.  The cancelled task keeps its guarded formula on the shared
+  :class:`~repro.api.resources.CodeContext` (a resubmission is a context
+  hit) until the context's guard LRU retires it like any other.
 
 ``Job.result()`` blocks (``Job.events()`` streams); the HTTP service in
 :mod:`repro.service.routes` bridges the same handles onto its event loop
@@ -588,9 +589,6 @@ class ShardedJobExecutor:
                 emit=emit,
             )
         except SolverInterrupted as interrupt:
-            # Still under the claim, so no eviction can have dropped this
-            # job's context; the lookup never creates one.
-            self.engine.release_task(job.task)
             account()
             job._finish_cancelled(interrupt.reason)
         # repro: allow[REPRO-EXC] - failure published via JobFailed

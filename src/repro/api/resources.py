@@ -95,7 +95,11 @@ class CodeContext:
     guarded by a fresh selector keyed on the task value; re-running a task
     re-selects its guard on the live solver (a context *hit*), and different
     task kinds on the same code share every learnt clause the session has
-    accumulated.
+    accumulated.  The context holds at most ``max_task_guards`` task guards
+    and is the only owner of their retirement: an overflow retires the
+    least recently used ones in one sweep, keeping the newest half (see
+    :meth:`task_view`).  A cancelled task keeps its guard like any other,
+    so resubmitting it is a hit.
     """
 
     def __init__(
@@ -115,6 +119,8 @@ class CodeContext:
         self.hits = 0
         self.misses = 0
         self.retired = 0
+        #: ``retire_guards`` batches run (the ``guard_sweeps`` stat)
+        self.sweeps = 0
         self._guard_counter = 0
         #: task -> (guard, formula variables, compiled task without formula)
         self._task_guards: OrderedDict[object, tuple[str, frozenset[str], object]] = OrderedDict()
@@ -127,7 +133,19 @@ class CodeContext:
         """``(view, compiled, hit)``: ``task``'s guarded view, its compiled
         task and whether its guard was live.  On a miss ``compile(task)``
         runs and its formula is asserted under a fresh guard; the entry keeps
-        the compiled task with ``formula=None`` (the session holds it)."""
+        the compiled task with ``formula=None`` (the session holds it).
+
+        This is the one place guards are retired.  When the new guard makes
+        the context hold more than ``max_task_guards``, the least recently
+        used ones are retired down to ``max(1, max_task_guards // 2)`` by one
+        :meth:`~repro.smt.interface.SolveSession.retire_guards` call, which
+        erases every clause those tasks added beyond the shared encodings of
+        their conjuncts (each holds its selector, see
+        :meth:`~repro.smt.encoder.FormulaEncoder.assert_formula_if`) in one
+        scan.  A long-lived context thus keeps neither the encodings of
+        tasks that will never be re-selected nor rescans its clauses per
+        retirement; a retired task that runs again is asserted afresh under
+        a new selector (a context miss)."""
         entry = self._task_guards.get(task)
         hit = entry is not None
         if hit:
@@ -144,37 +162,18 @@ class CodeContext:
             self.session.add_guard(guard, compiled.formula)
             entry = (guard, free_variables(compiled.formula), replace(compiled, formula=None))
             self._task_guards[task] = entry
-            while len(self._task_guards) > self.max_task_guards:
-                _, (stale_guard, _, _) = self._task_guards.popitem(last=False)
-                self.session.retire_guard(stale_guard)
-                self.retired += 1
+            if len(self._task_guards) > self.max_task_guards:
+                # keep >= 1, so the guard just made (the newest) survives.
+                keep = max(1, self.max_task_guards // 2)
+                stale = []
+                while len(self._task_guards) > keep:
+                    _, (stale_guard, _, _) = self._task_guards.popitem(last=False)
+                    stale.append(stale_guard)
+                self.session.retire_guards(stale)
+                self.retired += len(stale)
+                self.sweeps += 1
         guard, variables, compiled = entry
         return ContextView(self, (guard,), variables=variables), compiled, hit
-
-    @sanitize.entry_guarded
-    def retire_task(self, task) -> bool:
-        """Release ``task``'s guarded formula from the shared session.
-
-        Called for cancelled (and LRU-evicted) tasks: the task's selector is
-        negated at the root, which satisfies every clause the task added
-        beyond the shared encodings of its conjuncts (each holds the
-        selector, see
-        :meth:`~repro.smt.encoder.FormulaEncoder.assert_formula_if`).  The
-        solver erases them in batches, once the guards retired since its
-        last sweep are half the live ones (see
-        :meth:`~repro.smt.interface.SolveSession.retire_guard`), so a
-        long-lived context neither accumulates the encodings of tasks that
-        will never be re-selected nor rescans its clauses per retirement.
-        Re-running the task later simply re-asserts its formula under a
-        fresh selector (a context miss).  Returns whether the task actually
-        held a guard.
-        """
-        entry = self._task_guards.pop(task, None)
-        if entry is None:
-            return False
-        self.session.retire_guard(entry[0])
-        self.retired += 1
-        return True
 
     @sanitize.entry_guarded
     def detection_base(self, model_kind: str, factory) -> tuple[object, str, frozenset[str]]:
@@ -243,7 +242,10 @@ class ResourceManager:
     :meth:`claim`) for its whole run, so each session is driven by one
     thread at a time.  The registry's LRU bound runs over *idle* contexts
     only: a claimed context is never evicted, so an unmapped context is
-    unreachable and its evicting thread saves it without a claim.
+    unreachable and its evicting thread saves it without a claim.  Task
+    guards are retired by their context alone (:meth:`CodeContext.task_view`);
+    the manager only drops whole contexts: by that LRU bound, or unsaved
+    after a lane crash (:meth:`quarantine_task`).
     """
 
     def __init__(self, max_contexts: int = 32, clause_store: ClauseStore | None = None):
@@ -366,25 +368,6 @@ class ResourceManager:
             self.task_compiles["hits" if found[2] else "misses"] += 1
         return found
 
-    def retire_task(self, task) -> bool:
-        """Release a (cancelled) task's solver state without touching the
-        shared infrastructure other tasks rely on.
-
-        The task's guarded formula is dropped from its code's context
-        (root-negated selector, batched clause erasure).  Detection bases
-        and weight guards are left in place — they are complete, sound, and
-        exactly what makes the next run on the same context cheap.
-        """
-        try:
-            hash(task)
-        except TypeError:  # an unhashable task never held a guard
-            return False
-        with self._lock:
-            context = self._contexts.get(self.claim_key(task))
-        if context is None:
-            return False
-        return context.retire_task(task)
-
     def quarantine_task(self, task) -> bool:
         """Discard a (possibly poisoned) task's solver state *unsaved*.
 
@@ -455,7 +438,7 @@ class ResourceManager:
             context_hits += context.hits
             context_misses += context.misses
             retired_guards += context.retired
-            guard_sweeps += context.session.guard_sweeps
+            guard_sweeps += context.sweeps
         stats = {
             "contexts": num_contexts,
             "context_hits": context_hits,

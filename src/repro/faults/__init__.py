@@ -1,9 +1,12 @@
 """Deterministic fault injection: failure as a first-class, testable input.
 
 ``REPRO_FAULT_PLAN`` (inline JSON, or a path to a JSON file) arms a seeded
-:class:`FaultPlan` of scoped injection points; :class:`~repro.api.engine.Engine`
-accepts the same spec through ``fault_plan=``.  Each *fault point* names a
-place in the stack where the plan can deterministically misbehave:
+:class:`FaultPlan` of scoped injection points; :func:`install` arms the same
+spec in process (``python -m repro serve --fault-plan`` calls it before it
+builds the service) and :func:`disarm` ends it.  The plan is process-wide:
+arm it before building the objects it should reach, since each takes its
+hook when built.  Each *fault point* names a place in the stack where the
+plan can deterministically misbehave:
 
 ==================  ========================================================
 ``store.read``      a clause-store read raises ``sqlite3.OperationalError``

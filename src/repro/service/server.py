@@ -87,9 +87,9 @@ class VerificationService:
         self._server: asyncio.AbstractServer | None = None
         self._stop = asyncio.Event()
         self._watchdog: "sanitize.LoopWatchdog | None" = None
-        # Bound after the engine above: an Engine(fault_plan=...) built by
-        # **engine_kwargs has already armed the plan by now, so the socket
-        # and loop injection points see it too.
+        # Bound when the service is built: a fault plan armed before this
+        # (``serve --fault-plan``, REPRO_FAULT_PLAN or ``faults.install``)
+        # reaches the socket and loop injection points too.
         self._fault = faults.hook("socket")
         self._loop_fault = faults.hook("loop")
 

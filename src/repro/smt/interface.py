@@ -87,12 +87,6 @@ class SolveSession:
         # session at once (the race the per-code claim must rule out).
         self._entry_guard = sanitize.new_entry_guard("SolveSession")
         self._solver: SATSolver | None = None
-        #: selector names added and not yet retired, and the retirements the
-        #: solver has not swept yet (see :meth:`retire_guard`).
-        self._live_guards: set[str] = set()
-        self._unswept = 0
-        #: full ``erase_satisfied`` scans run by :meth:`retire_guard`.
-        self.guard_sweeps = 0
         self.num_checks = 0
         self.elapsed_seconds = 0.0
         if formula is not None:
@@ -108,7 +102,6 @@ class SolveSession:
     def add_guard(self, name: str, formula: BoolExpr) -> str:
         """Add ``formula`` guarded by selector ``name``; activate via ``select``."""
         self.encoder.assert_formula_if(name, formula)
-        self._live_guards.add(name)
         return name
 
     def add_weight_guard(self, name: str, weight: IntExpr, bound: int) -> str:
@@ -119,7 +112,6 @@ class SolveSession:
         distance of a distance walk.
         """
         self.encoder.assert_le_if(name, weight, IntConst(bound))
-        self._live_guards.add(name)
         return name
 
     def add_weight_lower_guard(self, name: str, weight: IntExpr, bound: int) -> str:
@@ -130,35 +122,25 @@ class SolveSession:
         costs two selector clauses, not a re-encoding.
         """
         self.encoder.assert_ge_if(name, weight, IntConst(bound))
-        self._live_guards.add(name)
         return name
 
-    def retire_guard(self, name: str) -> int:
-        """Permanently deactivate selector ``name``; erase retired clauses in batches.
+    def retire_guards(self, names: list[str]) -> int:
+        """Permanently deactivate the selectors ``names`` in one sweep.
 
-        The selector's negation is asserted at the root at once, so every
-        constraint guarded by it is permanently satisfied from this call on.
-        Physically erasing those clauses (and stripping other root-falsified
-        literals) is a full scan of the solver's clause database, so it is
-        deferred, MiniSat-style: the scan runs only once the selectors retired
-        since the last scan are at least half the session's live guards, and
-        each scan clears all of them.  That keeps a long-lived shared session
-        from accumulating stale guards at a cost proportional to what it
-        frees.  A retired selector must never be selected again — callers
-        allocate a fresh name if the same constraint is re-asserted later.
-        Returns the number of clauses the solver erased (0 when no scan ran,
-        or no solver is live yet).
+        Each selector's negation is asserted at the root, so every
+        constraint guarded by it is permanently satisfied from this call on;
+        one ``erase_satisfied`` scan of the live solver then physically
+        erases those clauses (and strips other root-falsified literals).
+        A retired selector must never be selected again — callers allocate
+        a fresh name if the same constraint is re-asserted later.  Returns
+        the number of clauses the solver erased (0 when no solver is live
+        yet: the root units then reach it with the rest of the encoding).
         """
-        literal = self.encoder.selector(name)
-        self.encoder.cnf.add_clause([-literal])
-        self._live_guards.discard(name)
-        self._unswept += 1
-        if self._solver is None or 2 * self._unswept < len(self._live_guards):
+        for name in names:
+            self.encoder.cnf.add_clause([-self.encoder.selector(name)])
+        if self._solver is None:
             return 0
-        self._sync_solver()
-        self._unswept = 0
-        self.guard_sweeps += 1
-        return self._solver.erase_satisfied()
+        return self._sync_solver().erase_satisfied()
 
     # ------------------------------------------------------------------
     # Solving

@@ -82,14 +82,46 @@ def error_injection(
 
 
 def syndrome_measurement(
-    code: StabilizerCode, variable_prefix: str = "s", offset: int = 0, block: str = ""
+    code: StabilizerCode,
+    variable_prefix: str = "s",
+    offset: int = 0,
+    block: str = "",
+    num_qubits: int | None = None,
 ) -> Statement:
-    """``for i do s_i := meas[g_i] end`` over the code's generators."""
+    """``for i do s_i := meas[g_i] end`` over the code's generators.
+
+    The block's generators act on qubits ``offset ..`` of a register of
+    ``num_qubits`` qubits (default: the code's own size).
+    """
+    total = code.num_qubits if num_qubits is None else num_qubits
     statements = []
     for index, generator in enumerate(code.stabilizers):
-        observable = _shift(generator, offset, _total_qubits(code, offset))
+        observable = _shift(generator, offset, total)
         statements.append(Measure(f"{block}{variable_prefix}_{index + 1}", observable))
     return sequence(*statements)
+
+
+def _syndrome_split(
+    code: StabilizerCode, syndrome_prefix: str, block: str
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The decoder inputs ``(z_args, x_args)`` of the Z and X corrections.
+
+    X-type syndromes drive the Z corrections and Z-type syndromes the X
+    corrections; a generator of mixed type feeds both, and a decoder with no
+    syndromes of its own type takes the other type's.
+    """
+    x_syndromes = []
+    z_syndromes = []
+    for index, generator in enumerate(code.stabilizers):
+        name = f"{block}{syndrome_prefix}_{index + 1}"
+        if any(generator.x) and not any(generator.z):
+            x_syndromes.append(name)
+        elif any(generator.z) and not any(generator.x):
+            z_syndromes.append(name)
+        else:
+            x_syndromes.append(name)
+            z_syndromes.append(name)
+    return tuple(x_syndromes) or tuple(z_syndromes), tuple(z_syndromes) or tuple(x_syndromes)
 
 
 def decoder_call_and_correction(
@@ -104,23 +136,13 @@ def decoder_call_and_correction(
     syndromes the X corrections, as in Table 1; for non-CSS codes a single
     decoder consumes the full syndrome and outputs both components.
     """
-    x_syndromes = []
-    z_syndromes = []
-    for index, generator in enumerate(code.stabilizers):
-        name = f"{block}{syndrome_prefix}_{index + 1}"
-        if any(generator.x) and not any(generator.z):
-            x_syndromes.append(name)
-        elif any(generator.z) and not any(generator.x):
-            z_syndromes.append(name)
-        else:
-            x_syndromes.append(name)
-            z_syndromes.append(name)
+    z_args, x_args = _syndrome_split(code, syndrome_prefix, block)
     n = code.num_qubits
     z_targets = tuple(f"{block}z_{i + 1}" for i in range(n))
     x_targets = tuple(f"{block}x_{i + 1}" for i in range(n))
     statements: list[Statement] = [
-        AssignDecoder(z_targets, f"{block}f_z", tuple(x_syndromes) or tuple(z_syndromes)),
-        AssignDecoder(x_targets, f"{block}f_x", tuple(z_syndromes) or tuple(x_syndromes)),
+        AssignDecoder(z_targets, f"{block}f_z", z_args),
+        AssignDecoder(x_targets, f"{block}f_x", x_args),
     ]
     for qubit in range(n):
         statements.append(ConditionalPauli(BoolVar(x_targets[qubit]), qubit + offset, "X"))
@@ -172,19 +194,7 @@ def min_weight_decoder_condition(
     no error indicator variables exist), for both the X and the Z component.
     """
     n = code.num_qubits
-    x_syndromes = []
-    z_syndromes = []
-    for index, generator in enumerate(code.stabilizers):
-        name = f"{block}{syndrome_prefix}_{index + 1}"
-        if any(generator.x) and not any(generator.z):
-            x_syndromes.append(name)
-        elif any(generator.z) and not any(generator.x):
-            z_syndromes.append(name)
-        else:
-            x_syndromes.append(name)
-            z_syndromes.append(name)
-    z_args = tuple(x_syndromes) or tuple(z_syndromes)
-    x_args = tuple(z_syndromes) or tuple(x_syndromes)
+    z_args, x_args = _syndrome_split(code, syndrome_prefix, block)
     z_outputs = [decoder_output_expr(f"{block}f_z", i + 1, z_args) for i in range(n)]
     x_outputs = [decoder_output_expr(f"{block}f_x", i + 1, x_args) for i in range(n)]
 
@@ -308,12 +318,6 @@ def _shift(operator: PauliOperator, offset: int, total: int) -> PauliOperator:
     return PauliOperator(tuple(x_bits), tuple(z_bits), operator.phase)
 
 
-def _total_qubits(code: StabilizerCode, offset: int) -> int:
-    # The shift helper needs the total register size; blocks are laid out
-    # contiguously so the caller's offset plus one block is a lower bound.
-    return max(code.num_qubits + offset, code.num_qubits * (offset // code.num_qubits + 1))
-
-
 def _block_operator(code: StabilizerCode, operator: PauliOperator, block: int, blocks: int) -> PauliOperator:
     return _shift(operator, block * code.num_qubits, blocks * code.num_qubits)
 
@@ -335,14 +339,9 @@ def logical_cnot_with_propagation(
         parts.append(Unitary("CNOT", (qubit, qubit + n)))
     # One round of error correction on each block.
     for block in range(blocks):
-        block_code_offset = block * n
         prefix = f"b{block}_"
-        for index, generator in enumerate(code.stabilizers):
-            observable = _shift(generator, block_code_offset, total)
-            parts.append(Measure(f"{prefix}s_{index + 1}", observable))
-        parts.append(
-            _block_decoder_and_correction(code, block_code_offset, prefix)
-        )
+        parts.append(syndrome_measurement(code, offset=block * n, block=prefix, num_qubits=total))
+        parts.append(decoder_call_and_correction(code, offset=block * n, block=prefix))
     program = sequence(*parts)
 
     # Specification: input |0>_L |0>_L; the logical CNOT keeps Z_L Z_L ...
@@ -368,7 +367,7 @@ def logical_cnot_with_propagation(
         sum_of(BoolVar(f"ep_{qubit + 1}") for qubit in range(n)), IntConst(max_errors)
     )
     decoder_condition = bool_and(
-        _block_decoder_condition(code, f"b{block}_", total, ("ep",))
+        min_weight_decoder_condition(code, error_prefixes=("ep",), block=f"b{block}_")
         for block in range(blocks)
     )
     triple = HoareTriple(
@@ -437,13 +436,3 @@ def _product(operators: list[PauliOperator]) -> PauliOperator:
     for op in operators[1:]:
         result = result * op
     return result
-
-
-def _block_decoder_and_correction(code: StabilizerCode, offset: int, prefix: str) -> Statement:
-    return decoder_call_and_correction(code, offset=offset, block=prefix)
-
-
-def _block_decoder_condition(
-    code: StabilizerCode, prefix: str, total: int, error_prefixes: tuple[str, ...]
-) -> BoolExpr:
-    return min_weight_decoder_condition(code, error_prefixes=error_prefixes, block=prefix)

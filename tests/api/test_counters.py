@@ -115,7 +115,7 @@ class TestSplitSessionClauseDatabaseCounters:
         session = SolveSession(formula)
         session.add_guard("stale", accurate_correction_formula(code, max_errors=1))
         session.check(select=("stale",))
-        erased = session.retire_guard("stale")
+        erased = session.retire_guards(["stale"])
         assert erased >= 1
         check = split_check(formula, [{}], session=session)
         assert check.metadata["session"]["erased_clauses"] == erased

@@ -109,11 +109,8 @@ class TestCompileCache:
         first = engine.run(task)
         assert first.cached is False
         assert engine.run(task).cached is True
-        # A released guard: the next run compiles and asserts afresh.
-        assert engine.release_task(task) is True
-        again = engine.run(task)
-        assert again.cached is False and again.verified == first.verified
-        # A guard that fell out of the context's guard LRU: likewise.
+        # A guard that fell out of the context's guard LRU: the next run
+        # compiles and asserts afresh.
         engine.resources.context_for("steane").max_task_guards = 2
         for seed in (4, 5):
             engine.run(ConstrainedTask(code="steane", locality=True, seed=seed))

@@ -212,33 +212,35 @@ class TestCancellation:
         assert _event_names(job) == ["JobSubmitted", "JobCancelled"]
         engine.close()
 
-    def test_cancelled_correction_job_releases_its_guard(self):
+    def test_deadline_cancelled_task_keeps_its_guard(self):
         from repro.api.events import SubtaskStarted
 
-        task = CorrectionTask(code="surface-5")
+        task = CorrectionTask(code="steane")
         engine = Engine()
-        job = engine.submit(task)
+        executor = ShardedJobExecutor(engine, lanes=1, autostart=False)
+        job = executor.submit(Job("job-deadline", task, deadline=2.0))
 
-        def cancel_at_solve_start(event):
-            # Fires after the task's guard was asserted on the shared
-            # context but before (or just as) the solve begins, so the
-            # cancellation exercises the release path deterministically.
+        def stall_past_the_deadline(event):
+            # Runs on the lane after the task's guard was asserted on the
+            # shared context; the solve then polls its control on entry and
+            # stops with the deadline.
             if isinstance(event, SubtaskStarted):
-                job.cancel()
+                time.sleep(max(0.0, job._deadline_at - time.monotonic()) + 0.01)
 
-        job.subscribe(cancel_at_solve_start)
+        job.subscribe(stall_past_the_deadline)
+        executor.start()
         with pytest.raises(JobCancelledError) as excinfo:
-            job.result(timeout=120)
-        assert excinfo.value.reason == "cancelled"
-        context = engine.resources.context_for("surface-5")
-        assert len(context._task_guards) == 0
-        assert context.retired == 1
-        # Re-running the task after release re-asserts and still verifies,
-        # and the guard-GC counters surface through the resource stats.
-        rerun = engine.run(task)
-        assert rerun.verified
-        assert len(context._task_guards) == 1
-        assert rerun.details["resources"]["retired_guards"] == 1
+            job.result(timeout=60)
+        assert excinfo.value.reason == "deadline"
+        context = engine.resources.context_for("steane")
+        assert list(context._task_guards) == [task] and context.retired == 0
+        # The resubmission is a context hit with the uncancelled verdict.
+        again = executor.submit(Job("job-again", task)).result(timeout=60)
+        fresh = Engine().run(task)
+        assert again.cached is True and fresh.cached is False
+        assert again.verified == fresh.verified is True
+        assert "retired_guards" not in again.details["resources"]
+        executor.shutdown()
         engine.close()
 
     def test_deadline_mid_solve_cancels_and_session_survives(self):

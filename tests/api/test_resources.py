@@ -403,8 +403,10 @@ class TestGuardGarbageCollection:
             formula = precise_detection_formula(code, trial, error_model=ErrorModel("any"))
             view = view_of(context, ("trial", trial), formula)
             verdicts[trial] = view.check().status
-        assert len(context._task_guards) == 2
-        assert context.retired == 1
+        # The third guard overflowed the cap of 2: the two older ones were
+        # retired in one sweep, down to max(1, 2 // 2) = 1 live guard.
+        assert len(context._task_guards) == 1
+        assert (context.retired, context.sweeps) == (2, 1)
         assert context.session.stats().get("erased_clauses", 0) >= 1
         # The evicted task re-enters under a fresh selector with the same
         # verdict; survivors keep theirs.
@@ -413,31 +415,72 @@ class TestGuardGarbageCollection:
             view = view_of(context, ("trial", trial), formula)
             assert view.check().status == verdicts[trial], trial
 
-    def test_selector_names_never_reused_after_retirement(self):
+    def test_overflow_retires_the_older_half_in_one_scan(self, monkeypatch):
         from repro.api.resources import CodeContext
         from repro.codes.registry import build_code
+        from repro.smt.solver import SATSolver
         from repro.verifier.encodings import ErrorModel, precise_detection_formula
 
-        code = build_code("five-qubit")
-        context = CodeContext("five-qubit")
-        formula = precise_detection_formula(code, 2, error_model=ErrorModel("any"))
-        first = view_of(context, "t", formula)
-        context.retire_task("t")
-        second = view_of(context, "t", formula)
-        assert first.selectors != second.selectors
-        assert second.check().status in ("sat", "unsat")
+        scans = []
+        erase_satisfied = SATSolver.erase_satisfied
 
-    def test_retire_unknown_task_is_a_noop(self):
+        def counted(solver):
+            scans.append(solver)
+            return erase_satisfied(solver)
+
+        monkeypatch.setattr(SATSolver, "erase_satisfied", counted)
+        code = build_code("five-qubit")
+        context = CodeContext("five-qubit", max_task_guards=4)
+        # Task k asks for the trial distance k + 1.
+        formula = {
+            task: precise_detection_formula(code, task + 1, error_model=ErrorModel("any"))
+            for task in (1, 2, 3, 4, 5)
+        }
+        views = {task: view_of(context, task, formula[task]) for task in (1, 2, 3, 4)}
+        verdicts = {task: view.check().status for task, view in views.items()}
+        view_of(context, 1, formula[1])  # a hit: task 1 is now the newest
+        assert scans == [] and context.retired == 0
+        # The fifth guard overflows the cap: the three least recently used
+        # (tasks 2, 3, 4) go in one scan, down to 4 // 2 = 2 live guards.
+        views[5] = view_of(context, 5, formula[5])
+        assert len(scans) == 1
+        assert list(context._task_guards) == [1, 5]
+        assert (context.retired, context.sweeps) == (3, 1)
+        # The survivors still hit, under their old selectors.
+        hits = context.hits
+        assert view_of(context, 1, formula[1]).selectors == views[1].selectors
+        assert view_of(context, 5, formula[5]).selectors == views[5].selectors
+        assert context.hits == hits + 2 and len(scans) == 1
+        assert view_of(context, 1, formula[1]).check().status == verdicts[1]
+        # A retired task re-enters as a miss under a fresh selector: a
+        # retired selector is root-false forever, so names are never reused.
+        again = view_of(context, 2, formula[2])
+        assert again.selectors != views[2].selectors
+        assert again.check().status == verdicts[2]
+
+    def test_a_cap_of_one_never_retires_the_new_guard(self):
         engine = Engine()
-        assert engine.release_task(CorrectionTask(code="steane")) is False
-        engine.run(CorrectionTask(code="steane"))
-        assert engine.release_task(CorrectionTask(code="steane")) is True
-        assert engine.release_task(CorrectionTask(code="steane")) is False
+        try:
+            engine.resources.context_for("steane").max_task_guards = 1
+            runs = [
+                engine.run(CorrectionTask(code="steane", max_errors=weight))
+                for weight in (1, 2, 1)
+            ]
+            repeat = engine.run(CorrectionTask(code="steane", max_errors=1))
+            stats = engine.resources.stats()
+        finally:
+            engine.close()
+        # Steane corrects one error, not two: a run whose guard was retired
+        # by its own overflow would solve the empty selection and verify.
+        assert [result.verified for result in runs] == [True, False, True]
+        assert [result.cached for result in runs] == [False, False, False]
+        assert repeat.cached is True and repeat.verified is True
+        assert (stats["retired_guards"], stats["guard_sweeps"]) == (2, 2)
 
 
 class TestGuardRetirementCost:
-    """Retiring task guards frees what the tasks added, in batched sweeps,
-    without changing a verdict."""
+    """Retiring task guards frees what the tasks added, half the cap per
+    sweep, without changing a verdict."""
 
     @staticmethod
     def _locality_task(seed, max_errors=None):
@@ -462,8 +505,8 @@ class TestGuardRetirementCost:
                 assert evaluate(formula, check.model) is True, seed
             statuses.add(check.status)
         assert statuses == {"sat", "unsat"}
-        assert context.retired == 16
-        assert context.session.guard_sweeps >= 1
+        # Tasks 5, 8, ..., 20 overflow the cap of 4 and retire 3 guards each.
+        assert (context.retired, context.sweeps) == (18, 6)
 
     def test_fresh_tasks_leave_the_context_bounded(self, monkeypatch):
         from repro.api.resources import CodeContext
@@ -497,14 +540,15 @@ class TestGuardRetirementCost:
         for seed in range(limit, 4 * limit):
             added = max(added, run(seed))
             peak_clauses = max(peak_clauses, solver.num_problem_clauses)
-        retirements = context.retired
-        assert retirements == 3 * limit
-        # Between sweeps at most limit/2 retired tasks' clauses await erasure;
-        # each sweep erases every clause a retired task added.
-        assert peak_clauses <= clauses_at_fill + (limit // 2) * added
+        assert context.retired == 3 * limit
+        # A sweep runs when a guard overflows the cap and erases every clause
+        # the retired tasks added, so the database stays within one task's
+        # clauses of what it held with the cap full.
+        assert peak_clauses <= clauses_at_fill + added
         # Only a locality constraint's per-qubit literals can be new subterms.
         assert len(encoder._cache) <= cache_at_fill + build_code("steane").num_qubits
-        assert len(sweeps) <= retirements // (limit // 2) + 1
+        # Each sweep retires limit - limit // 2 + 1 = 3 guards.
+        assert len(sweeps) == context.sweeps == context.retired // 3
 
     def test_the_solver_holds_the_only_copy_of_the_clauses(self):
         from repro.api.resources import CodeContext
@@ -529,13 +573,19 @@ class TestGuardRetirementCost:
             assert cnf.num_clauses == Emitted.count, seed
         assert Emitted.count > 0
 
-    def test_stats_report_guard_sweeps_once_a_guard_retired(self):
+    def test_stats_count_one_guard_sweep_per_batch(self):
         engine = Engine()
-        task = CorrectionTask(code="steane")
-        assert "guard_sweeps" not in engine.run(task).details["resources"]
-        assert engine.release_task(task)
-        stats = engine.resources.stats()
-        assert stats["retired_guards"] == stats["guard_sweeps"] == 1
+        try:
+            engine.resources.context_for("steane").max_task_guards = 4
+            first = engine.run(self._locality_task(0))
+            assert "guard_sweeps" not in first.details["resources"]
+            for seed in range(1, 8):
+                engine.run(self._locality_task(seed))
+            stats = engine.resources.stats()
+        finally:
+            engine.close()
+        # Tasks 5 and 8 overflow the cap; each retires 3 guards in one sweep.
+        assert (stats["retired_guards"], stats["guard_sweeps"]) == (6, 2)
         assert stats["erased_clauses"] >= 1
 
 

@@ -125,7 +125,7 @@ def test_faulted_sweep_is_byte_identical_to_clean_run(tmp_path):
         str(tmp_path / "store"), breaker_threshold=1, breaker_cooldown=0.05
     )
     try:
-        with Harness(clause_store=store, fault_plan=plan) as chaotic:
+        with Harness(clause_store=store) as chaotic:
             client = chaotic.client(
                 api_key="chaos", retries=3, backoff=0.01, backoff_cap=0.05
             )

@@ -263,9 +263,7 @@ class TestGuardedConjunctions:
         session.add_guard("g", And((a, Not(b), Implies(b, c), Xor((a, c)))))
         assert session.check(select=("g",)).model == {"a": True, "b": False, "c": False}
         selector = session.encoder.selector("g")
-        # The session's only guard: retiring it sweeps at once.
-        assert session.retire_guard("g") >= 4
-        assert session.guard_sweeps == 1
+        assert session.retire_guards(["g"]) >= 4
         assert not any(-selector in clause for clause in session._solver.clauses)
         assert session.check().is_sat
 

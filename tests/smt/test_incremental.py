@@ -409,7 +409,7 @@ class TestGuardRetirement:
         stale = session.add_guard("stale", formula)
         session.check(select=(stale,))
         clauses_before = len(session._solver.clauses)
-        erased = session.retire_guard(stale)
+        erased = session.retire_guards([stale])
         assert erased >= 1
         assert len(session._solver.clauses) < clauses_before
         assert session.stats()["erased_clauses"] == erased
@@ -425,7 +425,7 @@ class TestGuardRetirement:
             selectors[bound] = session.add_weight_guard(f"w{bound}", weight, bound)
         before = {bound: session.check(select=(sel,)).status
                   for bound, sel in selectors.items()}
-        session.retire_guard(selectors.pop(2))
+        session.retire_guards([selectors.pop(2)])
         for bound, sel in selectors.items():
             assert session.check(select=(sel,)).status == before[bound], bound
         # A freshly added guard over the same weight still works (the unary
@@ -476,19 +476,39 @@ class TestEncoderHandOff:
         assert session.encoder.cnf.clauses == []
 
 
-class TestBatchedGuardSweeps:
-    def test_sweep_waits_for_half_the_live_guards(self):
+class TestBatchedGuardRetirement:
+    def test_one_scan_retires_the_whole_batch(self, monkeypatch):
+        scans = []
+        erase_satisfied = SATSolver.erase_satisfied
+
+        def counted(solver):
+            scans.append(solver)
+            return erase_satisfied(solver)
+
+        monkeypatch.setattr(SATSolver, "erase_satisfied", counted)
         names = [f"g{i}" for i in range(8)]
         session = SolveSession(Or(tuple(BoolVar(name) for name in names)))
         for name in names:
             session.add_guard(name, And((BoolVar(name), Not(BoolVar(f"x{name}")))))
         assert session.check(select=("g0",)).is_sat
-        erased = [session.retire_guard(name) for name in names[:4]]
-        # Sweep when retired-since-last-sweep >= half the live guards:
-        # 1 < 7/2, 2 < 6/2, then 3 >= 5/2.
-        assert erased[:2] == [0, 0] and erased[2] >= 6 and erased[3] == 0
-        assert session.guard_sweeps == 1
-        # A retired selector is false at the root before any sweep erased its
-        # clauses, so selecting it again is contradictory.
+        selectors = [session.encoder.selector(name) for name in names[:4]]
+        # Each guard added two clauses holding its selector; one scan
+        # erases all eight.
+        assert session.retire_guards(names[:4]) >= 8
+        assert len(scans) == 1
+        assert not any(
+            -selector in clause for clause in session._solver.clauses for selector in selectors
+        )
+        # A retired selector is false at the root, so selecting it again is
+        # contradictory; the survivors keep their meaning.
         assert session.check(select=("g3",)).is_unsat
         assert session.check(select=("g5", "g6")).is_sat
+
+    def test_retirement_before_the_first_check_only_asserts(self):
+        a = BoolVar("a")
+        session = SolveSession(Or((a, BoolVar("b"))))
+        session.add_guard("g", a)
+        assert session.retire_guards(["g"]) == 0
+        assert session._solver is None
+        assert session.check(select=("g",)).is_unsat
+        assert session.check().is_sat

@@ -8,8 +8,8 @@ workload exercises a different part of the solver's life cycle:
 
 * a cold registry sweep: construction, root propagation and search on
   every registry code, plus the incremental distance walks;
-* guard churn on one shared context: guard retirement and the batched
-  ``erase_satisfied`` sweeps;
+* guard churn on one shared context: guard retirement, one
+  ``erase_satisfied`` sweep per overflow of the context's guard cap;
 * an in-process split of surface-5 correction: many consecutive
   assumption solves on one session, including a learnt-clause reduction;
 * a pooled split of surface-5 Y correction on two workers: fixed stripes
@@ -70,8 +70,8 @@ def test_guard_churn_on_one_context():
         stats = engine.resources.stats()
     finally:
         engine.close()
-    assert search_counts(results) == (130, 314, 10195)
-    assert (stats["retired_guards"], stats["guard_sweeps"], stats["erased_clauses"]) == (36, 18, 738)
+    assert search_counts(results) == (129, 337, 10164)
+    assert (stats["retired_guards"], stats["guard_sweeps"], stats["erased_clauses"]) == (36, 12, 738)
 
 
 def test_in_process_split_with_a_reduction():

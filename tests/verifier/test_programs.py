@@ -11,6 +11,7 @@ from repro.verifier.programs import (
     ghz_preparation,
     logical_cnot_with_propagation,
     min_weight_decoder_condition,
+    syndrome_measurement,
 )
 
 
@@ -40,6 +41,30 @@ class TestProgramGenerator:
         kinds = statement_types(program)
         assert "Unitary" not in kinds
         assert kinds.count("Measure") == 6
+
+    def test_block_measurements_span_the_whole_register(self):
+        code = steane_code()
+        n = code.num_qubits
+        for block in range(2):
+            measurement = syndrome_measurement(
+                code, offset=block * n, block=f"b{block}_", num_qubits=2 * n
+            )
+            observables = [statement.observable for statement in measurement.statements]
+            assert [len(op.x) for op in observables] == [2 * n] * len(code.stabilizers)
+            # The block's generator sits on its own qubits, identity elsewhere.
+            for op, generator in zip(observables, code.stabilizers):
+                assert op.x[block * n:(block + 1) * n] == generator.x
+                assert not any(op.x[:block * n] + op.x[(block + 1) * n:])
+        # The Fig. 10 program measures through the same helper.
+        program = logical_cnot_with_propagation(code).triple.program
+        measured = [s for s in program.statements if isinstance(s, Measure)]
+        assert [s.observable for s in measured] == [
+            s.observable
+            for block in range(2)
+            for s in syndrome_measurement(
+                code, offset=block * n, block=f"b{block}_", num_qubits=2 * n
+            ).statements
+        ]
 
     def test_decoder_condition_mentions_all_syndromes(self):
         from repro.classical.expr import free_variables
